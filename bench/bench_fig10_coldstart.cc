@@ -126,10 +126,12 @@ void RegisterSnapshotFunctions() {
         ctx.SetResult(std::to_string(data.size()));
         return asbase::OkStatus();
       });
-  // Same workflow, but the instances rendezvous so two invocations are
+  // Same modules, but the instances rendezvous so two invocations are
   // provably in flight at once (forces a deterministic pool miss → clone).
   alloy::FunctionRegistry::Global().Register(
       "fig10.touch-block", [](alloy::FunctionContext& ctx) -> asbase::Status {
+        AS_RETURN_IF_ERROR(ctx.as().WriteWholeFile(
+            "/snap.bin", Bytes(std::string(4096, 'x'))));
         auto* gate = reinterpret_cast<std::atomic<int>*>(
             static_cast<uintptr_t>(ctx.params()["gate"].as_int()));
         gate->fetch_add(1);

@@ -302,7 +302,7 @@ int Main(int argc, char** argv) {
   }
 
   // ------------------------------------- 1b. snapshot clone boot on a miss
-  // Pool misses after the first invocation clone-boot from the snapshot
+  // Pool misses after the first invocation clone-boot from the geometry's
   // template (DESIGN.md §14) instead of paying a full cold start. Pairs of
   // rendezvoused invocations force one warm lease + one miss per round; the
   // miss's end-to-end latency is the clone row.
@@ -317,7 +317,7 @@ int Main(int argc, char** argv) {
                            options);
     const uint64_t clones0 =
         PoolCounter("alloy_visor_snapshot_clones_total", "serve-snap");
-    // First invocation boots, invokes, resets, and captures the template.
+    // First invocation boots, invokes, and publishes the template.
     (void)visor.Invoke("serve-snap", asbase::Json());
     const int pairs = std::max(closed_loop_n / 4, 2);
     std::atomic<int> gate{0};
@@ -550,7 +550,8 @@ int Main(int argc, char** argv) {
             if (response.ok() && response->status == 200) {
               bool cold = false;
               if (auto body = asbase::Json::Parse(response->body); body.ok()) {
-                cold = !(*body)["warm_start"].as_bool(true);
+                cold = (*body)["start"].is_string() &&
+                       (*body)["start"].as_string() != "hit";
               }
               std::lock_guard<std::mutex> lock(mutex);
               result.latency.Record(asbase::MonoNanos() - sent);

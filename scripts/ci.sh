@@ -47,4 +47,11 @@ echo "==> serving + dataplane + sharding + obs-overhead bench smoke (--quick)"
 (cd "${BUILD}" && ./bench/bench_sharding --quick --zipf >/dev/null)
 (cd "${BUILD}" && ./bench/bench_serving --obs-overhead --quick >/dev/null)
 
+# The serving benchmark builds its own copy of src/ (.bench_build/serve) and
+# drives Wfd::CaptureSnapshot / Wfd::CloneFromSnapshot in its ladder, so a
+# change to either is caught here: ~2 s per workload and mode, outputs
+# checked against the oracle.
+echo "==> serving benchmark smoke (bench/serve)"
+python3 bench/serve/run.py --smoke >/dev/null
+
 echo "CI OK"

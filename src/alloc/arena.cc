@@ -1,14 +1,8 @@
 #include "src/alloc/arena.h"
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -38,8 +32,7 @@ Arena::~Arena() {
 
 Arena::Arena(Arena&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)),
-      cow_clone_(std::exchange(other.cow_clone_, false)) {}
+      size_(std::exchange(other.size_, 0)) {}
 
 Arena& Arena::operator=(Arena&& other) noexcept {
   if (this != &other) {
@@ -48,111 +41,8 @@ Arena& Arena::operator=(Arena&& other) noexcept {
     }
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
-    cow_clone_ = std::exchange(other.cow_clone_, false);
   }
   return *this;
-}
-
-ArenaSnapshot::~ArenaSnapshot() {
-  if (fd_ >= 0) {
-    close(fd_);
-  }
-}
-
-asbase::Result<std::shared_ptr<const ArenaSnapshot>> Arena::CaptureSnapshot()
-    const {
-  if (data_ == nullptr) {
-    return asbase::FailedPrecondition("cannot snapshot an invalid arena");
-  }
-  int fd = static_cast<int>(
-      syscall(SYS_memfd_create, "alloy-wfd-snapshot",
-              static_cast<unsigned>(MFD_CLOEXEC | MFD_ALLOW_SEALING)));
-  if (fd < 0) {
-    return asbase::Internal(std::string("memfd_create failed: ") +
-                            std::strerror(errno));
-  }
-  if (ftruncate(fd, static_cast<off_t>(size_)) != 0) {
-    close(fd);
-    return asbase::Internal("cannot size snapshot memfd");
-  }
-  // Only resident pages carry content (untouched anonymous pages are zero,
-  // and so are the memfd's holes); copy runs of them.
-  const size_t page = PageSize();
-  const size_t pages = size_ / page;
-  std::vector<unsigned char> resident(pages);
-  if (mincore(data_, size_, resident.data()) != 0) {
-    // Conservative fallback: treat everything as resident.
-    std::fill(resident.begin(), resident.end(), 1);
-  }
-  size_t image_bytes = 0;
-  const char* base = static_cast<const char*>(data_);
-  size_t run_start = 0;
-  bool in_run = false;
-  auto flush_run = [&](size_t end_page) -> bool {
-    const size_t offset = run_start * page;
-    const size_t len = (end_page - run_start) * page;
-    size_t done = 0;
-    while (done < len) {
-      ssize_t n = pwrite(fd, base + offset + done, len - done,
-                         static_cast<off_t>(offset + done));
-      if (n <= 0) {
-        return false;
-      }
-      done += static_cast<size_t>(n);
-    }
-    image_bytes += len;
-    return true;
-  };
-  for (size_t p = 0; p < pages; ++p) {
-    if (resident[p] & 1) {
-      if (!in_run) {
-        run_start = p;
-        in_run = true;
-      }
-    } else if (in_run) {
-      if (!flush_run(p)) {
-        close(fd);
-        return asbase::Internal("short write into snapshot memfd");
-      }
-      in_run = false;
-    }
-  }
-  if (in_run && !flush_run(pages)) {
-    close(fd);
-    return asbase::Internal("short write into snapshot memfd");
-  }
-  // Seal the template: nothing can resize or write the shared image after
-  // this point. MAP_PRIVATE clone mappings are unaffected by F_SEAL_WRITE.
-  if (fcntl(fd, F_ADD_SEALS,
-            F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_WRITE | F_SEAL_SEAL) != 0) {
-    close(fd);
-    return asbase::Internal("cannot seal snapshot memfd");
-  }
-  auto snapshot = std::shared_ptr<ArenaSnapshot>(new ArenaSnapshot());
-  snapshot->fd_ = fd;
-  snapshot->size_ = size_;
-  snapshot->image_bytes_ = image_bytes;
-  return std::shared_ptr<const ArenaSnapshot>(std::move(snapshot));
-}
-
-asbase::Result<Arena> Arena::CloneFrom(const ArenaSnapshot& snapshot) {
-  if (snapshot.fd_ < 0 || snapshot.size_ == 0) {
-    return asbase::FailedPrecondition("invalid arena snapshot");
-  }
-  // MAP_NORESERVE: clones are expected to dirty a small fraction of the
-  // template; don't charge full swap for each. MAP_PRIVATE gives CoW — the
-  // sealed file is never written through this mapping.
-  void* mapped = mmap(nullptr, snapshot.size_, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_NORESERVE, snapshot.fd_, 0);
-  if (mapped == MAP_FAILED) {
-    return asbase::Internal(std::string("CoW clone mmap failed: ") +
-                            std::strerror(errno));
-  }
-  Arena arena;
-  arena.data_ = mapped;
-  arena.size_ = snapshot.size_;
-  arena.cow_clone_ = true;
-  return arena;
 }
 
 size_t Arena::ResidentBytes() const {
@@ -172,49 +62,6 @@ size_t Arena::ResidentBytes() const {
     }
   }
   return resident * page;
-}
-
-size_t Arena::PrivateResidentBytes() const {
-  if (data_ == nullptr) {
-    return 0;
-  }
-  if (!cow_clone_) {
-    // Anonymous mapping: every resident page is private by construction.
-    return ResidentBytes();
-  }
-  int fd = open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return ResidentBytes();
-  }
-  const size_t page = PageSize();
-  const size_t pages = size_ / page;
-  const uintptr_t first_page = reinterpret_cast<uintptr_t>(data_) / page;
-  constexpr size_t kBatch = 8192;  // 64 KiB of pagemap entries per pread
-  std::vector<uint64_t> entries(kBatch);
-  size_t private_pages = 0;
-  for (size_t done = 0; done < pages; done += kBatch) {
-    const size_t count = std::min(kBatch, pages - done);
-    const off_t offset =
-        static_cast<off_t>((first_page + done) * sizeof(uint64_t));
-    ssize_t n = pread(fd, entries.data(), count * sizeof(uint64_t), offset);
-    if (n != static_cast<ssize_t>(count * sizeof(uint64_t))) {
-      close(fd);
-      return ResidentBytes();
-    }
-    for (size_t i = 0; i < count; ++i) {
-      const uint64_t entry = entries[i];
-      const bool present = (entry >> 63) & 1;
-      const bool swapped = (entry >> 62) & 1;
-      const bool file_backed = (entry >> 61) & 1;
-      // A CoW-broken page is an anonymous copy (not file-backed); an
-      // untouched page in the clone is still the memfd's file page.
-      if ((present || swapped) && !file_backed) {
-        ++private_pages;
-      }
-    }
-  }
-  close(fd);
-  return private_pages * page;
 }
 
 }  // namespace asalloc

@@ -4,48 +4,14 @@
 // granularity and (b) destroying the WFD returns the memory to the host in
 // one munmap, matching the paper's "as-visor destroys the WFD and reclaims
 // the associated resources".
-//
-// Snapshot-fork (DESIGN.md §14): a booted arena can be frozen into an
-// ArenaSnapshot — its resident pages written into a sealed memfd — and new
-// arenas cloned from it as MAP_PRIVATE copy-on-write views. Clones share the
-// template's physical pages until they write; an idle clone costs only the
-// pages it dirties, which PrivateResidentBytes() measures.
 
 #ifndef SRC_ALLOC_ARENA_H_
 #define SRC_ALLOC_ARENA_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-
-#include "src/common/status.h"
 
 namespace asalloc {
-
-// An immutable heap template: the resident pages of a captured arena inside
-// a sealed (F_SEAL_SHRINK|GROW|WRITE) memfd. Shared between all clones; the
-// fd closes when the last reference drops (existing MAP_PRIVATE clone
-// mappings keep the file's pages alive independently of the fd).
-class ArenaSnapshot {
- public:
-  ~ArenaSnapshot();
-
-  ArenaSnapshot(const ArenaSnapshot&) = delete;
-  ArenaSnapshot& operator=(const ArenaSnapshot&) = delete;
-
-  size_t size() const { return size_; }
-  // Bytes actually written into the memfd (the template's resident set at
-  // capture time) — the one-time cost of the snapshot, not per clone.
-  size_t image_bytes() const { return image_bytes_; }
-
- private:
-  friend class Arena;
-  ArenaSnapshot() = default;
-
-  int fd_ = -1;
-  size_t size_ = 0;
-  size_t image_bytes_ = 0;
-};
 
 class Arena {
  public:
@@ -63,35 +29,15 @@ class Arena {
   size_t size() const { return size_; }
   bool valid() const { return data_ != nullptr; }
 
-  // Freezes the arena's current contents into an immutable template: only
-  // resident pages are copied into the memfd, so an untouched 64 MiB heap
-  // snapshots in O(touched pages). The arena itself is unaffected.
-  asbase::Result<std::shared_ptr<const ArenaSnapshot>> CaptureSnapshot() const;
-
-  // Maps a copy-on-write (MAP_PRIVATE) view of the template. O(µs): no page
-  // is copied until the clone writes to it.
-  static asbase::Result<Arena> CloneFrom(const ArenaSnapshot& snapshot);
-  bool is_cow_clone() const { return cow_clone_; }
-
   // Number of resident pages actually touched (via mincore). Used by the
-  // resource-usage benches (Fig 17b). For a CoW clone this counts shared
-  // template pages too — use PrivateResidentBytes for incremental cost.
+  // resource-usage benches (Fig 17b).
   size_t ResidentBytes() const;
-
-  // Bytes of memory privately owned by this mapping: for a CoW clone, only
-  // the pages dirtied since the clone (anonymous copies), not the resident
-  // file-backed template pages it shares. Read from /proc/self/pagemap
-  // (bit 61 distinguishes file-backed from private pages); falls back to
-  // ResidentBytes() when pagemap is unreadable. For a plain anonymous arena
-  // the two agree.
-  size_t PrivateResidentBytes() const;
 
   static size_t PageSize();
 
  private:
   void* data_ = nullptr;
   size_t size_ = 0;
-  bool cow_clone_ = false;
 };
 
 }  // namespace asalloc

@@ -154,45 +154,6 @@ void LinkedListAllocator::Reset() {
   stats_.total_frees = total_frees;
 }
 
-LinkedListAllocator::Image LinkedListAllocator::CaptureImage() const {
-  AS_CHECK(initialized());
-  Image image;
-  image.base = base_;
-  image.size = size_;
-  image.free_list_offset =
-      free_list_ == nullptr
-          ? kNoFreeList
-          : reinterpret_cast<uintptr_t>(free_list_) - base_;
-  image.stats = stats_;
-  return image;
-}
-
-void LinkedListAllocator::RestoreImage(const Image& image, void* new_base) {
-  const uintptr_t addr = reinterpret_cast<uintptr_t>(new_base);
-  AS_CHECK(addr % kAlign == 0) << "heap base must be 16-byte aligned";
-  base_ = addr;
-  size_ = image.size;
-  stats_ = image.stats;
-  free_list_ = nullptr;
-  // The cloned heap's free nodes still hold template-relative next pointers
-  // (they came over with the CoW page contents). Rebase each link once.
-  FreeNode** link = &free_list_;
-  uint64_t offset = image.free_list_offset;
-  while (offset != kNoFreeList) {
-    AS_CHECK(offset + kMinBlock <= size_) << "free-list offset out of bounds";
-    FreeNode* node = reinterpret_cast<FreeNode*>(addr + offset);
-    AS_CHECK(node->header.magic == kFreeMagic)
-        << "free-list corruption in snapshot image";
-    *link = node;
-    FreeNode* template_next = node->next;
-    offset = template_next == nullptr
-                 ? kNoFreeList
-                 : reinterpret_cast<uintptr_t>(template_next) - image.base;
-    node->next = nullptr;  // rewritten by the next iteration through `link`
-    link = &node->next;
-  }
-}
-
 LinkedListAllocator::Stats LinkedListAllocator::stats() const {
   Stats out = stats_;
   out.largest_free_block = 0;

@@ -49,26 +49,6 @@ class LinkedListAllocator {
   };
   Stats stats() const;
 
-  // Position-independent allocator state for snapshot-fork (DESIGN.md §14).
-  // The free list itself lives *inside* the heap as absolute pointers; the
-  // image records the heap base it was captured against so RestoreImage can
-  // rebase every in-heap link when a clone maps the heap at a new address.
-  struct Image {
-    uint64_t base = 0;            // heap base at capture time
-    uint64_t size = 0;            // heap size
-    uint64_t free_list_offset = kNoFreeList;  // head node offset, or none
-    Stats stats;
-  };
-  static constexpr uint64_t kNoFreeList = ~0ULL;
-
-  Image CaptureImage() const;
-
-  // Re-initializes this allocator over `new_base` (a copy-on-write clone of
-  // the heap the image was captured from): walks the cloned free list,
-  // rewriting each in-heap next pointer from template addresses to clone
-  // addresses. Only pages holding free-list nodes are dirtied.
-  void RestoreImage(const Image& image, void* new_base);
-
   bool initialized() const { return base_ != 0; }
 
   // Validates free-list invariants (address order, in-bounds, no adjacency).

@@ -69,106 +69,49 @@ Libos::Libos(Options options, const WfdSnapshot& snapshot)
   // clone into a 64 MiB heap.
   options_.heap_bytes = snapshot.heap_bytes;
   options_.disk_blocks = snapshot.disk_blocks;
+  std::lock_guard<std::mutex> lock(load_mutex_);
   for (ModuleKind kind : snapshot.modules) {
-    switch (kind) {
-      case ModuleKind::kMm: {
-        if (snapshot.heap == nullptr) {
-          clone_status_ = asbase::Internal("snapshot lists mm but no heap");
-          return;
-        }
-        auto cloned = asalloc::Arena::CloneFrom(*snapshot.heap);
-        if (!cloned.ok()) {
-          clone_status_ = cloned.status();
-          return;
-        }
-        auto module = std::make_unique<MmModule>();
-        module->heap = std::move(*cloned);
-        module->allocator.RestoreImage(snapshot.allocator,
-                                       module->heap.data());
-        if (options_.mpk != nullptr && options_.heap_key != 0) {
-          asbase::Status bound = options_.mpk->BindRegion(
-              module->heap.data(), module->heap.size(), options_.heap_key,
-              PROT_READ | PROT_WRITE);
-          if (!bound.ok()) {
-            clone_status_ = bound;
-            return;
-          }
-        }
-        mm_ = std::move(module);
-        break;
-      }
-      case ModuleKind::kFatfs: {
-        if (snapshot.disk == nullptr) {
-          clone_status_ = asbase::Internal("snapshot lists fatfs but no disk");
-          return;
-        }
-        auto module = std::make_unique<FsModule>();
-        auto mem_disk = std::make_unique<asblk::MemDisk>(snapshot.disk);
-        module->mem_disk = mem_disk.get();
-        module->owned_disk = std::move(mem_disk);
-        auto volume = asfat::FatVolume::MountFromMeta(
-            module->owned_disk.get(), snapshot.fat);
-        module->fat_volume = volume.get();
-        module->fs = std::move(volume);
-        fs_ = std::move(module);
-        break;
-      }
-      case ModuleKind::kFdtab: {
-        auto module = std::make_unique<FdtabModule>();
-        module->entries.resize(3);  // 0/1/2 reserved for stdio
-        for (auto& entry : module->entries) {
-          entry.kind = FdEntry::Kind::kStdio;
-        }
-        fdtab_ = std::move(module);
-        break;
-      }
-      case ModuleKind::kSocket:
-        // Deliberately not reconstructed: the netstack (TUN attach + poller
-        // thread) registers lazily on the clone's first socket use. An idle
-        // clone should not own a poller thread.
-        continue;
-      case ModuleKind::kStdio:
-        stdio_ready_ = true;
-        break;
-      case ModuleKind::kTime: {
-        auto module = std::make_unique<TimeModule>();
-        module->boot_micros = asbase::WallMicros();
-        time_ = std::move(module);
-        break;
-      }
-      case ModuleKind::kMmapFileBackend:
-        mmap_ = std::make_unique<MmapModule>();
-        break;
-      case ModuleKind::kRamfs:
-        clone_status_ =
-            asbase::Internal("ramfs module in a snapshot (unsupported)");
+    if (kind == ModuleKind::kSocket) {
+      // Deliberately not constructed: the netstack (TUN attach + poller
+      // thread) registers lazily on the clone's first socket use. An idle
+      // clone should not own a poller thread.
+      continue;
+    }
+    if (kind == ModuleKind::kFatfs) {
+      if (snapshot.disk == nullptr) {
+        clone_status_ = asbase::Internal("snapshot lists fatfs but no disk");
         return;
+      }
+      auto module = std::make_unique<FsModule>();
+      auto mem_disk = std::make_unique<asblk::MemDisk>(snapshot.disk);
+      module->mem_disk = mem_disk.get();
+      module->owned_disk = std::move(mem_disk);
+      module->fs = asfat::FatVolume::MountFromMeta(module->owned_disk.get(),
+                                                   snapshot.fat);
+      module->pristine_disk = snapshot.disk;
+      module->pristine_fat = snapshot.fat;
+      fs_ = std::move(module);
+    } else {
+      clone_status_ = BuildLocked(kind);
+      if (!clone_status_.ok()) {
+        return;
+      }
     }
     // Marked loaded with zero load_nanos_: clone boot pays no module load,
     // and the visor's warm-delta accounting must not see one.
+    cloned_modules_ |= 1u << static_cast<unsigned>(kind);
     loaded_[static_cast<size_t>(kind)].store(true, std::memory_order_release);
   }
 }
 
-asbase::Status Libos::CaptureSnapshot(WfdSnapshot* out) {
+asbase::Status Libos::CaptureSnapshot(WfdSnapshot* out) const {
   std::lock_guard<std::mutex> lock(load_mutex_);
-  if (options_.use_ramfs && IsLoaded(ModuleKind::kRamfs)) {
+  if (options_.use_ramfs) {
     return asbase::FailedPrecondition("ramfs WFDs are not snapshotable");
   }
-  if (IsLoaded(ModuleKind::kFatfs) &&
-      (fs_ == nullptr || fs_->mem_disk == nullptr ||
-       fs_->fat_volume == nullptr)) {
+  if (options_.disk != nullptr) {
     return asbase::FailedPrecondition(
         "external disk images are not snapshotable");
-  }
-  if (PendingSlots() != 0) {
-    return asbase::FailedPrecondition("pending slots at snapshot capture");
-  }
-  if (mmap_ != nullptr) {
-    std::lock_guard<std::mutex> mmap_lock(mmap_->mutex);
-    if (!mmap_->regions.empty()) {
-      return asbase::FailedPrecondition("live mmap regions at capture");
-    }
   }
   out->modules = LoadedModules();
   out->heap_bytes = options_.heap_bytes;
@@ -176,16 +119,10 @@ asbase::Status Libos::CaptureSnapshot(WfdSnapshot* out) {
   out->use_ramfs = options_.use_ramfs;
   out->load_all = options_.load_all;
   out->image_bytes = 0;
-  if (mm_ != nullptr) {
-    std::lock_guard<std::mutex> mm_lock(mm_->mutex);
-    AS_ASSIGN_OR_RETURN(out->heap, mm_->heap.CaptureSnapshot());
-    out->allocator = mm_->allocator.CaptureImage();
-    out->image_bytes += out->heap->image_bytes();
-  }
-  if (fs_ != nullptr && fs_->mem_disk != nullptr) {
-    out->disk = fs_->mem_disk->SnapshotImage();
-    out->fat = fs_->fat_volume->SnapshotMeta();
-    out->image_bytes += out->disk->bytes();
+  if (fs_ != nullptr && fs_->pristine_disk != nullptr) {
+    out->disk = fs_->pristine_disk;
+    out->fat = fs_->pristine_fat;
+    out->image_bytes = out->disk->bytes();
   }
   return asbase::OkStatus();
 }
@@ -200,10 +137,11 @@ bool Libos::IsLoaded(ModuleKind kind) const {
 
 asbase::Status Libos::EnsureLoaded(ModuleKind kind) {
   if (IsLoaded(kind)) {
-    // Fast path: entry already bound (Figure 7b's warm hit).
-    asobs::Registry::Global()
-        .GetCounter("alloy_libos_module_hits_total")
-        .Add(1);
+    // Fast path: entry already bound (Figure 7b's warm hit). Every LibOS
+    // call from every shard lands here, so the series is looked up once.
+    static asobs::Counter& hits =
+        asobs::Registry::Global().GetCounter("alloy_libos_module_hits_total");
+    hits.Add(1);
     return asbase::OkStatus();
   }
   // Slow path (Figure 7a): route through the loader under the load lock.
@@ -307,7 +245,24 @@ asbase::Status Libos::LoadLocked(ModuleKind kind) {
     // dependency was already loaded; never reconstruct live module state.
     return asbase::OkStatus();
   }
+  std::vector<ModuleKind> dependencies;
+  if (kind == ModuleKind::kFdtab) {
+    // fdtab depends on a filesystem to resolve paths against.
+    dependencies = {options_.use_ramfs ? ModuleKind::kRamfs
+                                       : ModuleKind::kFatfs};
+  } else if (kind == ModuleKind::kMmapFileBackend) {
+    dependencies = {ModuleKind::kMm, ModuleKind::kFdtab};
+  }
+  for (ModuleKind dependency : dependencies) {
+    AS_RETURN_IF_ERROR(LoadLocked(dependency));
+    loaded_[static_cast<size_t>(dependency)].store(true,
+                                                   std::memory_order_release);
+  }
   LoadModuleImage(kind);
+  return BuildLocked(kind);
+}
+
+asbase::Status Libos::BuildLocked(ModuleKind kind) {
   switch (kind) {
     case ModuleKind::kMm: {
       auto module = std::make_unique<MmModule>();
@@ -346,7 +301,12 @@ asbase::Status Libos::LoadLocked(ModuleKind kind) {
           return mounted.status();
         }
       }
-      module->fat_volume = mounted->get();
+      if (module->mem_disk != nullptr) {
+        // Freeze the freshly formatted disk (chunk pointers, no copy) before
+        // any function writes: the pristine half of a clone template.
+        module->pristine_disk = module->mem_disk->SnapshotImage();
+        module->pristine_fat = (*mounted)->SnapshotMeta();
+      }
       module->fs = std::move(*mounted);
       fs_ = std::move(module);
       return asbase::OkStatus();
@@ -362,12 +322,6 @@ asbase::Status Libos::LoadLocked(ModuleKind kind) {
       return asbase::OkStatus();
     }
     case ModuleKind::kFdtab: {
-      // fdtab depends on a filesystem to resolve paths against.
-      AS_RETURN_IF_ERROR(LoadLocked(options_.use_ramfs ? ModuleKind::kRamfs
-                                                       : ModuleKind::kFatfs));
-      loaded_[static_cast<size_t>(options_.use_ramfs ? ModuleKind::kRamfs
-                                                     : ModuleKind::kFatfs)]
-          .store(true, std::memory_order_release);
       auto module = std::make_unique<FdtabModule>();
       module->entries.resize(3);  // 0/1/2 reserved for stdio
       for (auto& entry : module->entries) {
@@ -398,12 +352,6 @@ asbase::Status Libos::LoadLocked(ModuleKind kind) {
       return asbase::OkStatus();
     }
     case ModuleKind::kMmapFileBackend: {
-      AS_RETURN_IF_ERROR(LoadLocked(ModuleKind::kMm));
-      loaded_[static_cast<size_t>(ModuleKind::kMm)].store(
-          true, std::memory_order_release);
-      AS_RETURN_IF_ERROR(LoadLocked(ModuleKind::kFdtab));
-      loaded_[static_cast<size_t>(ModuleKind::kFdtab)].store(
-          true, std::memory_order_release);
       mmap_ = std::make_unique<MmapModule>();
       return asbase::OkStatus();
     }
@@ -483,6 +431,16 @@ std::vector<ModuleKind> Libos::LoadedModules() const {
     }
   }
   return out;
+}
+
+uint32_t Libos::PaidModules() const {
+  uint32_t paid = 0;
+  for (int i = 0; i < kNumModuleKinds; ++i) {
+    if (loaded_[static_cast<size_t>(i)].load(std::memory_order_acquire)) {
+      paid |= 1u << i;
+    }
+  }
+  return paid & ~cloned_modules_;
 }
 
 int64_t Libos::ModuleLoadNanos(ModuleKind kind) const {
@@ -578,7 +536,7 @@ asalloc::Arena* Libos::heap_arena() {
 }
 
 size_t Libos::ResidentHeapBytes() const {
-  return mm_ == nullptr ? 0 : mm_->heap.PrivateResidentBytes();
+  return mm_ == nullptr ? 0 : mm_->heap.ResidentBytes();
 }
 
 size_t Libos::ResidentDiskBytes() const {

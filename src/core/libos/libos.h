@@ -71,24 +71,23 @@ class Libos {
 
   explicit Libos(Options options);
 
-  // Clone boot (DESIGN.md §14): reconstructs the snapshot's loaded modules
-  // from its CoW images instead of booting them — the heap arena maps
-  // MAP_PRIVATE over the template memfd (allocator free list rebased into
-  // the new address space, MPK key bound over the view), the disk clones
-  // chunk-CoW, the FAT volume mounts from metadata without device reads.
-  // No LoadModuleImage (dlmopen) cost is paid; load_nanos_ stays zero so
-  // warm-delta accounting is unaffected. The socket module (if the template
-  // had one) is NOT reconstructed — the netstack registers lazily on first
-  // use. Check clone_status() before using the instance.
+  // Clone boot (DESIGN.md §14): constructs the snapshot's modules without
+  // loading them — a fresh heap arena + allocator bound under this LibOS's
+  // MPK key, the disk as a chunk-CoW view of the pristine image, the FAT
+  // volume mounted from metadata without device reads. No LoadModuleImage
+  // (dlmopen) cost is paid; load_nanos_ stays zero so warm-delta accounting
+  // is unaffected. The socket module (if the template had one) is NOT
+  // constructed — the netstack registers lazily on first use. Check
+  // clone_status() before using the instance.
   Libos(Options options, const WfdSnapshot& snapshot);
 
-  // Freezes this LibOS's module state into `out` (heap/allocator/disk/FAT
-  // images + module table). Preconditions: quiescent (post-ResetForReuse,
-  // exclusively owned), fatfs-backed with an owned MemDisk (ramfs and
-  // external disks are not snapshotable), no pending slots.
-  asbase::Status CaptureSnapshot(WfdSnapshot* out);
+  // Describes this LibOS as a pristine template into `out`: the loaded
+  // module set plus the disk and FAT as they were right after format and
+  // mount. Nothing a function wrote is part of it, so it may be called at
+  // any time. Fails for ramfs and external-disk WFDs.
+  asbase::Status CaptureSnapshot(WfdSnapshot* out) const;
 
-  // kOk unless the clone-boot constructor failed (e.g. the CoW mmap).
+  // kOk unless the clone-boot constructor failed (e.g. the MPK bind).
   const asbase::Status& clone_status() const { return clone_status_; }
 
   ~Libos();
@@ -114,6 +113,10 @@ class Libos {
   // must then destroy the WFD instead of re-pooling it.
   asbase::Status ResetForReuse();
   std::vector<ModuleKind> LoadedModules() const;
+  // Bitmask (1 << kind) of the modules this LibOS loaded itself, i.e. paid
+  // LoadModuleImage for — loaded modules minus those a clone boot
+  // constructed from its template.
+  uint32_t PaidModules() const;
   int64_t ModuleLoadNanos(ModuleKind kind) const;
   int64_t TotalLoadNanos() const;
 
@@ -178,10 +181,7 @@ class Libos {
   // Heap arena pages (for MPK binding by the WFD). Null until mm is loaded.
   asalloc::Arena* heap_arena();
 
-  // Bytes of heap privately owned by this WFD (resource accounting,
-  // Fig 17b). CoW-aware: for a cloned arena only dirtied pages count, not
-  // the shared template pages; for a booted arena this equals the resident
-  // set as before.
+  // Resident bytes of the heap arena (resource accounting, Fig 17b).
   size_t ResidentHeapBytes() const;
 
   // Bytes of disk chunks privately materialized by this WFD's owned
@@ -200,10 +200,13 @@ class Libos {
   struct FsModule {
     std::unique_ptr<asblk::BlockDevice> owned_disk;
     std::unique_ptr<asfat::Filesystem> fs;
-    // Downcast views for snapshot capture; non-null only when this module
-    // owns a MemDisk with a FatVolume mounted on it.
+    // Non-null only when this module owns a MemDisk.
     asblk::MemDisk* mem_disk = nullptr;
-    asfat::FatVolume* fat_volume = nullptr;
+    // The owned disk frozen right after format, and the volume's metadata
+    // right after mount: what a clone template holds. Null for external
+    // disks and ramfs.
+    std::shared_ptr<const asblk::MemDiskImage> pristine_disk;
+    asfat::FatVolume::MetaImage pristine_fat;
   };
   struct FdEntry {
     enum class Kind { kFree, kFile, kListener, kConnection, kStdio } kind =
@@ -235,6 +238,9 @@ class Libos {
   };
 
   asbase::Status LoadLocked(ModuleKind kind);
+  // Constructs one module's state, without its dependencies or the
+  // LoadModuleImage cost: shared by the load path and clone boot.
+  asbase::Status BuildLocked(ModuleKind kind);
   asbase::Result<FsModule*> RequireFs();
   asbase::Result<MmModule*> RequireMm();
   asbase::Result<FdtabModule*> RequireFdtab();
@@ -244,6 +250,7 @@ class Libos {
   mutable std::mutex load_mutex_;
   std::array<std::atomic<bool>, kNumModuleKinds> loaded_{};
   std::array<int64_t, kNumModuleKinds> load_nanos_{};
+  uint32_t cloned_modules_ = 0;  // set by the clone-boot constructor only
 
   std::unique_ptr<MmModule> mm_;
   std::unique_ptr<FsModule> fs_;

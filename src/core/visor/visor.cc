@@ -36,17 +36,6 @@ int64_t EnvInt64(const char* name, int64_t fallback) {
   return static_cast<int64_t>(value);
 }
 
-// ALLOY_SNAPSHOT gates snapshot-fork clone boot (DESIGN.md §14). Default
-// on; "0"/"off"/"false" disables capture (and therefore cloning).
-bool SnapshotEnabledFromEnv() {
-  const char* env = std::getenv("ALLOY_SNAPSHOT");
-  if (env == nullptr || *env == '\0') {
-    return true;
-  }
-  const std::string value(env);
-  return value != "0" && value != "off" && value != "false";
-}
-
 // Burn rates export through int64 gauges; scale to milli-units (burn 1.0 →
 // gauge 1000) so fractional burns stay visible. Documented in docs/metrics.md.
 int64_t BurnMilli(double burn) {
@@ -96,8 +85,10 @@ asbase::Json SummarizeTrace(const asobs::Trace& trace) {
 
 }  // namespace
 
-AsVisor::AsVisor(ShardIdentity shard)
+AsVisor::AsVisor(ShardIdentity shard, std::shared_ptr<SnapshotStore> snapshots)
     : shard_(std::move(shard)),
+      snapshots_(snapshots != nullptr ? std::move(snapshots)
+                                      : std::make_shared<SnapshotStore>()),
       inflight_gauge_(&asobs::Registry::Global().GetGauge(
           "alloy_visor_inflight", ShardLabels())) {
   flight_ = std::make_unique<asobs::FlightRecorder>(static_cast<size_t>(
@@ -158,10 +149,7 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
   Entry entry;
   entry.spec = spec;
   entry.warmup = std::make_shared<WarmupProfile>();
-  entry.snapshot = std::make_shared<SnapshotCell>();
-  entry.snapshot_enabled = SnapshotEnabledFromEnv();
-  entry.snapshot_max_bytes =
-      static_cast<size_t>(EnvInt64("ALLOY_SNAPSHOT_MAX_BYTES", 0));
+  entry.snapshot = snapshots_->SlotFor(options.wfd);
   {
     asobs::Registry& registry = asobs::Registry::Global();
     const asobs::Labels labels = WorkflowLabels(spec.name);
@@ -201,9 +189,6 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
     entry.snapshot_clone_hist =
         &registry.GetHistogram("alloy_visor_snapshot_clone_nanos", labels);
   }
-  // The fan-out is known from the spec; the module set is learned from the
-  // first completed invocation (see Invoke).
-  entry.warmup->stage_workers = Orchestrator::MaxStageFanout(spec);
   WfdPoolOptions pool_options;
   pool_options.capacity = options.pool_size;
   pool_options.min_warm = std::min(options.min_warm, options.pool_size);
@@ -214,44 +199,48 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
       (pool_options.min_warm > 0 || pool_options.idle_ttl_ms > 0)) {
     // The warmer cold-starts WFDs itself; those boots carry no invocation
     // trace (there is none yet) and count as prewarms, not misses. Captures
-    // the WarmupProfile (not `this`): the warmer may outlive the
-    // registration, and the profile has its own lock.
+    // the WarmupProfile and the template slot (not `this`): the warmer may
+    // outlive the registration, and both have their own locks.
     WfdOptions wfd_options = options.wfd;
     wfd_options.trace = nullptr;
     wfd_options.trace_parent = 0;
     pool_options.factory =
-        [wfd_options, warmup = entry.warmup, snapcell = entry.snapshot,
+        [wfd_options, warmup = entry.warmup, slot = entry.snapshot,
+         stage_workers = Orchestrator::MaxStageFanout(spec),
          clones = entry.snapshot_clones, fallbacks = entry.snapshot_fallbacks,
          clone_hist = entry.snapshot_clone_hist]()
         -> asbase::Result<std::unique_ptr<Wfd>> {
-      // Primary path (DESIGN.md §14): clone-boot from the snapshot template
-      // when one exists — the pre-warmed WFD arrives hot for O(µs) instead
-      // of a full boot + module replay. Counter pointers are registry-owned
-      // (immortal), safe to hold in a closure that outlives the Entry.
-      if (std::shared_ptr<const WfdSnapshot> snap = snapcell->Get()) {
+      // Primary path (DESIGN.md §14): clone-boot from the geometry's
+      // template when one exists — O(µs) instead of a full boot + module
+      // replay. Counter pointers are registry-owned (immortal), safe to
+      // hold in a closure that outlives the Entry.
+      std::unique_ptr<Wfd> wfd;
+      if (std::shared_ptr<const WfdSnapshot> snap =
+              slot != nullptr ? slot->Get() : nullptr) {
         auto clone_or = Wfd::CloneFromSnapshot(wfd_options, std::move(snap));
         if (clone_or.ok()) {
           clones->Add(1);
           clone_hist->Record((*clone_or)->creation_nanos());
-          return clone_or;
+          wfd = std::move(*clone_or);
+        } else {
+          AS_LOG(kWarn) << "snapshot clone-boot failed ("
+                        << clone_or.status().ToString()
+                        << "); falling back to full boot";
         }
-        AS_LOG(kWarn) << "snapshot clone-boot failed ("
-                      << clone_or.status().ToString()
-                      << "); falling back to full boot";
       }
-      fallbacks->Add(1);
-      AS_ASSIGN_OR_RETURN(std::unique_ptr<Wfd> wfd,
-                          Wfd::Create(wfd_options));
+      if (wfd == nullptr) {
+        fallbacks->Add(1);
+        AS_ASSIGN_OR_RETURN(wfd, Wfd::Create(wfd_options));
+      }
       std::vector<ModuleKind> modules;
-      size_t workers = 0;
       {
         std::lock_guard<std::mutex> lock(warmup->mutex);
         modules = warmup->modules;
-        workers = warmup->stage_workers;
       }
       // Replay what real runs touched so the pre-warmed WFD is hot, not
-      // just booted. Best-effort: a module that fails to load here will be
-      // retried (and properly surfaced) by the invocation that needs it.
+      // just booted (a clone has the template's modules already).
+      // Best-effort: a module that fails to load here will be retried (and
+      // properly surfaced) by the invocation that needs it.
       for (ModuleKind kind : modules) {
         asbase::Status loaded = wfd->libos().EnsureLoaded(kind);
         if (!loaded.ok()) {
@@ -259,17 +248,13 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
                         << loaded.ToString() << ")";
         }
       }
-      if (workers > 0) {
-        wfd->EnsureStageWorkers(workers);
-      }
+      wfd->EnsureStageWorkers(stage_workers);
       return wfd;
     };
   }
   entry.pool = std::make_shared<WfdPool>(spec.name, std::move(pool_options));
   entry.options = std::move(options);
-  asobs::Counter* invalidations = entry.snapshot_invalidations;
   std::shared_ptr<WfdPool> old_pool;
-  std::shared_ptr<SnapshotCell> old_cell;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     // Overwrite drops the previous entry — including its pool, whose warm
@@ -279,7 +264,6 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
     auto it = workflows_.find(spec.name);
     if (it != workflows_.end()) {
       old_pool = it->second.pool;
-      old_cell = it->second.snapshot;
     }
     workflows_[spec.name] = std::move(entry);
     // A fresh registration supersedes any migration tombstone: requests for
@@ -289,14 +273,6 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
   // Requests queued against the old registration re-evaluate (their ticket
   // vanished with the old Entry).
   admission_cv_.notify_all();
-  // Re-registration invalidates the old snapshot template: its images were
-  // built from the old code/options and must not clone-boot the new
-  // registration. The old cell may still be referenced by the orphaned
-  // pool's factory; dropping the snapshot makes that factory fall back to a
-  // full boot until the pool shuts down.
-  if (old_cell != nullptr && old_cell->Invalidate()) {
-    invalidations->Add(1);
-  }
   if (old_pool != nullptr) {
     // Stop the orphan's warmer now (it joins a thread — never under mutex_)
     // so it does not keep booting WFDs nobody will lease.
@@ -519,9 +495,7 @@ asbase::Result<InvokeResult> AsVisor::Invoke(
   asobs::Counter* timeouts = nullptr;
   asobs::LatencyHistogram* invoke_hist = nullptr;
   uint32_t flight_id = 0;
-  std::shared_ptr<SnapshotCell> snapcell;
-  bool snapshot_enabled = true;
-  size_t snapshot_max_bytes = 0;
+  std::shared_ptr<SnapshotStore::Slot> snapshot;
   asobs::Counter* snapshot_creates = nullptr;
   asobs::Counter* snapshot_clones = nullptr;
   asobs::Counter* snapshot_invalidations = nullptr;
@@ -544,9 +518,7 @@ asbase::Result<InvokeResult> AsVisor::Invoke(
     timeouts = it->second.timeouts;
     invoke_hist = it->second.invoke_hist;
     flight_id = it->second.flight_id;
-    snapcell = it->second.snapshot;
-    snapshot_enabled = it->second.snapshot_enabled;
-    snapshot_max_bytes = it->second.snapshot_max_bytes;
+    snapshot = it->second.snapshot;
     snapshot_creates = it->second.snapshot_creates;
     snapshot_clones = it->second.snapshot_clones;
     snapshot_invalidations = it->second.snapshot_invalidations;
@@ -622,21 +594,21 @@ asbase::Result<InvokeResult> AsVisor::Invoke(
     }
   } lease_end{pool.get()};
   result.warm_start = wfd != nullptr;
-  flight.warm_start = result.warm_start;
   int64_t loads_before = 0;
   if (result.warm_start) {
     wfd->SetTrace(trace.get(), root.id());
     loads_before = wfd->libos().TotalLoadNanos();
     root.SetArg("start", "warm");
+    flight.start = asobs::FlightStart::kHit;
   } else {
     wfd_options.trace = trace.get();
     wfd_options.trace_parent = root.id();
-    // Miss path, primary: clone-boot from the snapshot template (DESIGN.md
-    // §14) — O(µs) where a full boot is ~ms. Falls through to Create on any
-    // clone failure (geometry drift, mmap failure) or when no template has
-    // been captured yet.
+    // Miss path, primary: clone-boot from the geometry's template
+    // (DESIGN.md §14) — O(µs) where a full boot is ~ms. Falls through to
+    // Create on any clone failure or when no template exists yet. Run then
+    // sizes the clone's stage workers to the workflow's fan-out.
     std::shared_ptr<const WfdSnapshot> snap =
-        snapcell != nullptr ? snapcell->Get() : nullptr;
+        snapshot != nullptr ? snapshot->Get() : nullptr;
     if (snap != nullptr) {
       asobs::Span clone_span =
           trace->StartSpan("wfd_clone", "visor", root.id());
@@ -649,6 +621,7 @@ asbase::Result<InvokeResult> AsVisor::Invoke(
         snapshot_clones->Add(1);
         snapshot_clone_hist->Record(result.wfd_create_nanos);
         root.SetArg("start", "clone");
+        flight.start = asobs::FlightStart::kClone;
       } else {
         AS_LOG(kWarn) << "snapshot clone-boot failed ("
                       << clone_or.status().ToString()
@@ -668,6 +641,7 @@ asbase::Result<InvokeResult> AsVisor::Invoke(
       result.wfd_create_nanos = wfd->creation_nanos();
       snapshot_fallbacks->Add(1);
       root.SetArg("start", "cold");
+      flight.start = asobs::FlightStart::kFull;
     }
   }
   // Lease phase: warm pop, or the cold start the miss forced.
@@ -702,6 +676,13 @@ asbase::Result<InvokeResult> AsVisor::Invoke(
   result.modules_loaded = wfd->libos().LoadedModules();
   result.resident_bytes = wfd->ResidentBytes();
 
+  // A run that paid for a module its geometry's template lacks (the first
+  // full boot, or a clone that loaded more on demand) grows the template.
+  // One atomic load otherwise.
+  if (snapshot != nullptr && snapshot->Offer(*wfd)) {
+    snapshot_creates->Add(1);
+  }
+
   // Step 7: return the WFD to the pool (reset + park) or destroy it and
   // reclaim resources. Explicit here so the root span (and
   // end_to_end_nanos) covers reclaim, and so no code touches the trace
@@ -713,45 +694,19 @@ asbase::Result<InvokeResult> AsVisor::Invoke(
     reset_span.End();
     if (reset.ok()) {
       wfd->SetTrace(nullptr, 0);
-      // First successful boot+invoke+reset freezes the snapshot template
-      // (DESIGN.md §14). Post-reset so the image holds no per-invocation
-      // state; pre-park so the WFD is still exclusively ours. The cell
-      // admits exactly one capture attempt, so steady state pays only a
-      // CaptureWorthTrying() mutex peek.
-      if (snapshot_enabled && snapcell != nullptr &&
-          !wfd->cloned_from_snapshot() && snapcell->CaptureWorthTrying()) {
-        asobs::Span snap_span =
-            trace->StartSpan("snapshot_capture", "visor", root.id());
-        MaybeCaptureSnapshot(snapcell, *wfd, snapshot_max_bytes,
-                             snapshot_creates);
-        snap_span.End();
-      }
       pool->Park(std::move(wfd));
       lease_end.armed = false;
     } else {
       AS_LOG(kWarn) << "WFD reset for '" << workflow_name
                     << "' failed (" << reset.ToString() << "); destroying";
-      // A WFD that cannot reset throws doubt on the template it may have
-      // been cloned from (e.g. leaked slots baked into the image): drop the
-      // snapshot so the next boot rebuilds from scratch.
-      if (snapcell != nullptr && snapcell->Invalidate()) {
+      // A WFD that cannot reset throws doubt on the template its modules
+      // came from: drop it so the next miss boots from scratch.
+      if (snapshot != nullptr && snapshot->Invalidate()) {
         snapshot_invalidations->Add(1);
       }
       wfd.reset();
     }
   } else {
-    // pool_size == 0 cold-starts every invocation — the configuration with
-    // the most to gain from a template. Reset + capture once even though
-    // this WFD is about to be destroyed, so every later miss clone-boots.
-    if (snapshot_enabled && snapcell != nullptr &&
-        !wfd->cloned_from_snapshot() && snapcell->CaptureWorthTrying() &&
-        wfd->Reset().ok()) {
-      asobs::Span snap_span =
-          trace->StartSpan("snapshot_capture", "visor", root.id());
-      MaybeCaptureSnapshot(snapcell, *wfd, snapshot_max_bytes,
-                           snapshot_creates);
-      snap_span.End();
-    }
     wfd.reset();
   }
   flight.reset_nanos = asbase::MonoNanos() - reset_start;
@@ -797,27 +752,6 @@ asbase::Result<InvokeResult> AsVisor::Invoke(
   AccountOutcome(workflow_name, trace, asobs::FlightOutcome::kOk,
                  result.end_to_end_nanos);
   return result;
-}
-
-void AsVisor::MaybeCaptureSnapshot(
-    const std::shared_ptr<SnapshotCell>& cell, Wfd& wfd,
-    size_t max_image_bytes, asobs::Counter* creates) {
-  if (!cell->TryBeginCapture()) {
-    return;  // lost the race to a concurrent invocation, or already done
-  }
-  auto snapshot_or = wfd.CaptureSnapshot(max_image_bytes);
-  if (snapshot_or.ok()) {
-    cell->EndCapture(std::move(*snapshot_or));
-    creates->Add(1);
-  } else {
-    // Capture failure marks the cell dead: a workflow whose state cannot
-    // snapshot (ramfs, external disk, oversized image, pinned buffers)
-    // should not retry — and pay for — the capture on every invocation.
-    AS_LOG(kInfo) << "snapshot capture declined ("
-                  << snapshot_or.status().ToString()
-                  << "); workflow will keep full-boot cold starts";
-    cell->EndCapture(nullptr);
-  }
 }
 
 asbase::Result<InvokeResult> AsVisor::InvokeFromConfig(
@@ -1531,7 +1465,9 @@ ashttp::HttpResponse AsVisor::HandleInvoke(const ashttp::HttpRequest& request,
   body.Set("workflow", name);
   body.Set("cold_start_nanos", invoked->cold_start_nanos);
   body.Set("end_to_end_nanos", invoked->end_to_end_nanos);
-  body.Set("warm_start", invoked->warm_start);
+  body.Set("start", invoked->warm_start    ? "hit"
+                    : invoked->clone_start ? "clone"
+                                           : "full");
   body.Set("instances", static_cast<int64_t>(invoked->run.instances_run));
   body.Set("result", invoked->run.result);
   response.headers["content-type"] = "application/json";

@@ -35,8 +35,8 @@
 #include "src/common/histogram.h"
 #include "src/common/thread_pool.h"
 #include "src/core/visor/orchestrator.h"
+#include "src/core/visor/snapshot_store.h"
 #include "src/core/visor/wfd_pool.h"
-#include "src/core/wfd_snapshot.h"
 #include "src/http/http.h"
 #include "src/obs/flight.h"
 #include "src/obs/metrics.h"
@@ -156,7 +156,10 @@ class AsVisor {
   };
 
   AsVisor() : AsVisor(ShardIdentity{}) {}
-  explicit AsVisor(ShardIdentity shard);
+  // `snapshots` is the clone-template store to share (the router passes its
+  // own to every shard); null = this visor owns a private one.
+  explicit AsVisor(ShardIdentity shard,
+                   std::shared_ptr<SnapshotStore> snapshots = nullptr);
   ~AsVisor();
 
   AsVisor(const AsVisor&) = delete;
@@ -315,15 +318,14 @@ class AsVisor {
 
  private:
   // What this workflow's runs actually warm up: the LibOS modules its last
-  // completed invocation had loaded and the stage-worker fan-out its spec
-  // needs. The pool warmer's factory replays both, so a pre-warmed WFD is
-  // hot (fdtab/fatfs constructed, workers up), not just booted. Shared with
-  // the factory closure and guarded by its own mutex so the warmer never
-  // touches visor state (a draining pool may outlive the registration).
+  // completed invocation had loaded. The pool warmer's factory replays them
+  // on every WFD it boots, so a pre-warmed WFD is hot (fdtab/fatfs
+  // constructed), not just booted. Shared with the factory closure and
+  // guarded by its own mutex so the warmer never touches visor state (a
+  // draining pool may outlive the registration).
   struct WarmupProfile {
     std::mutex mutex;
     std::vector<ModuleKind> modules;
-    size_t stage_workers = 0;
   };
 
   struct Entry {
@@ -334,11 +336,11 @@ class AsVisor {
     std::shared_ptr<WfdPool> pool;
     // Warm-up recording for the pool factory (see WarmupProfile).
     std::shared_ptr<WarmupProfile> warmup;
-    // Snapshot-fork template slot (DESIGN.md §14): written once by the
-    // first successful post-invoke reset, read by the factory and the
-    // invoke miss path, dropped on re-registration or reset failure.
-    // Shared with the factory closure like `warmup`.
-    std::shared_ptr<SnapshotCell> snapshot;
+    // The clone template of this workflow's WFD geometry (DESIGN.md §14),
+    // shared with every workflow of that geometry: offered each successful
+    // run, read by the factory and the invoke miss path, dropped on reset
+    // failure. Null when the WFD cannot clone-boot or ALLOY_SNAPSHOT is off.
+    std::shared_ptr<SnapshotStore::Slot> snapshot;
     // Watchdog invocations currently running this workflow (admission).
     int inflight = 0;
     // FIFO admission queue: tickets of requests waiting for a concurrency
@@ -381,18 +383,7 @@ class AsVisor {
     asobs::Counter* snapshot_invalidations = nullptr;
     asobs::Counter* snapshot_fallbacks = nullptr;
     asobs::LatencyHistogram* snapshot_clone_hist = nullptr;
-    // ALLOY_SNAPSHOT / ALLOY_SNAPSHOT_MAX_BYTES, parsed at registration.
-    bool snapshot_enabled = true;
-    size_t snapshot_max_bytes = 0;
   };
-
-  // Captures a snapshot template from `wfd` (post-reset, pre-park) into
-  // `cell` if the cell is still open and snapshots are enabled. At most one
-  // capture per registration ever runs; failures mark the cell dead so the
-  // cost is not re-paid. Never called under mutex_.
-  static void MaybeCaptureSnapshot(const std::shared_ptr<SnapshotCell>& cell,
-                                   Wfd& wfd, size_t max_image_bytes,
-                                   asobs::Counter* creates);
 
   void ReleaseAdmission(const std::string& workflow_name);
 
@@ -464,6 +455,7 @@ class AsVisor {
   void WriteBlackBox(const BlackBoxRequest& request);
 
   const ShardIdentity shard_;
+  const std::shared_ptr<SnapshotStore> snapshots_;
   // Cached like Entry's series: the inflight gauge moves on every admission
   // and release.
   asobs::Gauge* inflight_gauge_ = nullptr;

@@ -143,7 +143,7 @@ std::shared_ptr<AsVisor> AsVisorRouter::MakeShard(size_t index,
   AsVisor::ShardIdentity identity;
   identity.index = static_cast<int>(index);
   identity.cpus = ShardCpus(index, shard_count);
-  return std::make_shared<AsVisor>(std::move(identity));
+  return std::make_shared<AsVisor>(std::move(identity), snapshots_);
 }
 
 void AsVisorRouter::RebuildRingLocked(size_t shard_count) {

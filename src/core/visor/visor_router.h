@@ -202,6 +202,11 @@ class AsVisorRouter {
   // Every shard's flight records merged oldest-first (end_nanos order).
   std::vector<asobs::FlightRecord> MergedFlight(int64_t since_nanos) const;
 
+  // Clone templates, one per WFD geometry, shared by every shard (those
+  // ScaleTo adds included) so co-located tenants pay one full boot.
+  const std::shared_ptr<SnapshotStore> snapshots_ =
+      std::make_shared<SnapshotStore>();
+
   // Elastic bounds, fixed at construction.
   size_t min_shards_ = 1;
   size_t max_shards_ = 1;

@@ -6,6 +6,34 @@
 namespace alloy {
 
 asbase::Result<std::unique_ptr<Wfd>> Wfd::Create(WfdOptions options) {
+  return Boot(std::move(options), nullptr);
+}
+
+asbase::Result<std::unique_ptr<Wfd>> Wfd::CloneFromSnapshot(
+    WfdOptions options, std::shared_ptr<const WfdSnapshot> snapshot) {
+  if (snapshot == nullptr) {
+    return asbase::InvalidArgument("null snapshot");
+  }
+  // Compatibility stamp: the template's geometry must match what this
+  // registration would boot, or the clone would misrepresent the workflow.
+  if (options.use_ramfs || snapshot->use_ramfs) {
+    return asbase::FailedPrecondition("ramfs WFDs cannot clone-boot");
+  }
+  if (options.disk != nullptr) {
+    return asbase::FailedPrecondition(
+        "external-disk WFDs cannot clone-boot");
+  }
+  if (options.heap_bytes != snapshot->heap_bytes ||
+      options.disk_blocks != snapshot->disk_blocks ||
+      options.on_demand == snapshot->load_all) {
+    return asbase::FailedPrecondition(
+        "snapshot geometry does not match WfdOptions");
+  }
+  return Boot(std::move(options), snapshot.get());
+}
+
+asbase::Result<std::unique_ptr<Wfd>> Wfd::Boot(WfdOptions options,
+                                               const WfdSnapshot* snapshot) {
   const int64_t start = asbase::MonoNanos();
   auto wfd = std::unique_ptr<Wfd>(new Wfd());
   wfd->options_ = options;
@@ -34,64 +62,11 @@ asbase::Result<std::unique_ptr<Wfd>> Wfd::Create(WfdOptions options) {
   libos_options.heap_key = wfd->user_key_;
   libos_options.trace = options.trace;
   libos_options.trace_parent = options.trace_parent;
-  wfd->libos_ = std::make_unique<Libos>(std::move(libos_options));
-
-  wfd->creation_nanos_ = asbase::MonoNanos() - start;
-  return wfd;
-}
-
-asbase::Result<std::unique_ptr<Wfd>> Wfd::CloneFromSnapshot(
-    WfdOptions options, std::shared_ptr<const WfdSnapshot> snapshot) {
   if (snapshot == nullptr) {
-    return asbase::InvalidArgument("null snapshot");
-  }
-  // Compatibility stamp: the template's geometry must match what this
-  // registration would boot, or the clone would misrepresent the workflow.
-  if (options.use_ramfs || snapshot->use_ramfs) {
-    return asbase::FailedPrecondition("ramfs WFDs cannot clone-boot");
-  }
-  if (options.disk != nullptr) {
-    return asbase::FailedPrecondition(
-        "external-disk WFDs cannot clone-boot");
-  }
-  if (options.heap_bytes != snapshot->heap_bytes ||
-      options.disk_blocks != snapshot->disk_blocks ||
-      options.on_demand == snapshot->load_all) {
-    return asbase::FailedPrecondition(
-        "snapshot geometry does not match WfdOptions");
-  }
-  const int64_t start = asbase::MonoNanos();
-  auto wfd = std::unique_ptr<Wfd>(new Wfd());
-  wfd->options_ = options;
-  wfd->mpk_ = std::make_unique<asmpk::PkeyRuntime>(options.mpk_backend);
-
-  AS_ASSIGN_OR_RETURN(wfd->system_key_, wfd->mpk_->AllocateKey());
-  AS_ASSIGN_OR_RETURN(wfd->user_key_, wfd->mpk_->AllocateKey());
-
-  const uint32_t user_pkru = asmpk::PkeyRuntime::AllowKey(
-      asmpk::PkeyRuntime::kDenyAll, wfd->user_key_);
-  wfd->trampoline_ = std::make_unique<asmpk::Trampoline>(
-      wfd->mpk_.get(), user_pkru, /*system_pkru=*/0u);
-
-  Libos::Options libos_options;
-  libos_options.load_all = !options.on_demand;
-  libos_options.use_ramfs = options.use_ramfs;
-  libos_options.heap_bytes = options.heap_bytes;
-  libos_options.disk_blocks = options.disk_blocks;
-  libos_options.fabric = options.fabric;
-  libos_options.addr = options.addr;
-  libos_options.mpk = wfd->mpk_.get();
-  libos_options.heap_key = wfd->user_key_;
-  libos_options.trace = options.trace;
-  libos_options.trace_parent = options.trace_parent;
-  wfd->libos_ =
-      std::make_unique<Libos>(std::move(libos_options), *snapshot);
-  if (!wfd->libos_->clone_status().ok()) {
-    return wfd->libos_->clone_status();
-  }
-  wfd->cloned_from_snapshot_ = true;
-  if (snapshot->stage_workers > 0) {
-    wfd->EnsureStageWorkers(snapshot->stage_workers);
+    wfd->libos_ = std::make_unique<Libos>(std::move(libos_options));
+  } else {
+    wfd->libos_ = std::make_unique<Libos>(std::move(libos_options), *snapshot);
+    AS_RETURN_IF_ERROR(wfd->libos_->clone_status());
   }
   wfd->creation_nanos_ = asbase::MonoNanos() - start;
   return wfd;
@@ -104,7 +79,6 @@ asbase::Result<std::shared_ptr<const WfdSnapshot>> Wfd::CaptureSnapshot(
   }
   auto snapshot = std::make_shared<WfdSnapshot>();
   AS_RETURN_IF_ERROR(libos_->CaptureSnapshot(snapshot.get()));
-  snapshot->stage_workers = stage_worker_count();
   if (max_image_bytes > 0 && snapshot->image_bytes > max_image_bytes) {
     return asbase::ResourceExhausted(
         "snapshot image (" + std::to_string(snapshot->image_bytes) +
@@ -172,9 +146,10 @@ uint32_t Wfd::UserPkru(asmpk::ProtKey function_key) const {
 }
 
 size_t Wfd::ResidentBytes() const {
-  // CoW-aware: a snapshot clone charges only the heap pages it dirtied and
-  // the disk chunks it copied, not the template memory it shares. This is
-  // what flows into alloy_visor_pool_resident_bytes.
+  // CoW-aware for the disk: a clone (or a booted WFD, whose disk froze
+  // into its pristine image after format) charges only the chunks it
+  // copied, not the template chunks it shares. This is what flows into
+  // alloy_visor_pool_resident_bytes.
   return libos_ == nullptr
              ? 0
              : libos_->ResidentHeapBytes() + libos_->ResidentDiskBytes();

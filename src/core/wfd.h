@@ -70,20 +70,20 @@ class Wfd {
   static asbase::Result<std::unique_ptr<Wfd>> Create(WfdOptions options);
 
   // Clone boot (DESIGN.md §14): a fresh WFD — own MPK keys, own trampoline,
-  // own address-space view — whose LibOS state is reconstructed
-  // copy-on-write from a snapshot-fork template instead of booted. The
-  // clone's user key is rebound over its private CoW heap view; fds and the
-  // netstack register lazily. O(µs) where Create is ~ms. Fails when the
-  // options are incompatible with the template's geometry.
+  // own heap — whose LibOS modules are constructed from a pristine template
+  // instead of loaded: the heap maps fresh under the clone's user key, the
+  // disk is a copy-on-write view of the freshly formatted image; fds and
+  // the netstack register lazily. O(µs) where Create plus the module loads
+  // is ~ms. Fails when the options are incompatible with the template's
+  // geometry, or name a ramfs or external disk.
   static asbase::Result<std::unique_ptr<Wfd>> CloneFromSnapshot(
       WfdOptions options, std::shared_ptr<const WfdSnapshot> snapshot);
-  bool cloned_from_snapshot() const { return cloned_from_snapshot_; }
 
-  // Freezes this WFD's booted state into an immutable template (call only
-  // post-Reset on an exclusively-owned WFD). `max_image_bytes` caps the
-  // template's one-time resident cost (heap image + disk chunks); 0 = no
-  // cap. The WFD keeps serving afterwards — its disk becomes a CoW client
-  // of the frozen image.
+  // Describes this WFD as a pristine template: its loaded modules plus the
+  // disk and FAT as they were right after format and mount — never the
+  // files or heap bytes its invocations wrote, so it may be called on a WFD
+  // in any state. `max_image_bytes` caps the template's one-time resident
+  // cost (disk chunks); 0 = no cap. Fails for ramfs and external-disk WFDs.
   asbase::Result<std::shared_ptr<const WfdSnapshot>> CaptureSnapshot(
       size_t max_image_bytes = 0);
 
@@ -143,6 +143,11 @@ class Wfd {
  private:
   Wfd() = default;
 
+  // Create and CloneFromSnapshot: keys, trampoline, and a LibOS that is
+  // either empty (or fully loaded, load-all) or built from `snapshot`.
+  static asbase::Result<std::unique_ptr<Wfd>> Boot(
+      WfdOptions options, const WfdSnapshot* snapshot);
+
   WfdOptions options_;
   std::unique_ptr<asmpk::PkeyRuntime> mpk_;
   asmpk::ProtKey system_key_ = 0;
@@ -150,7 +155,6 @@ class Wfd {
   std::unique_ptr<asmpk::Trampoline> trampoline_;
   std::unique_ptr<Libos> libos_;
   int64_t creation_nanos_ = 0;
-  bool cloned_from_snapshot_ = false;
 
   // Declared last so the workers join before the LibOS (heap, netstack)
   // they may have touched is torn down.

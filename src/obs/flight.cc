@@ -21,12 +21,26 @@ const char* FlightOutcomeName(FlightOutcome outcome) {
   return "unknown";
 }
 
+const char* FlightStartName(FlightStart start) {
+  switch (start) {
+    case FlightStart::kNone:
+      return "none";
+    case FlightStart::kHit:
+      return "hit";
+    case FlightStart::kClone:
+      return "clone";
+    case FlightStart::kFull:
+      return "full";
+  }
+  return "unknown";
+}
+
 asbase::Json FlightRecord::ToJson() const {
   asbase::Json doc{asbase::JsonObject{}};
   doc.Set("workflow", workflow);
   doc.Set("shard", static_cast<int64_t>(shard));
   doc.Set("outcome", FlightOutcomeName(outcome));
-  doc.Set("warm_start", warm_start);
+  doc.Set("start", FlightStartName(start));
   doc.Set("start_nanos", start_nanos);
   doc.Set("end_nanos", end_nanos);
   doc.Set("total_nanos", total_nanos);
@@ -102,7 +116,8 @@ bool FlightRecorder::Record(uint32_t workflow_id, const FlightRecord& record) {
   slot.shard.store(record.shard, std::memory_order_relaxed);
   slot.outcome.store(static_cast<uint32_t>(record.outcome),
                      std::memory_order_relaxed);
-  slot.warm_start.store(record.warm_start ? 1 : 0, std::memory_order_relaxed);
+  slot.start.store(static_cast<uint32_t>(record.start),
+                   std::memory_order_relaxed);
   slot.start_nanos.store(record.start_nanos, std::memory_order_relaxed);
   slot.end_nanos.store(record.end_nanos, std::memory_order_relaxed);
   slot.total_nanos.store(record.total_nanos, std::memory_order_relaxed);
@@ -154,8 +169,8 @@ std::vector<FlightRecord> FlightRecorder::Snapshot(const std::string& workflow,
       record.shard = slot.shard.load(std::memory_order_relaxed);
       record.outcome = static_cast<FlightOutcome>(
           slot.outcome.load(std::memory_order_relaxed));
-      record.warm_start =
-          slot.warm_start.load(std::memory_order_relaxed) != 0;
+      record.start = static_cast<FlightStart>(
+          slot.start.load(std::memory_order_relaxed));
       record.start_nanos = slot.start_nanos.load(std::memory_order_relaxed);
       record.end_nanos = slot.end_nanos.load(std::memory_order_relaxed);
       record.total_nanos = slot.total_nanos.load(std::memory_order_relaxed);

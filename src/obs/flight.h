@@ -48,6 +48,16 @@ enum class FlightOutcome : uint32_t {
 
 const char* FlightOutcomeName(FlightOutcome outcome);
 
+// How the invocation got its WFD.
+enum class FlightStart : uint32_t {
+  kNone = 0,   // no WFD was leased (rejection, or the boot itself failed)
+  kHit = 1,    // warm pool hit
+  kClone = 2,  // pool miss, clone-booted from a template
+  kFull = 3,   // pool miss, full boot (Create + module loads)
+};
+
+const char* FlightStartName(FlightStart start);
+
 // One invocation's breakdown, as handed to Record() and returned by
 // Snapshot(). Timestamps are asbase::MonoNanos.
 struct FlightRecord {
@@ -56,7 +66,7 @@ struct FlightRecord {
   std::string workflow;  // resolved from the interned id on read
   int32_t shard = -1;
   FlightOutcome outcome = FlightOutcome::kOk;
-  bool warm_start = false;
+  FlightStart start = FlightStart::kNone;
   int64_t start_nanos = 0;  // receipt (after admission)
   int64_t end_nanos = 0;    // completion / rejection
   int64_t total_nanos = 0;  // end-to-end as reported to the caller
@@ -121,7 +131,7 @@ class FlightRecorder {
     std::atomic<uint32_t> workflow_id{0};
     std::atomic<int32_t> shard{-1};
     std::atomic<uint32_t> outcome{0};
-    std::atomic<uint32_t> warm_start{0};
+    std::atomic<uint32_t> start{0};
     std::atomic<int64_t> start_nanos{0};
     std::atomic<int64_t> end_nanos{0};
     std::atomic<int64_t> total_nanos{0};

@@ -53,14 +53,15 @@ TEST(FlightRecorderTest, RecordSnapshotRoundTrip) {
 
   FlightRecord record = StampedRecord(42);
   record.outcome = FlightOutcome::kTimeout;
-  record.warm_start = true;
+  record.start = FlightStart::kClone;
   ASSERT_TRUE(recorder.Record(id, record));
 
   const std::vector<FlightRecord> snapshot = recorder.Snapshot();
   ASSERT_EQ(snapshot.size(), 1u);
   EXPECT_EQ(snapshot[0].workflow, "wfa");
   EXPECT_EQ(snapshot[0].outcome, FlightOutcome::kTimeout);
-  EXPECT_TRUE(snapshot[0].warm_start);
+  EXPECT_EQ(snapshot[0].start, FlightStart::kClone);
+  EXPECT_EQ(snapshot[0].ToJson()["start"].as_string(), "clone");
   EXPECT_TRUE(AllFieldsAgree(snapshot[0]));
   EXPECT_EQ(recorder.recorded(), 1u);
   EXPECT_EQ(recorder.dropped(), 0u);

@@ -1,10 +1,14 @@
-// Tests for WFD snapshot-fork clone boot (DESIGN.md §14): CoW isolation of
-// heap and filesystem between the template and its clones, MPK key
-// isolation across clones, the visor's capture/clone/invalidate lifecycle
-// (with counter proof), and the clone-while-snapshotting race.
+// Tests for WFD clone boot from pristine, geometry-keyed templates
+// (DESIGN.md §14): a clone starts like a full boot (fresh heap, freshly
+// formatted disk, nothing any invocation wrote), clones stay isolated from
+// each other and get their own MPK keys, the visor's capture/clone/
+// invalidate lifecycle (with counter proof), one template shared by every
+// same-geometry workflow on a router, and the concurrent
+// clone/offer/invalidate race.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -12,11 +16,11 @@
 #include <thread>
 #include <vector>
 
-#include "src/alloc/arena.h"
 #include "src/blockdev/block_device.h"
+#include "src/core/visor/snapshot_store.h"
 #include "src/core/visor/visor.h"
+#include "src/core/visor/visor_router.h"
 #include "src/core/wfd.h"
-#include "src/core/wfd_snapshot.h"
 #include "src/obs/metrics.h"
 
 namespace alloy {
@@ -64,47 +68,73 @@ asbase::Status WriteFile(Libos& libos, const std::string& path,
   return asbase::OkStatus();
 }
 
-// ------------------------------------------------------------ arena CoW
+// Counter of a workflow served by a router shard (series carry the shard).
+uint64_t ShardCounterValue(const AsVisorRouter& router, const std::string& name,
+                           const std::string& workflow) {
+  return asobs::Registry::Global()
+      .GetCounter(name, {{"workflow", workflow},
+                         {"alloy_visor_shard",
+                          std::to_string(router.ShardOf(workflow))}})
+      .value();
+}
 
-TEST(ArenaSnapshotTest, ClonesAreIsolatedFromTemplateAndSiblings) {
-  asalloc::Arena arena(1u << 20);
-  ASSERT_TRUE(arena.valid());
-  uint8_t* base = static_cast<uint8_t*>(arena.data());
-  std::memset(base, 0x5a, 4096);
+WorkflowSpec OneStage(const std::string& name, const std::string& function) {
+  WorkflowSpec spec;
+  spec.name = name;
+  spec.stages.push_back(StageSpec{{FunctionSpec{function, 1}}});
+  return spec;
+}
 
-  auto snapshot = arena.CaptureSnapshot();
+// Loads mm and fatfs (+fdtab) through a small file write: the module set a
+// template captures.
+void RegisterFileWriter() {
+  FunctionRegistry::Global().Register(
+      "snap.write_file", [](FunctionContext& ctx) -> asbase::Status {
+        AS_RETURN_IF_ERROR(ctx.as().wfd().libos().HeapAllocate(64).status());
+        AS_RETURN_IF_ERROR(
+            WriteFile(ctx.as().wfd().libos(), "/out.txt", "data"));
+        ctx.SetResult("ok");
+        return asbase::OkStatus();
+      });
+}
+
+// ------------------------------------------------------------ clone heap
+
+TEST(CloneHeapTest, CloneGetsAFreshZeroedHeap) {
+  auto tmpl_or = Wfd::Create(SmallWfd());
+  ASSERT_TRUE(tmpl_or.ok());
+  Wfd& tmpl = **tmpl_or;
+  auto heap_ptr = tmpl.libos().HeapAllocate(4096);
+  ASSERT_TRUE(heap_ptr.ok());
+  std::memset(*heap_ptr, 0x5a, 4096);
+  uint8_t* tmpl_base = static_cast<uint8_t*>(tmpl.libos().heap_arena()->data());
+  const size_t offset = static_cast<uint8_t*>(*heap_ptr) - tmpl_base;
+
+  auto snapshot = tmpl.CaptureSnapshot();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  EXPECT_GT((*snapshot)->image_bytes(), 0u);
+  auto clone_or = Wfd::CloneFromSnapshot(SmallWfd(), *snapshot);
+  ASSERT_TRUE(clone_or.ok()) << clone_or.status().ToString();
+  Wfd& clone = **clone_or;
 
-  auto clone_a = asalloc::Arena::CloneFrom(**snapshot);
-  auto clone_b = asalloc::Arena::CloneFrom(**snapshot);
-  ASSERT_TRUE(clone_a.ok());
-  ASSERT_TRUE(clone_b.ok());
-  EXPECT_TRUE(clone_a->is_cow_clone());
-  uint8_t* a = static_cast<uint8_t*>(clone_a->data());
-  uint8_t* b = static_cast<uint8_t*>(clone_b->data());
+  // The template is pristine: the clone's heap is its own fresh mapping,
+  // zero where the template wrote, with an empty allocator.
+  ASSERT_TRUE(clone.libos().IsLoaded(ModuleKind::kMm));
+  uint8_t* clone_base =
+      static_cast<uint8_t*>(clone.libos().heap_arena()->data());
+  EXPECT_NE(clone_base, tmpl_base);
+  EXPECT_EQ(clone_base[offset], 0u);
+  auto stats = clone.libos().HeapStats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->live_allocations, 0u);
 
-  // Clones see the template's bytes without any copy having happened.
-  EXPECT_EQ(a[0], 0x5a);
-  EXPECT_EQ(b[100], 0x5a);
+  // Writes stay private in both directions.
+  clone_base[offset] = 0xaa;
+  EXPECT_EQ(tmpl_base[offset], 0x5a);
+  std::memset(tmpl_base + offset, 0xcc, 16);
+  EXPECT_EQ(clone_base[offset], 0xaa);
 
-  // Writes in one clone are invisible to the template and the sibling.
-  std::memset(a, 0xaa, 4096);
-  EXPECT_EQ(base[0], 0x5a);
-  EXPECT_EQ(b[0], 0x5a);
-  std::memset(b, 0xbb, 4096);
-  EXPECT_EQ(a[0], 0xaa);
-  EXPECT_EQ(base[0], 0x5a);
-
-  // Template writes after capture do not leak into clones (the memfd image
-  // is sealed; the template keeps its own anonymous pages).
-  std::memset(base, 0xcc, 4096);
-  EXPECT_EQ(a[0], 0xaa);
-  EXPECT_EQ(b[0], 0xbb);
-
-  // A clone privately owns only what it dirtied, not the shared template
-  // pages: one dirtied 4 KiB run, not the 1 MiB mapping.
-  EXPECT_LE(clone_a->PrivateResidentBytes(), 64u * 1024);
+  // An untouched clone heap costs (almost) nothing resident.
+  EXPECT_LE(clone.libos().ResidentHeapBytes(), 64u * 1024);
 }
 
 // ------------------------------------------------------- memdisk chunks
@@ -147,26 +177,23 @@ TEST(MemDiskTest, AllocatesLazilyAndClonesCopyOnWrite) {
 
 // ------------------------------------------------------------- wfd clone
 
-TEST(WfdSnapshotTest, CloneBootSharesStateButIsolatesWrites) {
+TEST(WfdSnapshotTest, CloneBootStartsPristineAndIsolatesWrites) {
   auto wfd_or = Wfd::Create(SmallWfd());
   ASSERT_TRUE(wfd_or.ok());
   Wfd& tmpl = **wfd_or;
 
-  // Bake recognizable state into the template: a heap allocation with a
-  // pattern and a file on the FAT volume.
+  // State an invocation would leave behind: a heap allocation with a
+  // pattern and a file on the FAT volume. Capture needs no reset.
   auto heap_ptr = tmpl.libos().HeapAllocate(64 * 1024);
   ASSERT_TRUE(heap_ptr.ok());
   std::memset(*heap_ptr, 0x5a, 64 * 1024);
   ASSERT_TRUE(WriteFile(tmpl.libos(), "/seed.txt", "template-state").ok());
-  ASSERT_TRUE(tmpl.Reset().ok());
-
   uint8_t* tmpl_base = static_cast<uint8_t*>(tmpl.libos().heap_arena()->data());
-  const size_t heap_offset =
-      static_cast<uint8_t*>(*heap_ptr) - tmpl_base;
+  const size_t heap_offset = static_cast<uint8_t*>(*heap_ptr) - tmpl_base;
 
   auto snapshot = tmpl.CaptureSnapshot();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  EXPECT_GT((*snapshot)->image_bytes, 0u);
+  EXPECT_GT((*snapshot)->image_bytes, 0u) << "the formatted disk is the image";
 
   auto clone_a_or = Wfd::CloneFromSnapshot(SmallWfd(), *snapshot);
   auto clone_b_or = Wfd::CloneFromSnapshot(SmallWfd(), *snapshot);
@@ -174,48 +201,37 @@ TEST(WfdSnapshotTest, CloneBootSharesStateButIsolatesWrites) {
   ASSERT_TRUE(clone_b_or.ok());
   Wfd& a = **clone_a_or;
   Wfd& b = **clone_b_or;
-  EXPECT_TRUE(a.cloned_from_snapshot());
 
-  // Before dirtying anything, a clone's incremental resident cost is a
-  // small fraction of the template's (CoW views, not copies). The few
-  // private pages it does hold come from the free-list rebase.
-  EXPECT_LT(b.ResidentBytes(), tmpl.ResidentBytes() / 2);
+  // An idle clone shares the disk image and has touched no heap.
+  EXPECT_LE(b.ResidentBytes(), 64u * 1024);
 
-  // Clone boot skipped module construction but the modules are loaded.
+  // Clone boot skipped module loads but the modules are there.
   EXPECT_TRUE(a.libos().IsLoaded(ModuleKind::kMm));
   EXPECT_TRUE(a.libos().IsLoaded(ModuleKind::kFatfs));
   EXPECT_EQ(a.libos().TotalLoadNanos(), 0)
       << "clone boot must not charge module-load time";
+  EXPECT_EQ(a.libos().PaidModules(), 0u);
 
-  // Heap contents came across at the same offset; file contents mounted
-  // without device I/O.
+  // Nothing the template's invocation wrote came across: the clone starts
+  // like a full boot.
   uint8_t* a_base = static_cast<uint8_t*>(a.libos().heap_arena()->data());
-  uint8_t* b_base = static_cast<uint8_t*>(b.libos().heap_arena()->data());
-  EXPECT_EQ(a_base[heap_offset], 0x5a);
-  EXPECT_EQ(ReadFile(a.libos(), "/seed.txt"), "template-state");
-
-  // Heap writes stay private per clone.
-  a_base[heap_offset] = 0xaa;
-  b_base[heap_offset] = 0xbb;
-  EXPECT_EQ(tmpl_base[heap_offset], 0x5a);
-  EXPECT_EQ(a_base[heap_offset], 0xaa);
-  EXPECT_EQ(b_base[heap_offset], 0xbb);
+  EXPECT_EQ(a_base[heap_offset], 0u);
+  EXPECT_FALSE(a.libos().Stat("/seed.txt").ok());
+  EXPECT_TRUE(tmpl.libos().Stat("/seed.txt").ok());
 
   // Filesystem writes stay private per clone: /a.txt exists only in A.
   ASSERT_TRUE(WriteFile(a.libos(), "/a.txt", "from-a").ok());
-  EXPECT_TRUE(a.libos().Stat("/a.txt").ok());
+  EXPECT_EQ(ReadFile(a.libos(), "/a.txt"), "from-a");
   EXPECT_FALSE(b.libos().Stat("/a.txt").ok());
   EXPECT_FALSE(tmpl.libos().Stat("/a.txt").ok());
   ASSERT_TRUE(WriteFile(b.libos(), "/b.txt", "from-b").ok());
   EXPECT_EQ(ReadFile(b.libos(), "/b.txt"), "from-b");
   EXPECT_FALSE(a.libos().Stat("/b.txt").ok());
 
-  // The clone's allocator resumed from the template's cursor: it can keep
-  // allocating, and freeing the template's allocation inside the clone is
-  // legal (the free-list was rebased into the clone's address space).
+  // The clone's allocator is its own: allocate and free freely.
   auto clone_alloc = a.libos().HeapAllocate(32 * 1024);
   ASSERT_TRUE(clone_alloc.ok());
-  EXPECT_TRUE(a.libos().HeapFree(a_base + heap_offset).ok());
+  EXPECT_TRUE(a.libos().HeapFree(*clone_alloc).ok());
 }
 
 TEST(WfdSnapshotTest, MpkKeysAreReboundPerClone) {
@@ -256,7 +272,7 @@ TEST(WfdSnapshotTest, RamfsAndGeometryMismatchesRefuse) {
 
   auto tmpl = Wfd::Create(SmallWfd());
   ASSERT_TRUE(tmpl.ok());
-  ASSERT_TRUE((*tmpl)->libos().EnsureLoaded(ModuleKind::kMm).ok());
+  ASSERT_TRUE((*tmpl)->libos().EnsureLoaded(ModuleKind::kFatfs).ok());
   auto snapshot = (*tmpl)->CaptureSnapshot();
   ASSERT_TRUE(snapshot.ok());
 
@@ -265,8 +281,17 @@ TEST(WfdSnapshotTest, RamfsAndGeometryMismatchesRefuse) {
   EXPECT_FALSE(Wfd::CloneFromSnapshot(bigger, *snapshot).ok())
       << "geometry drift must refuse, not mis-clone";
 
-  // Cap enforcement: a tiny budget refuses the capture.
+  // Cap enforcement: a tiny budget refuses the capture of the disk image.
   EXPECT_FALSE((*tmpl)->CaptureSnapshot(/*max_image_bytes=*/1).ok());
+
+  WfdOptions external = SmallWfd();
+  asblk::MemDisk disk(external.disk_blocks);
+  external.disk = &disk;
+  auto external_wfd = Wfd::Create(external);
+  ASSERT_TRUE(external_wfd.ok());
+  EXPECT_FALSE((*external_wfd)->CaptureSnapshot().ok())
+      << "external-disk WFDs must not snapshot";
+  EXPECT_FALSE(Wfd::CloneFromSnapshot(external, *snapshot).ok());
 }
 
 // ------------------------------------------------------ visor lifecycle
@@ -274,7 +299,9 @@ TEST(WfdSnapshotTest, RamfsAndGeometryMismatchesRefuse) {
 TEST(VisorSnapshotTest, CaptureCloneAndInvalidateWithCounters) {
   FunctionRegistry::Global().Register(
       "snap.rendezvous", [](FunctionContext& ctx) -> asbase::Status {
-        static std::atomic<int>* arrivals = nullptr;
+        // Loads fdtab + fatfs: the modules the template captures.
+        AS_RETURN_IF_ERROR(
+            WriteFile(ctx.as().wfd().libos(), "/out.txt", "data"));
         if (ctx.params()["mode"].as_string() == "block") {
           auto* gate = reinterpret_cast<std::atomic<int>*>(
               static_cast<uintptr_t>(ctx.params()["gate"].as_int()));
@@ -286,7 +313,6 @@ TEST(VisorSnapshotTest, CaptureCloneAndInvalidateWithCounters) {
             std::this_thread::yield();
           }
         }
-        (void)arrivals;
         ctx.SetResult("ok");
         return asbase::OkStatus();
       });
@@ -348,58 +374,56 @@ TEST(VisorSnapshotTest, CaptureCloneAndInvalidateWithCounters) {
   EXPECT_EQ(cloned.module_load_nanos, 0)
       << "clone boot must not pay module loads";
 
-  // Re-registration drops the template (counted) and the next miss falls
-  // back to a full boot, then re-captures.
+  // Re-registration keeps the template: it is pristine, so nothing of the
+  // old registration's runs is in it. The new registration's empty pool
+  // misses and clones.
   visor.RegisterWorkflow(spec, options);
   EXPECT_EQ(CounterValue("alloy_visor_snapshot_invalidations_total", wf),
-            invalidations0 + 1);
+            invalidations0);
   auto after = visor.Invoke(wf, params);
   ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after->clone_start);
+  EXPECT_TRUE(after->clone_start);
+  EXPECT_EQ(after->module_load_nanos, 0);
   EXPECT_EQ(CounterValue("alloy_visor_snapshot_clones_total", wf),
-            clones0 + 1)
-      << "an invalidated template must not serve clones";
+            clones0 + 2);
   EXPECT_EQ(CounterValue("alloy_visor_snapshot_fallback_boots_total", wf),
-            fallbacks0 + 2);
+            fallbacks0 + 1);
   EXPECT_EQ(CounterValue("alloy_visor_snapshot_creates_total", wf),
-            creates0 + 2);
+            creates0 + 1)
+      << "a clone that loaded nothing new publishes nothing";
 }
 
 TEST(VisorSnapshotTest, EnvKnobDisablesCapture) {
-  setenv("ALLOY_SNAPSHOT", "off", 1);
-  FunctionRegistry::Global().Register(
-      "snap.noop", [](FunctionContext& ctx) -> asbase::Status {
-        ctx.SetResult("ok");
-        return asbase::OkStatus();
-      });
+  RegisterFileWriter();
   const std::string wf = "snapoffwf";
   const uint64_t creates0 =
       CounterValue("alloy_visor_snapshot_creates_total", wf);
+  const uint64_t clones0 =
+      CounterValue("alloy_visor_snapshot_clones_total", wf);
+  // The store reads the knob once, when the visor builds it.
+  setenv("ALLOY_SNAPSHOT", "off", 1);
   AsVisor visor;
-  WorkflowSpec spec;
-  spec.name = wf;
-  spec.stages.push_back(StageSpec{{FunctionSpec{"snap.noop", 1}}});
+  unsetenv("ALLOY_SNAPSHOT");
   AsVisor::WorkflowOptions options;
   options.wfd = SmallWfd();
-  options.pool_size = 1;
-  visor.RegisterWorkflow(spec, options);
-  auto result = visor.Invoke(wf, asbase::Json{});
-  unsetenv("ALLOY_SNAPSHOT");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  options.pool_size = 0;
+  visor.RegisterWorkflow(OneStage(wf, "snap.write_file"), options);
+  for (int i = 0; i < 2; ++i) {
+    auto result = visor.Invoke(wf, asbase::Json{});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(result->clone_start);
+  }
   EXPECT_EQ(CounterValue("alloy_visor_snapshot_creates_total", wf), creates0)
       << "ALLOY_SNAPSHOT=off must disable capture";
+  EXPECT_EQ(CounterValue("alloy_visor_snapshot_clones_total", wf), clones0);
 }
 
 TEST(VisorSnapshotTest, PoolLessWorkflowStillCapturesAndClones) {
   // pool_size == 0 cold-starts every invocation — the configuration with
-  // the most to gain from snapshot-fork. The first invoke must still
-  // capture (on the destroy path, not the park path), and every later
-  // invoke must clone-boot.
-  FunctionRegistry::Global().Register(
-      "snap.poolless", [](FunctionContext& ctx) -> asbase::Status {
-        ctx.SetResult("ok");
-        return asbase::OkStatus();
-      });
+  // the most to gain from clone boot. The first invoke must still publish
+  // (its WFD is destroyed, never reset or parked), and every later invoke
+  // must clone-boot.
+  RegisterFileWriter();
   const std::string wf = "snapnopool";
   const uint64_t creates0 =
       CounterValue("alloy_visor_snapshot_creates_total", wf);
@@ -408,7 +432,7 @@ TEST(VisorSnapshotTest, PoolLessWorkflowStillCapturesAndClones) {
   AsVisor visor;
   WorkflowSpec spec;
   spec.name = wf;
-  spec.stages.push_back(StageSpec{{FunctionSpec{"snap.poolless", 1}}});
+  spec.stages.push_back(StageSpec{{FunctionSpec{"snap.write_file", 1}}});
   AsVisor::WorkflowOptions options;
   options.wfd = SmallWfd();
   options.pool_size = 0;
@@ -429,52 +453,268 @@ TEST(VisorSnapshotTest, PoolLessWorkflowStillCapturesAndClones) {
             clones0 + 3);
 }
 
-// ----------------------------------------------------------- cell races
+// ------------------------------------------ geometry-keyed shared store
 
-TEST(SnapshotCellTest, ConcurrentCloneWhileSnapshotting) {
-  // Hammer the cell from readers (clone path), an invalidator
-  // (re-registration / reset failure), and capture attempts — the shape of
-  // the clone-while-snapshotting race, run under TSan in CI.
-  SnapshotCell cell;
+TEST(SnapshotStoreTest, KeysByGeometryAndRefusesIneligibleWfds) {
+  SnapshotStore store;
+  WfdOptions other = SmallWfd();
+  other.name = "another-workflow";
+  EXPECT_EQ(store.SlotFor(SmallWfd()), store.SlotFor(other))
+      << "same geometry, same template";
+  WfdOptions bigger = SmallWfd();
+  bigger.heap_bytes = 16u << 20;
+  EXPECT_NE(store.SlotFor(SmallWfd()), store.SlotFor(bigger));
+  WfdOptions load_all = SmallWfd();
+  load_all.on_demand = false;
+  EXPECT_NE(store.SlotFor(SmallWfd()), store.SlotFor(load_all));
+  WfdOptions ramfs = SmallWfd();
+  ramfs.use_ramfs = true;
+  EXPECT_EQ(store.SlotFor(ramfs), nullptr);
+  asblk::MemDisk disk(16 * 1024);
+  WfdOptions external = SmallWfd();
+  external.disk = &disk;
+  EXPECT_EQ(store.SlotFor(external), nullptr);
+}
+
+TEST(SnapshotStoreTest, OnlyPaidModulesGrowTheTemplate) {
+  SnapshotStore store;
+  auto slot = store.SlotFor(SmallWfd());
+  ASSERT_NE(slot, nullptr);
+
+  auto booted = Wfd::Create(SmallWfd());
+  ASSERT_TRUE(booted.ok());
+  ASSERT_TRUE((*booted)->libos().EnsureLoaded(ModuleKind::kMm).ok());
+  EXPECT_TRUE(slot->Offer(**booted));
+  EXPECT_FALSE(slot->Offer(**booted)) << "nothing new to publish";
+  ASSERT_NE(slot->Get(), nullptr);
+  EXPECT_EQ(slot->Get()->modules, std::vector<ModuleKind>{ModuleKind::kMm});
+
+  // A clone that only inherited modules publishes nothing; one that loaded
+  // more on demand grows the template, keeping what it already had.
+  auto clone = Wfd::CloneFromSnapshot(SmallWfd(), slot->Get());
+  ASSERT_TRUE(clone.ok());
+  EXPECT_FALSE(slot->Offer(**clone));
+  ASSERT_TRUE((*clone)->libos().EnsureLoaded(ModuleKind::kFdtab).ok());
+  EXPECT_TRUE(slot->Offer(**clone));
+  const std::vector<ModuleKind> grown = {ModuleKind::kMm, ModuleKind::kFdtab,
+                                         ModuleKind::kFatfs};
+  EXPECT_EQ(slot->Get()->modules, grown);
+  EXPECT_NE(slot->Get()->disk, nullptr);
+
+  // After an invalidation, a clone's inherited modules stay out: only what
+  // it paid for comes back.
+  auto later = Wfd::CloneFromSnapshot(SmallWfd(), slot->Get());
+  ASSERT_TRUE(later.ok());
+  EXPECT_TRUE(slot->Invalidate());
+  EXPECT_EQ(slot->Get(), nullptr);
+  EXPECT_FALSE(slot->Offer(**later));
+  ASSERT_TRUE((*later)->libos().EnsureLoaded(ModuleKind::kTime).ok());
+  EXPECT_TRUE(slot->Offer(**later));
+  EXPECT_EQ(slot->Get()->modules, std::vector<ModuleKind>{ModuleKind::kTime});
+}
+
+TEST(SnapshotStoreTest, ConcurrentCloneOfferAndInvalidate) {
+  // Cloners (the miss path), publishers (post-run offers) and an
+  // invalidator (reset failure) hammer one slot — the shape of the
+  // clone-while-publishing race, run under TSan in CI.
+  SnapshotStore store;
+  auto slot = store.SlotFor(SmallWfd());
+  ASSERT_NE(slot, nullptr);
+  std::vector<std::unique_ptr<Wfd>> publishers;
+  for (int i = 0; i < 2; ++i) {
+    auto wfd = Wfd::Create(SmallWfd());
+    ASSERT_TRUE(wfd.ok());
+    ASSERT_TRUE((*wfd)->libos().EnsureLoaded(ModuleKind::kFdtab).ok());
+    publishers.push_back(std::move(*wfd));
+  }
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> snapshots_seen{0};
+  std::atomic<uint64_t> clones{0};
 
-  std::vector<std::thread> readers;
-  for (int i = 0; i < 4; ++i) {
-    readers.emplace_back([&] {
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&] {
       while (!stop.load()) {
-        if (auto snap = cell.Get()) {
-          // A published snapshot must be fully formed.
-          snapshots_seen.fetch_add(snap->heap_bytes == (8u << 20) ? 1 : 0);
+        if (auto snap = slot->Get()) {
+          auto clone = Wfd::CloneFromSnapshot(SmallWfd(), std::move(snap));
+          if (clone.ok() && (*clone)->libos().IsLoaded(ModuleKind::kFatfs)) {
+            clones.fetch_add(1);
+          }
         }
       }
     });
   }
-  std::thread invalidator([&] {
-    while (!stop.load()) {
-      cell.Invalidate();
-      std::this_thread::yield();
-    }
-  });
-  std::thread capturer([&] {
-    while (!stop.load()) {
-      if (cell.TryBeginCapture()) {
-        auto snapshot = std::make_shared<WfdSnapshot>();
-        snapshot->heap_bytes = 8u << 20;
-        cell.EndCapture(std::move(snapshot));
+  for (auto& wfd : publishers) {
+    threads.emplace_back([&, publisher = wfd.get()] {
+      while (!stop.load()) {
+        slot->Offer(*publisher);
+        std::this_thread::yield();
       }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!stop.load()) {
+      slot->Invalidate();
       std::this_thread::yield();
     }
   });
 
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   stop.store(true);
-  for (auto& t : readers) {
+  for (auto& t : threads) {
     t.join();
   }
-  invalidator.join();
-  capturer.join();
-  EXPECT_GT(snapshots_seen.load(), 0u);
+  EXPECT_GT(clones.load(), 0u);
+}
+
+TEST(SharedTemplateTest, SameGeometryWorkflowsNeverSeeEachOthersBytes) {
+  // A writes a secret file and a heap pattern; B (another workflow of the
+  // same geometry, on another shard) clone-boots from the template A's
+  // first run published, and sees neither. Nor does A's own next clone.
+  static std::atomic<size_t> pattern_offset{0};
+  FunctionRegistry::Global().Register(
+      "snap.secret", [](FunctionContext& ctx) -> asbase::Status {
+        Libos& libos = ctx.as().wfd().libos();
+        if (ctx.params()["mode"].as_string() == "write") {
+          AS_RETURN_IF_ERROR(WriteFile(libos, "/secret.txt", "hunter2"));
+          AS_ASSIGN_OR_RETURN(void* block, libos.HeapAllocate(4096));
+          std::memset(block, 0x5a, 4096);
+          pattern_offset.store(static_cast<uint8_t*>(block) -
+                               static_cast<uint8_t*>(
+                                   libos.heap_arena()->data()));
+          ctx.SetResult("wrote");
+          return asbase::OkStatus();
+        }
+        const bool file_seen = libos.Stat("/secret.txt").ok();
+        AS_RETURN_IF_ERROR(libos.EnsureLoaded(ModuleKind::kMm));
+        const uint8_t* heap =
+            static_cast<const uint8_t*>(libos.heap_arena()->data());
+        const size_t offset = pattern_offset.load();
+        const bool heap_seen = std::all_of(
+            heap + offset + 64, heap + offset + 4096,
+            [](uint8_t byte) { return byte == 0x5a; });
+        ctx.SetResult(std::string(file_seen ? "file " : "") +
+                      (heap_seen ? "heap" : "") +
+                      (file_seen || heap_seen ? "" : "clean"));
+        return asbase::OkStatus();
+      });
+
+  RouterOptions router_options;
+  router_options.shards = 2;
+  AsVisorRouter router(router_options);
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.pool_size = 0;  // every invocation boots (clone or full)
+  options.pin_shard = 0;
+  router.RegisterWorkflow(OneStage("secret-a", "snap.secret"), options);
+  options.pin_shard = 1;
+  router.RegisterWorkflow(OneStage("secret-b", "snap.secret"), options);
+  ASSERT_NE(router.ShardOf("secret-a"), router.ShardOf("secret-b"));
+
+  asbase::Json write;
+  write.Set("mode", "write");
+  asbase::Json check;
+  check.Set("mode", "check");
+  auto a_first = router.Invoke("secret-a", write);
+  ASSERT_TRUE(a_first.ok()) << a_first.status().ToString();
+  EXPECT_FALSE(a_first->clone_start);
+  EXPECT_EQ(a_first->run.result, "wrote");
+
+  auto b_first = router.Invoke("secret-b", check);
+  ASSERT_TRUE(b_first.ok()) << b_first.status().ToString();
+  EXPECT_TRUE(b_first->clone_start) << "the shards share one template";
+  EXPECT_EQ(b_first->run.result, "clean");
+
+  auto a_later = router.Invoke("secret-a", check);
+  ASSERT_TRUE(a_later.ok()) << a_later.status().ToString();
+  EXPECT_TRUE(a_later->clone_start);
+  EXPECT_EQ(a_later->run.result, "clean");
+}
+
+TEST(SharedTemplateTest, EightTenantsPayOneFullBoot) {
+  RegisterFileWriter();
+  RouterOptions router_options;
+  router_options.shards = 2;
+  AsVisorRouter router(router_options);
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.pool_size = 1;
+  std::vector<std::string> names;
+  for (int i = 0; i < 8; ++i) {
+    names.push_back("boots-" + std::to_string(i));
+    router.RegisterWorkflow(OneStage(names.back(), "snap.write_file"),
+                            options);
+  }
+  std::vector<uint64_t> full0, clones0, creates0;
+  for (const std::string& name : names) {
+    full0.push_back(ShardCounterValue(
+        router, "alloy_visor_snapshot_fallback_boots_total", name));
+    clones0.push_back(ShardCounterValue(
+        router, "alloy_visor_snapshot_clones_total", name));
+    creates0.push_back(ShardCounterValue(
+        router, "alloy_visor_snapshot_creates_total", name));
+  }
+  for (const std::string& name : names) {
+    auto result = router.Invoke(name, asbase::Json{});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->run.result, "ok");
+  }
+  uint64_t full = 0;
+  uint64_t clones = 0;
+  uint64_t creates = 0;
+  for (size_t i = 0; i < names.size(); ++i) {
+    full += ShardCounterValue(
+                router, "alloy_visor_snapshot_fallback_boots_total",
+                names[i]) -
+            full0[i];
+    clones += ShardCounterValue(router, "alloy_visor_snapshot_clones_total",
+                                names[i]) -
+              clones0[i];
+    creates += ShardCounterValue(router, "alloy_visor_snapshot_creates_total",
+                                 names[i]) -
+               creates0[i];
+  }
+  EXPECT_EQ(full, 1u) << "one full boot per router and geometry";
+  EXPECT_EQ(clones, 7u);
+  EXPECT_EQ(creates, 1u);
+}
+
+TEST(SharedTemplateTest, FatfsWorkflowUpgradesAHeapOnlyTemplate) {
+  RegisterFileWriter();
+  FunctionRegistry::Global().Register(
+      "snap.heap_only", [](FunctionContext& ctx) -> asbase::Status {
+        AS_RETURN_IF_ERROR(ctx.as().wfd().libos().HeapAllocate(64).status());
+        ctx.SetResult("ok");
+        return asbase::OkStatus();
+      });
+  AsVisor visor;
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.pool_size = 0;
+  visor.RegisterWorkflow(OneStage("upgrade-heap", "snap.heap_only"), options);
+  visor.RegisterWorkflow(OneStage("upgrade-fs", "snap.write_file"), options);
+  const uint64_t creates0 =
+      CounterValue("alloy_visor_snapshot_creates_total", "upgrade-fs");
+
+  auto heap_run = visor.Invoke("upgrade-heap", asbase::Json{});
+  ASSERT_TRUE(heap_run.ok()) << heap_run.status().ToString();
+  EXPECT_FALSE(heap_run->clone_start);
+
+  // The fatfs workflow clones the heap-only template, then pays for fdtab
+  // and fatfs itself — which grows the template.
+  auto fs_first = visor.Invoke("upgrade-fs", asbase::Json{});
+  ASSERT_TRUE(fs_first.ok()) << fs_first.status().ToString();
+  EXPECT_TRUE(fs_first->clone_start);
+  EXPECT_GT(fs_first->module_load_nanos, 0);
+  EXPECT_EQ(CounterValue("alloy_visor_snapshot_creates_total", "upgrade-fs"),
+            creates0 + 1);
+
+  for (int i = 0; i < 2; ++i) {
+    auto later = visor.Invoke("upgrade-fs", asbase::Json{});
+    ASSERT_TRUE(later.ok()) << later.status().ToString();
+    EXPECT_TRUE(later->clone_start);
+    EXPECT_EQ(later->module_load_nanos, 0)
+        << "the upgraded template already holds fdtab and fatfs";
+  }
 }
 
 }  // namespace
