@@ -2,9 +2,9 @@
 // "dataplane"):
 //
 //   1. stage dispatch           — warm multi-stage invocation latency and
-//      closed-loop RPS with the legacy spawn-per-stage path vs the per-WFD
-//      worker pool, plus the thread-spawn count over the measured window
-//      (zero on the reused-WFD pool path is the whole point).
+//      closed-loop RPS on the per-WFD worker pool (the caller runs one
+//      instance per stage, the pool the rest), plus the thread-spawn count
+//      over the measured window (zero on a reused WFD is the whole point).
 //   2. idle poller CPU          — poll-loop iterations of idle netstacks
 //      over a fixed window, against the ~1 iteration/ms/stack the old
 //      tick-based poller burned.
@@ -38,12 +38,9 @@ alloy::WfdOptions BenchWfd() {
   return options;
 }
 
-int64_t RunOnce(alloy::Orchestrator& orchestrator, const WorkflowSpec& spec,
-                bool spawn_per_stage) {
-  alloy::Orchestrator::RunOptions options;
-  options.spawn_per_stage = spawn_per_stage;
+int64_t RunOnce(alloy::Orchestrator& orchestrator, const WorkflowSpec& spec) {
   const int64_t start = asbase::MonoNanos();
-  auto stats = orchestrator.Run(spec, asbase::Json(), options);
+  auto stats = orchestrator.Run(spec, asbase::Json());
   if (!stats.ok()) {
     std::fprintf(stderr, "workflow failed: %s\n",
                  stats.status().ToString().c_str());
@@ -130,7 +127,7 @@ int Main(int argc, char** argv) {
         return asbase::OkStatus();
       });
   // 4 stages × 4 instances of a no-op function: with no user work, stage
-  // dispatch (thread spawn vs pool submit) dominates the run.
+  // dispatch (pool submit, worker wake-up, drain) dominates the run.
   WorkflowSpec spec;
   spec.name = "dp";
   for (int stage = 0; stage < 4; ++stage) {
@@ -142,72 +139,40 @@ int Main(int argc, char** argv) {
   doc.Set("scale", asbase::SimCostModel::Global().scale);
   asbase::Json series{asbase::JsonObject{}};
 
-  // ---------------- section 1: spawn-per-stage vs per-WFD worker pool
-  asobs::Counter& spawns = asobs::Registry::Global().GetCounter(
-      "alloy_orch_thread_spawns_total");
-  auto measure = [&](bool spawn_per_stage, uint64_t* warm_spawns) {
-    asbase::Histogram hist;
+  // ---------------- section 1: warm stage dispatch on the worker pool
+  {
+    asobs::Counter& spawns = asobs::Registry::Global().GetCounter(
+        "alloy_orch_thread_spawns_total");
     auto wfd = alloy::Wfd::Create(BenchWfd());
     if (!wfd.ok()) {
       std::fprintf(stderr, "WFD create failed: %s\n",
                    wfd.status().ToString().c_str());
-      *warm_spawns = 0;
-      return hist;
+      return 1;
     }
     alloy::Orchestrator orchestrator(wfd->get());
-    // Warm-up run: on the pool path this spawns the workers once; every
-    // measured iteration below reuses them.
-    RunOnce(orchestrator, spec, spawn_per_stage);
+    // Warm-up run spawns the workers once; every measured iteration below
+    // reuses them.
+    RunOnce(orchestrator, spec);
     const uint64_t spawns_before = spawns.value();
+    asbase::Histogram hist;
     for (int i = 0; i < warm_iters; ++i) {
-      hist.Record(RunOnce(orchestrator, spec, spawn_per_stage));
+      hist.Record(RunOnce(orchestrator, spec));
     }
-    *warm_spawns = spawns.value() - spawns_before;
-    return hist;
-  };
+    const uint64_t warm_spawns = spawns.value() - spawns_before;
+    const double rps = hist.mean() > 0 ? 1e9 / hist.mean() : 0.0;
 
-  uint64_t pool_spawns = 0;
-  uint64_t legacy_spawns = 0;
-  asbase::Histogram pool_hist = measure(/*spawn_per_stage=*/false,
-                                        &pool_spawns);
-  asbase::Histogram legacy_hist = measure(/*spawn_per_stage=*/true,
-                                          &legacy_spawns);
+    std::printf("\nwarm 4-stage x4-instance invocation (%d iterations)\n",
+                warm_iters);
+    std::printf("  %10s %10s %10s %8s\n", "p50", "p99", "RPS", "spawns");
+    std::printf("  %10s %10s %10.0f %8llu\n", Ms(hist.Percentile(0.5)).c_str(),
+                Ms(hist.Percentile(0.99)).c_str(), rps,
+                static_cast<unsigned long long>(warm_spawns));
 
-  auto rps = [](const asbase::Histogram& hist) {
-    return hist.mean() > 0 ? 1e9 / hist.mean() : 0.0;
-  };
-  const int64_t pool_p50 = pool_hist.Percentile(0.5);
-  const int64_t legacy_p50 = legacy_hist.Percentile(0.5);
-  const double improvement_pct =
-      legacy_p50 > 0
-          ? 100.0 * static_cast<double>(legacy_p50 - pool_p50) /
-                static_cast<double>(legacy_p50)
-          : 0.0;
-
-  std::printf("\nwarm 4-stage x4-instance invocation (%d iterations)\n",
-              warm_iters);
-  std::printf("  %-18s %10s %10s %10s %8s\n", "", "p50", "p99", "RPS",
-              "spawns");
-  std::printf("  %-18s %10s %10s %10.0f %8llu\n", "spawn-per-stage",
-              Ms(legacy_p50).c_str(),
-              Ms(legacy_hist.Percentile(0.99)).c_str(), rps(legacy_hist),
-              static_cast<unsigned long long>(legacy_spawns));
-  std::printf("  %-18s %10s %10s %10.0f %8llu\n", "worker pool",
-              Ms(pool_p50).c_str(), Ms(pool_hist.Percentile(0.99)).c_str(),
-              rps(pool_hist), static_cast<unsigned long long>(pool_spawns));
-  std::printf("  pool p50 improvement: %.1f%%  (reused-WFD spawns: %llu)\n",
-              improvement_pct, static_cast<unsigned long long>(pool_spawns));
-
-  series.Set("dispatch_pool", pool_hist.ToJson());
-  series.Set("dispatch_spawn_per_stage", legacy_hist.ToJson());
-  doc.Set("pool_p50_nanos", pool_p50);
-  doc.Set("spawn_per_stage_p50_nanos", legacy_p50);
-  doc.Set("pool_p50_improvement_pct", improvement_pct);
-  doc.Set("pool_rps", rps(pool_hist));
-  doc.Set("spawn_per_stage_rps", rps(legacy_hist));
-  doc.Set("pool_warm_spawns", static_cast<int64_t>(pool_spawns));
-  doc.Set("spawn_per_stage_warm_spawns",
-          static_cast<int64_t>(legacy_spawns));
+    series.Set("dispatch_pool", hist.ToJson());
+    doc.Set("pool_p50_nanos", hist.Percentile(0.5));
+    doc.Set("pool_rps", rps);
+    doc.Set("pool_warm_spawns", static_cast<int64_t>(warm_spawns));
+  }
 
   // ---------------- section 2: idle poller CPU
   {

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point: the full tier-1 suite, then the serving layer, the obs
-# layer, and the netstack again under TSan — the admission queue, the pool
-# warmer, the watchdog pipeline, the flight-ring seqlock, and the
-# poller/timer/backpressure paths are the most thread-heavy code in the
-# tree, so they get the race detector even when the full TSan suite would
-# be too slow.
+# CI entry point: the full tier-1 suite, then the core, serving, obs,
+# netstack and http layers again under TSan — stage dispatch, the admission
+# queue, the pool warmer, the watchdog pipeline, the flight-ring seqlock,
+# and the poller/timer/backpressure paths are the most thread-heavy code in
+# the tree, so they get the race detector even when the full TSan suite
+# would be too slow.
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -20,7 +20,7 @@ cmake -S . -B "${BUILD}" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "${BUILD}" -j "$(nproc)"
 ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)"
 
-echo "==> serving + obs + netstack tests under ThreadSanitizer (${BUILD}-tsan)"
+echo "==> core + serving + obs + netstack + http tests under ThreadSanitizer (${BUILD}-tsan)"
 cmake -S . -B "${BUILD}-tsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DALLOY_SANITIZE=thread >/dev/null
 cmake --build "${BUILD}-tsan" -j "$(nproc)"
@@ -31,6 +31,10 @@ cmake --build "${BUILD}-tsan" -j "$(nproc)"
 # visor_rebalance_test, so live migration, queue handoff, and
 # ScaleTo-vs-inflight races run under the race detector too.
 ALLOY_VISOR_SHARDS=4 ctest --test-dir "${BUILD}-tsan" -L serving --output-on-failure
+# The core label is core_test: the orchestrator runs instance 0 of every
+# stage on the calling thread while the WFD's pool workers run its siblings,
+# so the caller and the workers share one stage's state.
+ctest --test-dir "${BUILD}-tsan" -L core --output-on-failure
 # The obs label covers the flight-ring concurrent-writers/scraping-reader
 # seqlock test — the torn-read protocol is only proven if TSan sees it.
 ctest --test-dir "${BUILD}-tsan" -L obs --output-on-failure

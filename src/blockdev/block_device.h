@@ -81,10 +81,13 @@ struct MemDiskImage {
 // commits nothing until blocks are written (an idle WFD's resident bytes
 // track touched blocks, not configured disk size), and a disk cloned from a
 // MemDiskImage shares the template's chunks copy-on-write — the first write
-// to a shared chunk copies that chunk privately.
+// to a shared chunk copies that chunk privately. A chunk is one 4 KiB page,
+// the FAT cluster size, so a clone's small file write copies only the pages
+// it touches (FAT sector, directory entry, data cluster), not their
+// neighbours.
 class MemDisk : public BlockDevice {
  public:
-  static constexpr size_t kChunkBytes = 64u << 10;  // 128 blocks
+  static constexpr size_t kChunkBytes = 4u << 10;  // 8 blocks
 
   explicit MemDisk(uint64_t block_count);
   // CoW clone: reads come from the image until this disk writes.

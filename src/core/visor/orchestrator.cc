@@ -1,7 +1,6 @@
 #include "src/core/visor/orchestrator.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "src/common/clock.h"
 #include "src/common/logging.h"
@@ -13,7 +12,8 @@ namespace {
 
 // Data-plane metrics: how many OS threads stage dispatch actually creates
 // (zero on a reused WFD — the whole point of the per-WFD worker pool) and
-// how long an instance waits between submit and a worker picking it up.
+// how long a pooled instance waits between submit and a worker picking it
+// up (the caller-run instance has no such wait).
 struct OrchMetrics {
   asobs::Counter& thread_spawns;
   asobs::LatencyHistogram& dispatch_nanos;
@@ -26,13 +26,6 @@ OrchMetrics& Metrics() {
   };
   return *metrics;
 }
-
-// Worker-cached user PKRU. Outside AS-IFI, RegisterFunctionInstance returns
-// the WFD's shared user key, so the derived PKRU is a per-WFD constant: each
-// pool worker computes it on its first instance and reuses it across every
-// later invocation on this WFD (workers live exactly as long as their WFD).
-thread_local const Wfd* cached_pkru_wfd = nullptr;
-thread_local uint32_t cached_user_pkru = 0;
 
 }  // namespace
 
@@ -146,8 +139,8 @@ asbase::Result<RunStats> Orchestrator::Run(const WorkflowSpec& workflow,
   return Run(workflow, params, RunOptions{});
 }
 
-size_t Orchestrator::MaxStageFanout(const WorkflowSpec& workflow) {
-  size_t fanout = 0;
+size_t Orchestrator::StageWorkersNeeded(const WorkflowSpec& workflow) {
+  size_t fanout = 1;
   for (const StageSpec& stage : workflow.stages) {
     size_t instances = 0;
     for (const FunctionSpec& fn : stage.functions) {
@@ -155,7 +148,7 @@ size_t Orchestrator::MaxStageFanout(const WorkflowSpec& workflow) {
     }
     fanout = std::max(fanout, instances);
   }
-  return fanout;
+  return fanout - 1;
 }
 
 asbase::Result<RunStats> Orchestrator::Run(const WorkflowSpec& workflow,
@@ -175,19 +168,15 @@ asbase::Result<RunStats> Orchestrator::Run(const WorkflowSpec& workflow,
   asobs::Trace* trace = wfd_->options().trace;
   const uint32_t trace_parent = wfd_->options().trace_parent;
 
-  // Stage instances dispatch onto the WFD's resident worker pool, sized once
-  // to the workflow's max fan-out. On a fresh WFD this spawns the workers
-  // (counted in alloy_orch_thread_spawns_total); on a reused WFD the pool is
-  // already up and a whole invocation runs with zero thread spawns.
-  asbase::ThreadPool* pool = nullptr;
-  if (!options.spawn_per_stage) {
-    const size_t fanout = std::max<size_t>(MaxStageFanout(workflow), 1);
-    const size_t spawned = wfd_->EnsureStageWorkers(fanout);
-    if (spawned > 0) {
-      Metrics().thread_spawns.Add(spawned);
-    }
-    pool = wfd_->stage_workers();
+  // The calling thread runs instance 0 of every stage itself; the WFD's
+  // resident worker pool runs the rest. On a fresh WFD this spawns the
+  // workers (counted in alloy_orch_thread_spawns_total); on a reused WFD the
+  // pool is already up and a whole invocation runs with zero spawns.
+  const size_t spawned = wfd_->EnsureStageWorkers(StageWorkersNeeded(workflow));
+  if (spawned > 0) {
+    Metrics().thread_spawns.Add(spawned);
   }
+  asbase::ThreadPool* pool = wfd_->stage_workers();
 
   for (size_t stage_index = 0; stage_index < workflow.stages.size();
        ++stage_index) {
@@ -207,94 +196,79 @@ asbase::Result<RunStats> Orchestrator::Run(const WorkflowSpec& workflow,
 
     struct InstanceRun {
       FunctionContext context;
+      UserFunction fn;
+      int max_retries = 0;
       asbase::Status status = asbase::OkStatus();
       int64_t finished_at = 0;
       size_t retries = 0;
     };
     std::vector<std::unique_ptr<InstanceRun>> runs;
-    std::vector<std::thread> threads;
-
     for (const FunctionSpec& fn_spec : stage.functions) {
       AS_ASSIGN_OR_RETURN(UserFunction fn,
                           FunctionRegistry::Global().Find(fn_spec.name));
       for (int instance = 0; instance < fn_spec.instances; ++instance) {
-        auto run = std::make_unique<InstanceRun>(InstanceRun{
+        runs.push_back(std::make_unique<InstanceRun>(InstanceRun{
             FunctionContext(&as, fn_spec.name,
                             static_cast<int>(stage_index), instance,
-                            fn_spec.instances, &params)});
-        run->context.deadline_nanos_ = options.deadline_nanos;
-        InstanceRun* run_ptr = run.get();
-        runs.push_back(std::move(run));
-
-        const int max_retries = fn_spec.max_retries;
-        const int64_t submitted_at = asbase::MonoNanos();
-        auto body = [this, run_ptr, fn, max_retries, trace, stage_span_id,
-                     instance, submitted_at, fn_name = fn_spec.name] {
-          Metrics().dispatch_nanos.Record(asbase::MonoNanos() - submitted_at);
-          // Started on the instance thread so the span carries its real tid.
-          asobs::Span fn_span;
-          if (trace != nullptr) {
-            fn_span = trace->StartSpan(
-                fn_name + "#" + std::to_string(instance), "function",
-                stage_span_id);
-          }
-          uint32_t user_pkru;
-          const bool cacheable = !wfd_->options().inter_function_isolation;
-          if (cacheable && cached_pkru_wfd == wfd_) {
-            // Warm worker: the instance key and PKRU were derived on an
-            // earlier invocation of this WFD.
-            user_pkru = cached_user_pkru;
-          } else {
-            auto fn_key = wfd_->RegisterFunctionInstance(fn_name);
-            user_pkru =
-                wfd_->UserPkru(fn_key.ok() ? *fn_key : wfd_->user_key());
-            if (cacheable) {
-              cached_pkru_wfd = wfd_;
-              cached_user_pkru = user_pkru;
-            }
-          }
-          // Run with user permissions; functions regain system access only
-          // through the as-std trampoline.
-          wfd_->mpk().WritePkru(user_pkru);
-          run_ptr->context.BeginPhase(Phase::kCompute);
-          asbase::Status status = asbase::OkStatus();
-          for (int attempt = 0; attempt <= max_retries; ++attempt) {
-            if (attempt > 0) {
-              ++run_ptr->retries;
-            }
-            // Retry-based fault tolerance (§3.1): user exceptions poison
-            // only this function, which can re-run if idempotent.
-            try {
-              status = fn(run_ptr->context);
-            } catch (const std::exception& error) {
-              status = asbase::Internal(std::string("function crashed: ") +
-                                        error.what());
-            }
-            if (status.ok()) {
-              break;
-            }
-          }
-          run_ptr->context.FinishTiming();
-          run_ptr->status = status;
-          run_ptr->finished_at = asbase::MonoNanos();
-          wfd_->mpk().WritePkru(0);  // leave the thread fully open again
-        };
-        if (pool != nullptr) {
-          pool->Submit(std::move(body));
-        } else {
-          Metrics().thread_spawns.Add(1);
-          threads.emplace_back(std::move(body));
-        }
+                            fn_spec.instances, &params),
+            fn, fn_spec.max_retries}));
+        runs.back()->context.deadline_nanos_ = options.deadline_nanos;
       }
     }
 
+    auto execute = [this, trace, stage_span_id](InstanceRun& run) {
+      // Started on the instance thread so the span carries its real tid.
+      asobs::Span fn_span;
+      if (trace != nullptr) {
+        fn_span = trace->StartSpan(run.context.function_name() + "#" +
+                                       std::to_string(run.context.instance()),
+                                   "function", stage_span_id);
+      }
+      auto fn_key = wfd_->RegisterFunctionInstance(run.context.function_name());
+      // Run with user permissions; functions regain system access only
+      // through the as-std trampoline.
+      wfd_->mpk().WritePkru(
+          wfd_->UserPkru(fn_key.ok() ? *fn_key : wfd_->user_key()));
+      run.context.BeginPhase(Phase::kCompute);
+      asbase::Status status = asbase::OkStatus();
+      for (int attempt = 0; attempt <= run.max_retries; ++attempt) {
+        if (attempt > 0) {
+          ++run.retries;
+        }
+        // Retry-based fault tolerance (§3.1): user exceptions poison only
+        // this function, which can re-run if idempotent. Nothing may escape:
+        // pooled siblings still reference this stage's state.
+        try {
+          status = run.fn(run.context);
+        } catch (const std::exception& error) {
+          status = asbase::Internal(std::string("function crashed: ") +
+                                    error.what());
+        } catch (...) {
+          status = asbase::Internal("function crashed");
+        }
+        if (status.ok()) {
+          break;
+        }
+      }
+      run.context.FinishTiming();
+      run.status = status;
+      run.finished_at = asbase::MonoNanos();
+      wfd_->mpk().WritePkru(0);  // leave the thread fully open again
+    };
+    for (size_t i = 1; i < runs.size(); ++i) {
+      const int64_t submitted_at = asbase::MonoNanos();
+      pool->Submit([&execute, run = runs[i].get(), submitted_at] {
+        Metrics().dispatch_nanos.Record(asbase::MonoNanos() - submitted_at);
+        execute(*run);
+      });
+    }
+    if (!runs.empty()) {
+      execute(*runs.front());
+    }
     // Stage barrier: the pool runs only this stage's tasks (one run per WFD
     // at a time), so Drain() is the fan-in wait.
-    if (pool != nullptr) {
+    if (runs.size() > 1) {
       pool->Drain();
-    }
-    for (auto& thread : threads) {
-      thread.join();
     }
     const int64_t barrier_at = asbase::MonoNanos();
     stats.stage_nanos.push_back(barrier_at - stage_start);

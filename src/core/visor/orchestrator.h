@@ -2,14 +2,15 @@
 // stages inside one WFD.
 //
 // A workflow is a sequence of stages; each stage is a set of function
-// instances that run concurrently on their own threads; stages are separated
-// by barriers (the fan-in wait the Fig 15 breakdown measures). Functions are
-// looked up by name in the process-global FunctionRegistry, so JSON workflow
-// configurations (§7.1) can reference them.
+// instances that run concurrently as threads of the WFD: the calling thread
+// runs instance 0 and the WFD's stage worker pool runs the rest. Stages are
+// separated by barriers (the fan-in wait the Fig 15 breakdown measures).
+// Functions are looked up by name in the process-global FunctionRegistry, so
+// JSON workflow configurations (§7.1) can reference them.
 //
-// Each instance thread drops to user MPK permissions before running the
+// Each instance drops its thread to user MPK permissions before running the
 // function body and regains nothing until the function's as-std calls
-// trampoline back into the LibOS.
+// trampoline back into the LibOS; the thread's PKRU is 0 again afterwards.
 
 #ifndef SRC_CORE_VISOR_ORCHESTRATOR_H_
 #define SRC_CORE_VISOR_ORCHESTRATOR_H_
@@ -148,15 +149,12 @@ class Orchestrator {
     // preempted mid-flight (functions share the WFD address space — killing
     // a thread would poison the whole domain).
     int64_t deadline_nanos = 0;
-    // Spawn a fresh std::thread per stage instance instead of dispatching
-    // onto the WFD's worker pool — the pre-worker-pool behavior, kept for
-    // the dataplane bench's spawn-vs-dispatch comparison.
-    bool spawn_per_stage = false;
   };
 
-  // Largest number of instances any single stage runs concurrently — the
-  // worker-pool size the workflow needs for full stage parallelism.
-  static size_t MaxStageFanout(const WorkflowSpec& workflow);
+  // Worker-pool size the workflow needs for full stage parallelism: the
+  // largest number of instances any single stage runs concurrently, minus
+  // the one the calling thread runs itself. 0 for a fan-out-1 workflow.
+  static size_t StageWorkersNeeded(const WorkflowSpec& workflow);
 
   explicit Orchestrator(Wfd* wfd) : wfd_(wfd) {}
 

@@ -206,7 +206,7 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
     wfd_options.trace_parent = 0;
     pool_options.factory =
         [wfd_options, warmup = entry.warmup, slot = entry.snapshot,
-         stage_workers = Orchestrator::MaxStageFanout(spec),
+         stage_workers = Orchestrator::StageWorkersNeeded(spec),
          clones = entry.snapshot_clones, fallbacks = entry.snapshot_fallbacks,
          clone_hist = entry.snapshot_clone_hist]()
         -> asbase::Result<std::unique_ptr<Wfd>> {

@@ -157,6 +157,9 @@ size_t Wfd::ResidentBytes() const {
 
 size_t Wfd::EnsureStageWorkers(size_t num_threads) {
   std::lock_guard<std::mutex> lock(stage_workers_mutex_);
+  if (num_threads == 0) {
+    return 0;
+  }
   if (stage_workers_ == nullptr) {
     stage_workers_ = std::make_unique<asbase::ThreadPool>(0);
     if (!options_.cpu_affinity.empty()) {

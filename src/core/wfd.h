@@ -129,14 +129,17 @@ class Wfd {
   size_t ResidentBytes() const;
 
   // ---- stage worker pool (orchestrator data plane) ----
-  // Grows this WFD's worker pool to at least `num_threads` (the workflow's
-  // max stage fan-out) and returns how many threads were actually spawned.
-  // The pool is lazily created on the first run and survives Reset() and
-  // pool park, so a reused WFD dispatches stage instances with zero spawns;
-  // the pool's threads die with the WFD. The warmer factory calls this too,
-  // so pre-warmed WFDs arrive with their workers already up.
+  // Grows this WFD's worker pool to at least `num_threads`
+  // (Orchestrator::StageWorkersNeeded: the invoking thread runs one instance
+  // of every stage itself) and returns how many threads were actually
+  // spawned.
+  // The pool is created on the first non-zero request, so a fan-out-1
+  // workflow never gets one; it survives Reset() and pool park, so a reused
+  // WFD dispatches stage instances with zero spawns; the pool's threads die
+  // with the WFD. The warmer factory calls this too, so pre-warmed WFDs
+  // arrive with their workers already up.
   size_t EnsureStageWorkers(size_t num_threads);
-  // The pool itself (nullptr until EnsureStageWorkers ran once).
+  // The pool itself (nullptr until EnsureStageWorkers(n > 0) ran once).
   asbase::ThreadPool* stage_workers() { return stage_workers_.get(); }
   size_t stage_worker_count() const;
 

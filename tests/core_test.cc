@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -343,20 +346,24 @@ TEST(OrchestratorTest, FailingFunctionAbortsRun) {
 }
 
 TEST(OrchestratorTest, WorkerPoolReusesThreadsAcrossInvocations) {
+  // Fan-out 2: the caller runs instance 0, the pool's one worker runs
+  // instance 1 (a fan-out-1 workflow has no pool to reuse).
   auto wfd = Wfd::Create(SmallWfd());
   ASSERT_TRUE(wfd.ok());
 
   std::mutex ids_mutex;
-  std::vector<std::thread::id> ids;
+  std::vector<std::thread::id> pooled_ids;
   FunctionRegistry::Global().Register(
-      "test.tid", [&](FunctionContext&) -> asbase::Status {
-        std::lock_guard<std::mutex> lock(ids_mutex);
-        ids.push_back(std::this_thread::get_id());
+      "test.tid", [&](FunctionContext& ctx) -> asbase::Status {
+        if (ctx.instance() == 1) {
+          std::lock_guard<std::mutex> lock(ids_mutex);
+          pooled_ids.push_back(std::this_thread::get_id());
+        }
         return asbase::OkStatus();
       });
   WorkflowSpec spec;
   spec.name = "tid";
-  spec.stages.push_back(StageSpec{{FunctionSpec{"test.tid", 1}}});
+  spec.stages.push_back(StageSpec{{FunctionSpec{"test.tid", 2}}});
 
   asobs::Counter& spawns = asobs::Registry::Global().GetCounter(
       "alloy_orch_thread_spawns_total");
@@ -369,38 +376,178 @@ TEST(OrchestratorTest, WorkerPoolReusesThreadsAcrossInvocations) {
   ASSERT_TRUE((*wfd)->Reset().ok());
   ASSERT_TRUE(orchestrator.Run(spec, asbase::Json()).ok());
 
-  ASSERT_EQ(ids.size(), 2u);
-  EXPECT_EQ(ids[0], ids[1])
+  ASSERT_EQ(pooled_ids.size(), 2u);
+  EXPECT_EQ(pooled_ids[0], pooled_ids[1])
       << "a reused WFD must run stage instances on the same pool worker";
+  EXPECT_NE(pooled_ids[0], std::this_thread::get_id());
   EXPECT_EQ(spawns.value(), spawns_after_first)
       << "the second invocation on a warm WFD must spawn zero threads";
 }
 
-TEST(OrchestratorTest, SpawnPerStageFallbackStillRunsAndCountsSpawns) {
+TEST(OrchestratorTest, FanOutOneRunsOnTheCallingThread) {
   auto wfd = Wfd::Create(SmallWfd());
   ASSERT_TRUE(wfd.ok());
+  std::vector<std::thread::id> ids;
   FunctionRegistry::Global().Register(
-      "test.noop2", [](FunctionContext& ctx) -> asbase::Status {
+      "test.caller", [&](FunctionContext& ctx) -> asbase::Status {
+        ids.push_back(std::this_thread::get_id());
         ctx.SetResult("ok");
         return asbase::OkStatus();
       });
   WorkflowSpec spec;
-  spec.name = "legacy";
-  spec.stages.push_back(StageSpec{{FunctionSpec{"test.noop2", 3}}});
+  spec.name = "caller";
+  spec.stages.push_back(StageSpec{{FunctionSpec{"test.caller", 1}}});
+  spec.stages.push_back(StageSpec{{FunctionSpec{"test.caller", 1}}});
 
   asobs::Counter& spawns = asobs::Registry::Global().GetCounter(
       "alloy_orch_thread_spawns_total");
   const uint64_t before = spawns.value();
   Orchestrator orchestrator(wfd->get());
-  Orchestrator::RunOptions options;
-  options.spawn_per_stage = true;
-  auto stats = orchestrator.Run(spec, asbase::Json(), options);
+  auto stats = orchestrator.Run(spec, asbase::Json());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->instances_run, 3u);
-  EXPECT_EQ(spawns.value() - before, 3u)
-      << "the legacy path spawns one thread per stage instance";
+  EXPECT_EQ(stats->result, "ok");
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
+  EXPECT_EQ(ids[1], std::this_thread::get_id());
   EXPECT_EQ((*wfd)->stage_worker_count(), 0u)
-      << "spawn_per_stage must not create the worker pool";
+      << "a fan-out-1 workflow needs no stage worker";
+  EXPECT_EQ((*wfd)->stage_workers(), nullptr);
+  EXPECT_EQ(spawns.value(), before);
+}
+
+TEST(OrchestratorTest, FanOutThreeSpawnsTwoWorkersReusedWhenWarm) {
+  // 1 -> 3 -> 1: the middle stage's three instances meet at a rendezvous,
+  // which only completes if all three run at once — on the caller plus two
+  // pool workers.
+  auto wfd = Wfd::Create(SmallWfd());
+  ASSERT_TRUE(wfd.ok());
+  std::mutex mutex;
+  std::condition_variable arrived_cv;
+  int arrived = 0;
+  std::vector<std::thread::id> middle_ids;
+  FunctionRegistry::Global().Register(
+      "test.rendezvous", [&](FunctionContext& ctx) -> asbase::Status {
+        std::unique_lock<std::mutex> lock(mutex);
+        middle_ids.push_back(std::this_thread::get_id());
+        ++arrived;
+        arrived_cv.notify_all();
+        const int target = (arrived + ctx.instance_count() - 1) /
+                           ctx.instance_count() * ctx.instance_count();
+        if (!arrived_cv.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return arrived >= target; })) {
+          return asbase::DeadlineExceeded("siblings never arrived");
+        }
+        return asbase::OkStatus();
+      });
+  FunctionRegistry::Global().Register(
+      "test.noop13", [](FunctionContext&) { return asbase::OkStatus(); });
+  WorkflowSpec spec;
+  spec.name = "fan13";
+  spec.stages.push_back(StageSpec{{FunctionSpec{"test.noop13", 1}}});
+  spec.stages.push_back(StageSpec{{FunctionSpec{"test.rendezvous", 3}}});
+  spec.stages.push_back(StageSpec{{FunctionSpec{"test.noop13", 1}}});
+
+  asobs::Counter& spawns = asobs::Registry::Global().GetCounter(
+      "alloy_orch_thread_spawns_total");
+  const uint64_t before = spawns.value();
+  Orchestrator orchestrator(wfd->get());
+  auto first = orchestrator.Run(spec, asbase::Json());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->instances_run, 5u);
+  EXPECT_EQ(spawns.value() - before, 2u);
+  EXPECT_EQ((*wfd)->stage_worker_count(), 2u);
+
+  ASSERT_TRUE((*wfd)->Reset().ok());
+  auto warm = orchestrator.Run(spec, asbase::Json());
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(spawns.value() - before, 2u) << "the warm run must reuse both";
+  EXPECT_EQ((*wfd)->stage_worker_count(), 2u);
+
+  // Each run: the caller plus the same two workers.
+  ASSERT_EQ(middle_ids.size(), 6u);
+  std::set<std::thread::id> first_ids(middle_ids.begin(),
+                                      middle_ids.begin() + 3);
+  std::set<std::thread::id> warm_ids(middle_ids.begin() + 3,
+                                     middle_ids.end());
+  EXPECT_EQ(first_ids.size(), 3u);
+  EXPECT_EQ(first_ids, warm_ids);
+  EXPECT_EQ(first_ids.count(std::this_thread::get_id()), 1u);
+}
+
+TEST(OrchestratorTest, FailingCallerRunInstanceAbortsAfterSiblingsDrain) {
+  auto wfd = Wfd::Create(SmallWfd());
+  ASSERT_TRUE(wfd.ok());
+  std::atomic<int> siblings_done{0};
+  std::atomic<bool> next_stage_ran{false};
+  FunctionRegistry::Global().Register(
+      "test.caller_fails", [&](FunctionContext& ctx) -> asbase::Status {
+        if (ctx.instance() == 0) {
+          return asbase::Internal("caller-run instance failed");
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        siblings_done.fetch_add(1);
+        return asbase::OkStatus();
+      });
+  FunctionRegistry::Global().Register(
+      "test.after_failure", [&](FunctionContext&) {
+        next_stage_ran = true;
+        return asbase::OkStatus();
+      });
+  WorkflowSpec spec;
+  spec.name = "caller_fails";
+  spec.stages.push_back(StageSpec{{FunctionSpec{"test.caller_fails", 3}}});
+  spec.stages.push_back(StageSpec{{FunctionSpec{"test.after_failure", 1}}});
+
+  Orchestrator orchestrator(wfd->get());
+  auto stats = orchestrator.Run(spec, asbase::Json());
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), asbase::ErrorCode::kInternal);
+  EXPECT_NE(stats.status().message().find("caller-run instance failed"),
+            std::string::npos);
+  EXPECT_EQ(siblings_done.load(), 2)
+      << "the run may only abort once the pooled siblings have drained";
+  EXPECT_FALSE(next_stage_ran.load());
+  EXPECT_EQ((*wfd)->mpk().ReadPkru(), 0u);
+}
+
+TEST(OrchestratorTest, EachWfdRunsUnderItsOwnPkruOnASharedThread) {
+  // Fan-out-1 runs on this thread, so both WFDs' instances share it. Under
+  // AS-IFI the second WFD's instance runs under its own function key, so
+  // the two WFDs' user PKRUs differ: a per-thread PKRU cache would hand
+  // one WFD's permissions to the other.
+  auto plain = Wfd::Create(SmallWfd());
+  WfdOptions ifi_options = SmallWfd();
+  ifi_options.inter_function_isolation = true;
+  auto ifi = Wfd::Create(ifi_options);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(ifi.ok());
+
+  uint32_t observed = 0;
+  FunctionRegistry::Global().Register(
+      "test.read_pkru", [&](FunctionContext& ctx) -> asbase::Status {
+        observed = ctx.as().wfd().mpk().ReadPkru();
+        return asbase::OkStatus();
+      });
+  WorkflowSpec spec;
+  spec.name = "pkru";
+  spec.stages.push_back(StageSpec{{FunctionSpec{"test.read_pkru", 1}}});
+
+  const uint32_t plain_pkru = (*plain)->UserPkru((*plain)->user_key());
+  Orchestrator plain_orch(plain->get());
+  Orchestrator ifi_orch(ifi->get());
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(plain_orch.Run(spec, asbase::Json()).ok());
+    EXPECT_EQ(observed, plain_pkru) << "round " << round;
+    EXPECT_EQ((*plain)->mpk().ReadPkru(), 0u);
+
+    ASSERT_TRUE(ifi_orch.Run(spec, asbase::Json()).ok());
+    EXPECT_NE(observed, plain_pkru) << "round " << round;
+    EXPECT_TRUE(asmpk::PkeyRuntime::KeyAllowed(observed, (*ifi)->user_key(),
+                                               /*write=*/true));
+    EXPECT_FALSE(asmpk::PkeyRuntime::KeyAllowed(
+        observed, (*ifi)->system_key(), /*write=*/false));
+    EXPECT_EQ((*ifi)->mpk().ReadPkru(), 0u);
+  }
 }
 
 TEST(OrchestratorTest, RetryRecoversIdempotentFunction) {

@@ -175,7 +175,113 @@ TEST(MemDiskTest, AllocatesLazilyAndClonesCopyOnWrite) {
   EXPECT_EQ(out[0], 0u);
 }
 
+TEST(MemDiskTest, CopyOnWriteUnitIsOnePage) {
+  EXPECT_EQ(asblk::MemDisk::kChunkBytes, 4096u);
+  asblk::MemDisk disk(16 * 1024);
+  std::vector<uint8_t> page(asblk::MemDisk::kChunkBytes, 0x33);
+  for (uint64_t lba = 0; lba < 64; lba += 8) {
+    ASSERT_TRUE(disk.Write(lba, page).ok());
+  }
+  asblk::MemDisk clone(disk.SnapshotImage());
+  // One block in the middle of the image copies exactly its page.
+  std::vector<uint8_t> block(asblk::BlockDevice::kBlockSize, 0x44);
+  ASSERT_TRUE(clone.Write(19, block).ok());
+  EXPECT_EQ(clone.ResidentBytes(), asblk::MemDisk::kChunkBytes);
+}
+
+TEST(MemDiskTest, UnalignedIoAcrossPageBoundariesRoundTrips) {
+  // A reference byte model against a clone whose base image holds every
+  // other page, so runs cross shared pages, private pages and holes.
+  constexpr uint64_t kBlocks = 256;
+  constexpr size_t kBlock = asblk::BlockDevice::kBlockSize;
+  constexpr size_t kPage = 4096;
+  asblk::MemDisk base(kBlocks);
+  std::vector<uint8_t> model(kBlocks * kBlock, 0);
+  for (uint64_t lba = 0; lba < kBlocks; lba += 16) {
+    std::vector<uint8_t> page(kPage, static_cast<uint8_t>(lba + 1));
+    ASSERT_TRUE(base.Write(lba, page).ok());
+    std::memcpy(&model[lba * kBlock], page.data(), page.size());
+  }
+  asblk::MemDisk clone(base.SnapshotImage());
+
+  uint32_t seed = 12345;
+  auto next = [&seed] {
+    seed = seed * 1103515245u + 12345u;
+    return seed >> 8;
+  };
+  for (int op = 0; op < 200; ++op) {
+    const uint64_t lba = next() % (kBlocks - 1);
+    const uint64_t count = 1 + next() % std::min<uint64_t>(24, kBlocks - lba);
+    std::vector<uint8_t> data(count * kBlock);
+    if (op % 2 == 0) {
+      for (auto& byte : data) {
+        byte = static_cast<uint8_t>(next());
+      }
+      ASSERT_TRUE(clone.Write(lba, data).ok());
+      std::memcpy(&model[lba * kBlock], data.data(), data.size());
+    } else {
+      ASSERT_TRUE(clone.Read(lba, data).ok());
+      ASSERT_EQ(0, std::memcmp(data.data(), &model[lba * kBlock], data.size()))
+          << "read of " << count << " blocks at lba " << lba;
+    }
+  }
+  std::vector<uint8_t> all(kBlocks * kBlock);
+  ASSERT_TRUE(clone.Read(0, all).ok());
+  EXPECT_EQ(all, model);
+  // The base image never saw the clone's writes.
+  std::vector<uint8_t> first(kPage);
+  ASSERT_TRUE(base.Read(0, first).ok());
+  EXPECT_EQ(first, std::vector<uint8_t>(first.size(), 1));
+}
+
 // ------------------------------------------------------------- wfd clone
+
+// A pristine template whose fatfs module is loaded: the formatted disk is
+// its image.
+std::shared_ptr<const WfdSnapshot> FatTemplate() {
+  auto tmpl = Wfd::Create(SmallWfd());
+  if (!tmpl.ok() || !WriteFile((*tmpl)->libos(), "/boot.txt", "x").ok()) {
+    return nullptr;
+  }
+  auto snapshot = (*tmpl)->CaptureSnapshot();
+  return snapshot.ok() ? *snapshot : nullptr;
+}
+
+TEST(WfdSnapshotTest, FourKiBFileWriteIntoCloneCostsAFewPages) {
+  auto snapshot = FatTemplate();
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_LE(snapshot->image_bytes, 16u * 1024)
+      << "boot sector, FAT and root directory pages only";
+  auto clone = Wfd::CloneFromSnapshot(SmallWfd(), snapshot);
+  ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+  ASSERT_TRUE(
+      WriteFile((*clone)->libos(), "/page.bin", std::string(4096, 'p')).ok());
+  // The FAT sector, directory entry and data cluster pages: 12 KiB.
+  EXPECT_LE((*clone)->ResidentBytes(), 16u * 1024);
+  EXPECT_EQ(ReadFile((*clone)->libos(), "/page.bin"), std::string(4096, 'p'));
+}
+
+TEST(WfdSnapshotTest, SixtyFourClonesPayOnlyTheirOwnPages) {
+  auto snapshot = FatTemplate();
+  ASSERT_NE(snapshot, nullptr);
+  std::vector<std::unique_ptr<Wfd>> clones;
+  size_t total = 0;
+  for (int i = 0; i < 64; ++i) {
+    auto clone = Wfd::CloneFromSnapshot(SmallWfd(), snapshot);
+    ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+    ASSERT_TRUE(WriteFile((*clone)->libos(), "/tenant.bin",
+                          std::string(4096, static_cast<char>('a' + i % 26)))
+                    .ok());
+    clones.push_back(std::move(*clone));
+  }
+  for (const auto& clone : clones) {
+    total += clone->ResidentBytes();
+  }
+  EXPECT_LE(total, 64u * 16 * 1024);
+  EXPECT_EQ(ReadFile(clones[63]->libos(), "/tenant.bin"),
+            std::string(4096, 'a' + 63 % 26));
+}
+
 
 TEST(WfdSnapshotTest, CloneBootStartsPristineAndIsolatesWrites) {
   auto wfd_or = Wfd::Create(SmallWfd());
