@@ -4,7 +4,7 @@
 # queue, the pool warmer, the watchdog pipeline, the flight-ring seqlock,
 # and the poller/timer/backpressure paths are the most thread-heavy code in
 # the tree, so they get the race detector even when the full TSan suite
-# would be too slow.
+# would be too slow — and the serving layer once more under ASan.
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -43,6 +43,16 @@ ctest --test-dir "${BUILD}-tsan" -L netstack --output-on-failure
 # worker pool vs Stop()'s settle protocol — keep-alive, pipelining, the
 # connection cap, and idle reaping all run under the race detector.
 ctest --test-dir "${BUILD}-tsan" -L http --output-on-failure
+
+# Each shard's pool warmer holds raw pointers to the shard's pools, and
+# WfdPool::Shutdown must take a pool off its warmer before the pool dies.
+# A tick on a freed pool is a use-after-free that TSan would not report as
+# one, so the serving label also runs under AddressSanitizer.
+echo "==> serving tests under AddressSanitizer (${BUILD}-asan)"
+cmake -S . -B "${BUILD}-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DALLOY_SANITIZE=address >/dev/null
+cmake --build "${BUILD}-asan" -j "$(nproc)"
+ALLOY_VISOR_SHARDS=4 ctest --test-dir "${BUILD}-asan" -L serving --output-on-failure
 
 echo "==> serving + dataplane + sharding + obs-overhead bench smoke (--quick)"
 (cd "${BUILD}" && ./bench/bench_serving --quick >/dev/null)

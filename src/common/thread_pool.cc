@@ -41,15 +41,14 @@ size_t ThreadPool::EnsureAtLeast(size_t num_threads) {
   while (workers_.size() < num_threads) {
     workers_.emplace_back([this] { WorkerLoop(); });
     if (!pinned_cpus_.empty()) {
-      PinThread(workers_.back(), pinned_cpus_);
+      PinThreadToCpus(workers_.back(), pinned_cpus_);
     }
     ++spawned;
   }
   return spawned;
 }
 
-bool ThreadPool::PinThread(std::thread& thread,
-                           const std::vector<int>& cpus) {
+bool PinThreadToCpus(std::thread& thread, const std::vector<int>& cpus) {
 #ifdef __linux__
   cpu_set_t set;
   CPU_ZERO(&set);
@@ -75,7 +74,7 @@ size_t ThreadPool::PinToCpus(const std::vector<int>& cpus) {
   pinned_cpus_ = cpus;
   size_t pinned = 0;
   for (auto& worker : workers_) {
-    if (PinThread(worker, pinned_cpus_)) {
+    if (PinThreadToCpus(worker, pinned_cpus_)) {
       ++pinned;
     }
   }

@@ -13,6 +13,10 @@
 
 namespace asbase {
 
+// Pins `thread` to `cpus` via pthread_setaffinity_np. Best-effort: an empty
+// or invalid set leaves the thread unpinned and returns false.
+bool PinThreadToCpus(std::thread& thread, const std::vector<int>& cpus);
+
 class ThreadPool {
  public:
   // `num_threads` may be 0 for a pool grown later via EnsureAtLeast.
@@ -49,7 +53,6 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
-  static bool PinThread(std::thread& thread, const std::vector<int>& cpus);
 
   BlockingQueue<std::function<void()>> tasks_;
   mutable std::mutex workers_mutex_;

@@ -90,7 +90,8 @@ AsVisor::AsVisor(ShardIdentity shard, std::shared_ptr<SnapshotStore> snapshots)
       snapshots_(snapshots != nullptr ? std::move(snapshots)
                                       : std::make_shared<SnapshotStore>()),
       inflight_gauge_(&asobs::Registry::Global().GetGauge(
-          "alloy_visor_inflight", ShardLabels())) {
+          "alloy_visor_inflight", ShardLabels())),
+      warmer_(ShardLabels(), shard_.cpus) {
   flight_ = std::make_unique<asobs::FlightRecorder>(static_cast<size_t>(
       EnvInt64("ALLOY_FLIGHT_RING", kDefaultFlightRing)));
   trace_ring_ = static_cast<size_t>(
@@ -195,12 +196,13 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
   pool_options.idle_ttl_ms = options.idle_ttl_ms;
   pool_options.extra_labels = ShardLabels();
   pool_options.log_shard = shard_.index;
+  pool_options.warmer = &warmer_;
   if (pool_options.capacity > 0 &&
       (pool_options.min_warm > 0 || pool_options.idle_ttl_ms > 0)) {
     // The warmer cold-starts WFDs itself; those boots carry no invocation
     // trace (there is none yet) and count as prewarms, not misses. Captures
-    // the WarmupProfile and the template slot (not `this`): the warmer may
-    // outlive the registration, and both have their own locks.
+    // the WarmupProfile and the template slot (not `this`): a warmer tick
+    // in flight may outlive the registration, and both have their own locks.
     WfdOptions wfd_options = options.wfd;
     wfd_options.trace = nullptr;
     wfd_options.trace_parent = 0;
@@ -274,8 +276,9 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
   // vanished with the old Entry).
   admission_cv_.notify_all();
   if (old_pool != nullptr) {
-    // Stop the orphan's warmer now (it joins a thread — never under mutex_)
-    // so it does not keep booting WFDs nobody will lease.
+    // Take the orphan off the warmer now (Shutdown waits out a tick in
+    // flight — never under mutex_) so it does not keep booting WFDs nobody
+    // will lease.
     old_pool->Shutdown();
   }
 }
@@ -1191,8 +1194,9 @@ void AsVisor::StopServing() {
 }
 
 void AsVisor::ShutdownPools() {
-  // Collect under the lock, join outside it (Shutdown joins the warmer
-  // thread). Map order makes the teardown sequence deterministic.
+  // Collect under the lock, shut down outside it (Shutdown waits out a
+  // warmer tick in flight). Map order makes the teardown sequence
+  // deterministic.
   std::vector<std::shared_ptr<WfdPool>> pools;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -16,8 +16,8 @@
 // rejected with HTTP 429 and a Retry-After computed from that prediction.
 // Each invocation may carry a deadline (`timeout_ms`) enforced cooperatively
 // by the orchestrator; an expired run fails with kDeadlineExceeded (HTTP
-// 504). Registration also pre-warms the workflow's WFD pool (WfdPool
-// warmer) so a traffic spike pays at most the cold starts already in
+// 504). Registration also pre-warms the workflow's WFD pool (the shard's
+// PoolWarmer) so a traffic spike pays at most the cold starts already in
 // flight when it lands.
 
 #ifndef SRC_CORE_VISOR_VISOR_H_
@@ -149,9 +149,9 @@ class AsVisor {
     // Shard number, stamped onto every metric series this visor writes as
     // `alloy_visor_shard="<index>"`. -1 = unsharded.
     int index = -1;
-    // Core set this shard's WFD stage workers pin to (empty = no affinity;
-    // the router leaves it empty when the machine has fewer cores than
-    // shards).
+    // Core set this shard's WFD stage workers and pool warmer pin to
+    // (empty = no affinity; the router leaves it empty when the machine has
+    // fewer cores than shards).
     std::vector<int> cpus;
   };
 
@@ -170,8 +170,8 @@ class AsVisor {
   void RegisterWorkflow(const WorkflowSpec& spec);
   void RegisterWorkflow(const WorkflowSpec& spec, WorkflowOptions options);
 
-  // Removes a workflow: queued admissions for it give up (404), its pool's
-  // warmer stops and its warm WFDs are destroyed. Returns false when no
+  // Removes a workflow: queued admissions for it give up (404), its pool
+  // leaves the shard's warmer and its warm WFDs are destroyed. Returns false when no
   // such workflow exists. The router uses this to migrate a pinned workflow
   // between shards without a double registration ever being visible.
   bool UnregisterWorkflow(const std::string& workflow_name);
@@ -259,8 +259,9 @@ class AsVisor {
   // HTTP server delivering requests first (its connection threads block on
   // the pool's invocations).
   void StopServing();
-  // Shuts down every workflow's pool warmer and destroys parked WFDs, in
-  // workflow-name order (deterministic thread joins on teardown).
+  // Shuts down every workflow's pool (taking it off this shard's warmer)
+  // and destroys parked WFDs, in workflow-name order (deterministic
+  // teardown).
   void ShutdownPools();
 
   // Serving-path entry points, public so the router's shared server can
@@ -459,6 +460,10 @@ class AsVisor {
   // Cached like Entry's series: the inflight gauge moves on every admission
   // and release.
   asobs::Gauge* inflight_gauge_ = nullptr;
+  // Drives every pool of this shard (idle eviction, pre-warm) from one
+  // thread pinned to shard_.cpus, started with the first pool that needs
+  // it. Declared before workflows_ so it outlives their pools.
+  PoolWarmer warmer_;
 
   mutable std::mutex mutex_;
   // Wakes queued requests when a slot frees, a queue position advances, or

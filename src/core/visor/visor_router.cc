@@ -131,8 +131,8 @@ AsVisorRouter::AsVisorRouter(RouterOptions options) {
 
 AsVisorRouter::~AsVisorRouter() {
   StopWatchdog();
-  // Join every shard's pool warmer in index order (each shard joins its own
-  // pools in workflow-name order) so teardown is deterministic.
+  // Shut down every shard's pools in index order (each shard in
+  // workflow-name order) so teardown is deterministic.
   for (const auto& shard : SnapshotShards()) {
     shard->ShutdownPools();
   }

@@ -10,8 +10,9 @@
 // serving. The router splits the world into N independent shards: each
 // workflow lives on exactly one shard (consistent hash on its name, or an
 // explicit `pin_shard` override), so admission state, the condvar herd, the
-// WfdPool + warmer, and the service-time EWMAs are all shard-local and the
-// per-completion wake cost divides by N.
+// WfdPools and the one PoolWarmer thread that drives them, and the
+// service-time EWMAs are all shard-local and the per-completion wake cost
+// divides by N.
 //
 // Placement is a 64-vnode/shard FNV-1a hash ring, so changing the shard
 // count moves only ~1/(N+1) of the workflows (tested both directions).

@@ -6,6 +6,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 
 namespace alloy {
 namespace {
@@ -24,6 +25,109 @@ asobs::Labels PoolLabels(const std::string& workflow,
 }
 
 }  // namespace
+
+// ------------------------------------------------------------ PoolWarmer
+
+PoolWarmer::PoolWarmer(asobs::Labels labels, std::vector<int> cpus)
+    : cpus_(std::move(cpus)),
+      wakeups_(asobs::Registry::Global().GetCounter(
+          "alloy_visor_warmer_wakeups_total", labels)) {}
+
+PoolWarmer::~PoolWarmer() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  wake_cv_.notify_all();
+  if (thread_.joinable()) {
+    thread_.join();
+  }
+}
+
+void PoolWarmer::Add(WfdPool* pool, int64_t deadline_nanos) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  deadlines_[pool] = deadline_nanos;
+  if (!thread_.joinable()) {
+    thread_ = std::thread([this] { Loop(); });
+    asbase::PinThreadToCpus(thread_, cpus_);
+  } else if (deadline_nanos < sleeping_until_) {
+    sleeping_until_ = kAwake;
+    wake_cv_.notify_one();
+  }
+}
+
+void PoolWarmer::Remove(WfdPool* pool) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  deadlines_.erase(pool);
+  tick_done_cv_.wait(lock, [&] { return ticking_ != pool; });
+}
+
+void PoolWarmer::Schedule(WfdPool* pool, int64_t deadline_nanos) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = deadlines_.find(pool);
+  if (it == deadlines_.end()) {
+    return;
+  }
+  it->second = std::min(it->second, deadline_nanos);
+  if (deadline_nanos < sleeping_until_) {
+    // Wake once: until the thread rescans, later Schedules need not notify.
+    sleeping_until_ = kAwake;
+    wake_cv_.notify_one();
+  }
+}
+
+void PoolWarmer::Loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  std::vector<WfdPool*> due;
+  while (!stopping_) {
+    const int64_t now = asbase::MonoNanos();
+    int64_t earliest = kNever;
+    due.clear();
+    for (auto& [pool, deadline] : deadlines_) {
+      if (deadline <= now) {
+        due.push_back(pool);
+        deadline = kNever;  // consumed: the tick returns the next one
+      } else {
+        earliest = std::min(earliest, deadline);
+      }
+    }
+    if (due.empty()) {
+      sleeping_until_ = earliest;
+      const auto woken = [this] {
+        return stopping_ || sleeping_until_ == kAwake;
+      };
+      if (earliest == kNever) {
+        wake_cv_.wait(lock, woken);
+      } else {
+        wake_cv_.wait_for(lock, std::chrono::nanoseconds(earliest - now),
+                          woken);
+      }
+      sleeping_until_ = kAwake;
+      wakeups_.Add(1);
+      continue;
+    }
+    // One step per due pool, off-lock so Schedule, Add and Remove never
+    // wait for a factory. Remove erases the entry first and then waits for
+    // ticking_ to move on, so a pool removed mid-turn is skipped.
+    for (WfdPool* pool : due) {
+      if (stopping_ || deadlines_.count(pool) == 0) {
+        continue;
+      }
+      ticking_ = pool;
+      lock.unlock();
+      const int64_t next = pool->Tick();
+      lock.lock();
+      ticking_ = nullptr;
+      tick_done_cv_.notify_all();
+      auto it = deadlines_.find(pool);
+      if (it != deadlines_.end()) {
+        it->second = std::min(it->second, next);
+      }
+    }
+  }
+}
+
+// --------------------------------------------------------------- WfdPool
 
 WfdPool::WfdPool(const std::string& workflow, size_t capacity)
     : WfdPool(workflow, ReactiveOptions(capacity)) {}
@@ -50,13 +154,18 @@ WfdPool::WfdPool(const std::string& workflow, WfdPoolOptions options)
           "alloy_visor_pool_lease_nanos",
           PoolLabels(workflow, options_.extra_labels))) {
   last_activity_nanos_ = asbase::MonoNanos();
-  // The warmer only exists when it has something to do: a floor or a
+  // A warmer is needed only when it has something to do: a floor or a
   // predictive refill needs the factory; the idle-TTL evictor does not.
   const bool needs_warmer =
       options_.capacity > 0 &&
       ((options_.factory != nullptr) || options_.idle_ttl_ms > 0);
   if (needs_warmer) {
-    warmer_ = std::thread([this] { WarmerLoop(); });
+    AS_CHECK(options_.warmer != nullptr)
+        << "pool '" << workflow << "' has a factory or idle TTL but no warmer";
+    warmer_ = options_.warmer;
+    // Due now when there is a min_warm floor to fill, else nothing yet.
+    warmer_deadline_ = NextDeadlineLocked(last_activity_nanos_);
+    warmer_->Add(this, warmer_deadline_);
   }
 }
 
@@ -70,9 +179,8 @@ void WfdPool::Shutdown() {
     }
     stopping_ = true;
   }
-  warmer_cv_.notify_all();
-  if (warmer_.joinable()) {
-    warmer_.join();
+  if (warmer_ != nullptr) {
+    warmer_->Remove(this);
   }
   Clear();
 }
@@ -113,7 +221,6 @@ std::vector<WfdPool::Parked> WfdPool::TakeAllLocked() {
 
 std::unique_ptr<Wfd> WfdPool::TryAcquireWarm() {
   std::unique_ptr<Wfd> wfd;
-  bool drained_below_target = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const int64_t now = asbase::MonoNanos();
@@ -129,16 +236,13 @@ std::unique_ptr<Wfd> WfdPool::TryAcquireWarm() {
     last_activity_nanos_ = now;
     wfd = PopWarmLocked();
     ++outstanding_;
-    drained_below_target =
-        warm_.size() + prewarming_ + outstanding_ < TargetWarmLocked(now);
+    // Wakes the warmer only when this lease drained the pool below target.
+    ScheduleNextLocked(now);
   }
   if (wfd == nullptr) {
     misses_.Add(1);
   } else {
     hits_.Add(1);
-  }
-  if (drained_below_target) {
-    warmer_cv_.notify_all();
   }
   return wfd;
 }
@@ -149,12 +253,16 @@ void WfdPool::Park(std::unique_ptr<Wfd> wfd) {
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    last_activity_nanos_ = asbase::MonoNanos();
+    const int64_t now = asbase::MonoNanos();
+    last_activity_nanos_ = now;
     if (outstanding_ > 0) {
       --outstanding_;
     }
     if (!stopping_ && warm_.size() < options_.capacity) {
       AddWarmLocked(std::move(wfd));
+      // A no-op after a warm hit: the idle deadline set when the WFD was
+      // first parked is still pending with the warmer.
+      ScheduleNextLocked(now);
       return;
     }
   }
@@ -164,15 +272,13 @@ void WfdPool::Park(std::unique_ptr<Wfd> wfd) {
 }
 
 void WfdPool::AbandonLease() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (outstanding_ > 0) {
-      --outstanding_;
-    }
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (outstanding_ > 0) {
+    --outstanding_;
   }
   // The WFD this lease would have returned is gone: the pool may now be
   // below target, so give the warmer a chance to boot a replacement.
-  warmer_cv_.notify_all();
+  ScheduleNextLocked(asbase::MonoNanos());
 }
 
 std::vector<std::unique_ptr<Wfd>> WfdPool::TakeWarmForHandoff() {
@@ -196,9 +302,11 @@ void WfdPool::AdoptWarm(std::unique_ptr<Wfd> wfd) {
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    last_activity_nanos_ = asbase::MonoNanos();
+    const int64_t now = asbase::MonoNanos();
+    last_activity_nanos_ = now;
     if (!stopping_ && warm_.size() < options_.capacity) {
       AddWarmLocked(std::move(wfd));
+      ScheduleNextLocked(now);
       return;
     }
   }
@@ -255,60 +363,84 @@ size_t WfdPool::TargetWarmLocked(int64_t now) const {
   return std::min(target, options_.capacity);
 }
 
-void WfdPool::WarmerLoop() {
-  // The warmer's lines (factory failures, back-off warnings) interleave
-  // with every shard's traffic; tag them with their shard + workflow.
+bool WfdPool::BelowTargetLocked(int64_t now) const {
+  // Outstanding leases count as provisioned: each comes back via Park, and
+  // a replacement booted meanwhile would only evict it on return — churn
+  // that costs a module reload on the next lease.
+  return options_.factory != nullptr &&
+         warm_.size() + prewarming_ + outstanding_ < TargetWarmLocked(now);
+}
+
+int64_t WfdPool::NextDeadlineLocked(int64_t now) const {
+  if (stopping_) {
+    return PoolWarmer::kNever;
+  }
+  int64_t next = PoolWarmer::kNever;
+  if (!warm_.empty() && options_.idle_ttl_ms > 0) {
+    // First instant IdleLocked holds (it compares strictly).
+    next = last_activity_nanos_ + options_.idle_ttl_ms * 1'000'000 + 1;
+  }
+  if (BelowTargetLocked(now)) {
+    next = std::min(next, std::max(now, backoff_until_nanos_));
+  }
+  return next;
+}
+
+void WfdPool::ScheduleNextLocked(int64_t now) {
+  if (warmer_ == nullptr || stopping_) {
+    return;
+  }
+  const int64_t deadline = NextDeadlineLocked(now);
+  if (deadline >= warmer_deadline_) {
+    return;
+  }
+  warmer_deadline_ = deadline;
+  warmer_->Schedule(this, deadline);
+}
+
+int64_t WfdPool::Tick() {
+  // Warmer lines (factory failures) interleave with every shard's traffic;
+  // tag them with their shard + workflow.
   asbase::ScopedLogContext log_context(options_.log_shard, workflow_);
   std::unique_lock<std::mutex> lock(mutex_);
-  while (!stopping_) {
-    const int64_t now = asbase::MonoNanos();
-
+  const int64_t now = asbase::MonoNanos();
+  if (stopping_) {
+    return PoolWarmer::kNever;
+  }
+  if (IdleLocked(now) && !warm_.empty()) {
     // Idle-TTL eviction: a quiet workflow's parked WFDs pin heap + disk for
     // nothing; drop them all (destruction happens off-lock).
-    if (IdleLocked(now) && !warm_.empty()) {
-      std::vector<Parked> doomed = TakeAllLocked();
+    std::vector<Parked> doomed = TakeAllLocked();
+    lock.unlock();
+    evictions_.Add(doomed.size());
+    doomed.clear();
+    lock.lock();
+  } else if (now >= backoff_until_nanos_ && BelowTargetLocked(now)) {
+    // Pre-warm one WFD toward the target; the next deadline is "now" while
+    // the pool stays below it, so other pools get their turn in between.
+    ++prewarming_;
+    lock.unlock();
+    auto wfd_or = options_.factory();
+    lock.lock();
+    --prewarming_;
+    if (!wfd_or.ok()) {
+      AS_LOG(kWarn) << "pre-warm factory failed ("
+                    << wfd_or.status().ToString() << "); backing off";
+      backoff_until_nanos_ = asbase::MonoNanos() + kFactoryBackoffNanos;
+    } else if (!stopping_ && warm_.size() < options_.capacity) {
+      prewarms_.Add(1);
+      AddWarmLocked(std::move(*wfd_or));
+    } else {
+      // Raced with shutdown or a concurrent fill: destroy off-lock.
+      std::unique_ptr<Wfd> doomed = std::move(*wfd_or);
       lock.unlock();
-      evictions_.Add(doomed.size());
-      doomed.clear();
+      evictions_.Add(1);
+      doomed.reset();
       lock.lock();
-      continue;
     }
-
-    // Pre-warm toward the target, one WFD per iteration so a stop request
-    // or an idle transition is honored between creations. Outstanding
-    // leases count as provisioned: each comes back via Park, and a
-    // replacement booted meanwhile would only evict it on return — churn
-    // that costs a module reload on the next lease.
-    if (options_.factory != nullptr &&
-        warm_.size() + prewarming_ + outstanding_ < TargetWarmLocked(now)) {
-      ++prewarming_;
-      lock.unlock();
-      auto wfd_or = options_.factory();
-      lock.lock();
-      --prewarming_;
-      if (!wfd_or.ok()) {
-        AS_LOG(kWarn) << "pre-warm factory failed ("
-                      << wfd_or.status().ToString() << "); backing off";
-        warmer_cv_.wait_for(lock, std::chrono::milliseconds(50),
-                            [this] { return stopping_; });
-      } else if (!stopping_ && warm_.size() < options_.capacity) {
-        prewarms_.Add(1);
-        AddWarmLocked(std::move(*wfd_or));
-      } else {
-        // Raced with shutdown or a concurrent fill: destroy off-lock.
-        std::unique_ptr<Wfd> doomed = std::move(*wfd_or);
-        lock.unlock();
-        evictions_.Add(1);
-        doomed.reset();
-        lock.lock();
-      }
-      continue;
-    }
-
-    // Nothing to do: sleep until a drain notifies us or the next TTL check
-    // is due.
-    warmer_cv_.wait_for(lock, std::chrono::milliseconds(10));
   }
+  warmer_deadline_ = NextDeadlineLocked(asbase::MonoNanos());
+  return warmer_deadline_;
 }
 
 }  // namespace alloy

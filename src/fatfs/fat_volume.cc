@@ -144,11 +144,15 @@ asbase::Status FatVolume::Format(asblk::BlockDevice* device,
   }
   const uint32_t reserved = 32;
   // Solve: reserved + fat_sectors + clusters*spc <= total, where
-  // fat_sectors = ceil((clusters + 2) * 4 / 512).
+  // fat_sectors = ceil((clusters + 2) * 4 / 512), padded so the data region
+  // starts on a cluster boundary. A cluster then never straddles two
+  // copy-on-write disk pages (MemDisk pages are one 4 KiB cluster), so a
+  // clone's cluster write copies one page on every geometry.
   uint64_t clusters = (total_sectors - reserved) / spc;
   uint64_t fat_sectors = 0;
   for (int i = 0; i < 8; ++i) {
     fat_sectors = ((clusters + 2) * 4 + kSector - 1) / kSector;
+    fat_sectors += (spc - (reserved + fat_sectors) % spc) % spc;
     clusters = (total_sectors - reserved - fat_sectors) / spc;
   }
   if (clusters < 8) {

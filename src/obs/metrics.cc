@@ -57,6 +57,7 @@ constexpr struct {
     {"alloy_visor_queued", MetricType::kGauge},
     {"alloy_visor_queue_wait_nanos", MetricType::kSummary},
     {"alloy_visor_prewarms_total", MetricType::kCounter},
+    {"alloy_visor_warmer_wakeups_total", MetricType::kCounter},
     {"alloy_visor_pool_resident_bytes", MetricType::kGauge},
     {"alloy_visor_pool_lease_nanos", MetricType::kSummary},
     {"alloy_visor_snapshot_creates_total", MetricType::kCounter},

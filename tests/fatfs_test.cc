@@ -313,6 +313,24 @@ TEST(FatVolumeTest, FormatRejectsTinyDevice) {
   EXPECT_FALSE(FatVolume::Format(&disk).ok());
 }
 
+TEST(FatVolumeTest, DataRegionStartsOnAClusterBoundary) {
+  // On 10000 blocks the FAT alone ends at sector 42, mid-cluster; without
+  // padding every cluster there would straddle two 4 KiB disk pages.
+  for (uint64_t blocks : {1024u, 8u * 1024, 10000u, 16u * 1024, 12345u}) {
+    MemDisk disk(blocks);
+    ASSERT_TRUE(FatVolume::Format(&disk).ok()) << blocks;
+    auto volume = FatVolume::Mount(&disk);
+    ASSERT_TRUE(volume.ok()) << blocks;
+    const FatVolume::MetaImage meta = (*volume)->SnapshotMeta();
+    EXPECT_EQ(meta.data_start_sector % meta.sectors_per_cluster, 0u)
+        << blocks << " blocks: data region at sector "
+        << meta.data_start_sector;
+    EXPECT_LE(meta.data_start_sector +
+                  uint64_t{meta.cluster_count} * meta.sectors_per_cluster,
+              blocks);
+  }
+}
+
 TEST(FatVolumeTest, PersistsAcrossRemount) {
   MemDisk disk(8 * 1024);
   ASSERT_TRUE(FatVolume::Format(&disk).ok());

@@ -238,8 +238,9 @@ TEST(MemDiskTest, UnalignedIoAcrossPageBoundariesRoundTrips) {
 
 // A pristine template whose fatfs module is loaded: the formatted disk is
 // its image.
-std::shared_ptr<const WfdSnapshot> FatTemplate() {
-  auto tmpl = Wfd::Create(SmallWfd());
+std::shared_ptr<const WfdSnapshot> FatTemplate(
+    const WfdOptions& options = SmallWfd()) {
+  auto tmpl = Wfd::Create(options);
   if (!tmpl.ok() || !WriteFile((*tmpl)->libos(), "/boot.txt", "x").ok()) {
     return nullptr;
   }
@@ -259,6 +260,22 @@ TEST(WfdSnapshotTest, FourKiBFileWriteIntoCloneCostsAFewPages) {
   // The FAT sector, directory entry and data cluster pages: 12 KiB.
   EXPECT_LE((*clone)->ResidentBytes(), 16u * 1024);
   EXPECT_EQ(ReadFile((*clone)->libos(), "/page.bin"), std::string(4096, 'p'));
+}
+
+TEST(WfdSnapshotTest, ClusterWriteTouchesOnePageOnAnUnevenGeometry) {
+  // 10000 blocks is a geometry whose FAT does not end on a cluster
+  // boundary by itself; the formatter pads it so the data region does.
+  WfdOptions options = SmallWfd();
+  options.disk_blocks = 10000;
+  auto snapshot = FatTemplate(options);
+  ASSERT_NE(snapshot, nullptr);
+  auto clone = Wfd::CloneFromSnapshot(options, snapshot);
+  ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+  ASSERT_TRUE(
+      WriteFile((*clone)->libos(), "/page.bin", std::string(4096, 'u')).ok());
+  // The FAT sector, directory entry and data cluster pages: 3 pages.
+  EXPECT_LE((*clone)->libos().ResidentDiskBytes(), 3u * 4096);
+  EXPECT_EQ(ReadFile((*clone)->libos(), "/page.bin"), std::string(4096, 'u'));
 }
 
 TEST(WfdSnapshotTest, SixtyFourClonesPayOnlyTheirOwnPages) {

@@ -1,5 +1,7 @@
 // Tests for the visor serving layer (DESIGN.md §8): warm-WFD pooling,
-// pre-warm floor + idle-TTL eviction, concurrent watchdog dispatch,
+// pre-warm floor + idle-TTL eviction driven by one PoolWarmer per shard
+// (no polling, one thread per shard, Shutdown vs a tick in flight,
+// eviction after migration), concurrent watchdog dispatch,
 // admission control (queue-with-budget, 429 + computed Retry-After),
 // cooperative deadlines (504), and the destroy-on-failure rule.
 
@@ -8,15 +10,19 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/core/visor/visor.h"
+#include "src/core/visor/visor_router.h"
 #include "src/core/visor/wfd_pool.h"
 #include "src/obs/metrics.h"
 
@@ -84,10 +90,15 @@ TEST(WfdPoolTest, ZeroCapacityDisablesPooling) {
   EXPECT_EQ(pool.TryAcquireWarm(), nullptr);
 }
 
+// A pool with a factory or an idle TTL is driven by a PoolWarmer, which
+// must outlive it: each test below declares its warmer first.
+
 TEST(WfdPoolTest, IdleTtlEvictsParkedWfdsAndDropsResidentGauge) {
+  PoolWarmer warmer;
   WfdPoolOptions options;
   options.capacity = 2;
   options.idle_ttl_ms = 50;
+  options.warmer = &warmer;
   WfdPool pool("ttltest", std::move(options));
   const uint64_t evictions0 =
       CounterValue("alloy_visor_pool_evictions_total", "ttltest");
@@ -122,10 +133,12 @@ TEST(WfdPoolTest, IdleTtlEvictsParkedWfdsAndDropsResidentGauge) {
 }
 
 TEST(WfdPoolTest, WarmerFillsToMinWarmFloor) {
+  PoolWarmer warmer;
   WfdPoolOptions options;
   options.capacity = 2;
   options.min_warm = 2;
   options.factory = [] { return Wfd::Create(SmallWfd()); };
+  options.warmer = &warmer;
   WfdPool pool("floortest", std::move(options));
 
   const auto deadline = std::chrono::steady_clock::now() +
@@ -136,6 +149,219 @@ TEST(WfdPoolTest, WarmerFillsToMinWarmFloor) {
   }
   EXPECT_EQ(pool.warm_count(), 2u);
   EXPECT_GE(CounterValue("alloy_visor_prewarms_total", "floortest"), 2u);
+}
+
+TEST(WfdPoolTest, SixtyFourPoolsOnOneWarmerEachEvictWithinTtl) {
+  constexpr int kPools = 64;
+  constexpr int64_t kTtlMs = 50;
+  constexpr int64_t kMillis = 1'000'000;
+  PoolWarmer warmer;
+  std::vector<std::unique_ptr<WfdPool>> pools;
+  for (int i = 0; i < kPools; ++i) {
+    WfdPoolOptions options;
+    options.capacity = 1;
+    options.idle_ttl_ms = kTtlMs;
+    options.warmer = &warmer;
+    pools.push_back(std::make_unique<WfdPool>(
+        "ttlfleet" + std::to_string(i), std::move(options)));
+  }
+  // Clone boots are O(us), so the 64 parks land within a few ms of each
+  // other and their deadlines bunch up on the one warmer thread.
+  auto tmpl = Wfd::Create(SmallWfd());
+  ASSERT_TRUE(tmpl.ok());
+  auto snapshot = (*tmpl)->CaptureSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  std::vector<std::unique_ptr<Wfd>> wfds;
+  for (int i = 0; i < kPools; ++i) {
+    auto clone = Wfd::CloneFromSnapshot(SmallWfd(), *snapshot);
+    ASSERT_TRUE(clone.ok()) << clone.status().ToString();
+    wfds.push_back(std::move(*clone));
+  }
+  std::vector<int64_t> parked_at(kPools);
+  std::vector<int64_t> evicted_at(kPools, 0);
+  for (int i = 0; i < kPools; ++i) {
+    parked_at[i] = asbase::MonoNanos();
+    pools[i]->Park(std::move(wfds[i]));
+  }
+  int remaining = kPools;
+  const int64_t give_up = asbase::MonoNanos() + 5000 * kMillis;
+  while (remaining > 0 && asbase::MonoNanos() < give_up) {
+    for (int i = 0; i < kPools; ++i) {
+      if (evicted_at[i] == 0 && pools[i]->warm_count() == 0) {
+        evicted_at[i] = asbase::MonoNanos();
+        --remaining;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  ASSERT_EQ(remaining, 0) << "some pools never evicted";
+  for (int i = 0; i < kPools; ++i) {
+    const int64_t idle = evicted_at[i] - parked_at[i];
+    EXPECT_GE(idle, kTtlMs * kMillis) << "pool " << i << " evicted early";
+    EXPECT_LE(idle, (kTtlMs + 20) * kMillis)
+        << "pool " << i << " evicted " << idle / kMillis << " ms after park";
+  }
+}
+
+TEST(WfdPoolTest, ShutdownWaitsOutATickInsideTheFactory) {
+  std::mutex latch_mutex;
+  std::condition_variable latch_cv;
+  bool entered = false;
+  bool release = false;
+  std::atomic<bool> factory_returned{false};
+  PoolWarmer warmer;
+  WfdPoolOptions options;
+  options.capacity = 1;
+  options.min_warm = 1;
+  options.warmer = &warmer;
+  options.factory = [&]() -> asbase::Result<std::unique_ptr<Wfd>> {
+    auto wfd = Wfd::Create(SmallWfd());
+    std::unique_lock<std::mutex> lock(latch_mutex);
+    entered = true;
+    latch_cv.notify_all();
+    latch_cv.wait(lock, [&] { return release; });
+    factory_returned = true;
+    return wfd;
+  };
+  const uint64_t evictions0 =
+      CounterValue("alloy_visor_pool_evictions_total", "midtick");
+  const uint64_t prewarms0 =
+      CounterValue("alloy_visor_prewarms_total", "midtick");
+  WfdPool pool("midtick", std::move(options));
+  {
+    std::unique_lock<std::mutex> lock(latch_mutex);
+    ASSERT_TRUE(latch_cv.wait_for(lock, std::chrono::seconds(10),
+                                  [&] { return entered; }))
+        << "the warmer never called the factory";
+  }
+
+  std::atomic<bool> shut_down{false};
+  std::thread closer([&] {
+    pool.Shutdown();
+    shut_down = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(shut_down.load())
+      << "Shutdown returned while its pool's tick was inside the factory";
+  {
+    std::lock_guard<std::mutex> lock(latch_mutex);
+    release = true;
+  }
+  latch_cv.notify_all();
+  closer.join();
+  EXPECT_TRUE(factory_returned.load());
+  // The WFD the interrupted tick booted is destroyed, not parked.
+  EXPECT_EQ(pool.warm_count(), 0u);
+  EXPECT_EQ(CounterValue("alloy_visor_pool_evictions_total", "midtick"),
+            evictions0 + 1);
+  EXPECT_EQ(CounterValue("alloy_visor_prewarms_total", "midtick"), prewarms0);
+}
+
+// ----------------------------------------------------------- PoolWarmer
+
+WorkflowSpec NoopSpec(const std::string& name) {
+  FunctionRegistry::Global().Register(
+      "warmer.noop", [](FunctionContext& ctx) -> asbase::Status {
+        ctx.SetResult("noop");
+        return asbase::OkStatus();
+      });
+  WorkflowSpec spec;
+  spec.name = name;
+  spec.stages.push_back(StageSpec{{FunctionSpec{"warmer.noop", 1}}});
+  return spec;
+}
+
+AsVisor::WorkflowOptions TtlOptions(int64_t idle_ttl_ms) {
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.pool_size = 1;
+  options.idle_ttl_ms = idle_ttl_ms;
+  return options;
+}
+
+size_t ProcessThreads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(
+      std::distance(begin(tasks), std::filesystem::directory_iterator()));
+}
+
+TEST(PoolWarmerTest, IdleShardWithSixtyFourTtlWorkflowsDoesNotPoll) {
+  // A shard index no other test uses, so the wake-up series is this
+  // visor's alone.
+  AsVisor::ShardIdentity identity;
+  identity.index = 57;
+  AsVisor visor(identity);
+  for (int i = 0; i < 64; ++i) {
+    visor.RegisterWorkflow(NoopSpec("idleshard" + std::to_string(i)),
+                           TtlOptions(50));
+  }
+  asobs::Counter& wakeups = asobs::Registry::Global().GetCounter(
+      "alloy_visor_warmer_wakeups_total", {{"alloy_visor_shard", "57"}});
+  const uint64_t before = wakeups.value();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_LE(wakeups.value() - before, 5u)
+      << "empty pools must not wake their warmer";
+
+  // The counter is live: a parked WFD wakes the warmer for its TTL.
+  ASSERT_TRUE(visor.Invoke("idleshard0", asbase::Json()).ok());
+  ASSERT_EQ(visor.WarmWfdCount("idleshard0").value_or(0), 1u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (visor.WarmWfdCount("idleshard0").value_or(1) > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(visor.WarmWfdCount("idleshard0").value_or(1), 0u);
+  EXPECT_GT(wakeups.value(), before);
+}
+
+TEST(PoolWarmerTest, RouterAddsOneWarmerThreadPerShardNotPerWorkflow) {
+  RouterOptions router_options;
+  router_options.shards = 4;
+  AsVisorRouter router(router_options);
+  const size_t before = ProcessThreads();
+  for (int i = 0; i < 64; ++i) {
+    router.RegisterWorkflow(NoopSpec("threadcount" + std::to_string(i)),
+                            TtlOptions(50));
+  }
+  const size_t after = ProcessThreads();
+  EXPECT_GT(after, before) << "TTL workflows need a warmer";
+  EXPECT_LE(after - before, 4u) << "at most one warmer thread per shard";
+}
+
+TEST(PoolWarmerTest, DestinationWarmerEvictsMigratedWfdsOnTheirTtl) {
+  constexpr int64_t kTtlMs = 300;
+  RouterOptions router_options;
+  router_options.shards = 2;
+  AsVisorRouter router(router_options);
+  router.RegisterWorkflow(NoopSpec("migratettl"), TtlOptions(kTtlMs));
+  ASSERT_TRUE(router.Invoke("migratettl", asbase::Json()).ok());
+  ASSERT_EQ(router.WarmWfdCount("migratettl").value_or(0), 1u);
+
+  const size_t to = (router.ShardOf("migratettl") + 1) % 2;
+  const asobs::Labels dest_labels = {{"workflow", "migratettl"},
+                                     {"alloy_visor_shard",
+                                      std::to_string(to)}};
+  asobs::Counter& dest_evictions = asobs::Registry::Global().GetCounter(
+      "alloy_visor_pool_evictions_total", dest_labels);
+  const uint64_t evictions0 = dest_evictions.value();
+  const auto migrated_at = std::chrono::steady_clock::now();
+  ASSERT_TRUE(router.MigrateWorkflow("migratettl", to).ok());
+  ASSERT_EQ(router.ShardOf("migratettl"), to);
+  EXPECT_EQ(router.WarmWfdCount("migratettl").value_or(0), 1u)
+      << "the warm WFD must hand off, not evict";
+
+  const auto deadline = migrated_at + std::chrono::seconds(5);
+  while (router.WarmWfdCount("migratettl").value_or(1) > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const auto idle = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - migrated_at);
+  EXPECT_EQ(router.WarmWfdCount("migratettl").value_or(1), 0u)
+      << "the destination shard's warmer never evicted the adopted WFD";
+  EXPECT_GE(idle.count(), kTtlMs) << "evicted before its TTL";
+  EXPECT_EQ(dest_evictions.value(), evictions0 + 1);
 }
 
 // --------------------------------------------------------- warm serving
