@@ -67,5 +67,8 @@ echo "==> serving + dataplane + sharding + obs-overhead bench smoke (--quick)"
 # checked against the oracle.
 echo "==> serving benchmark smoke (bench/serve)"
 python3 bench/serve/run.py --smoke >/dev/null
+# The parent-vs-change verdict rests on compare.py's statistics; its
+# self-test pins them on synthetic run sets.
+python3 bench/serve/compare.py --self-test
 
 echo "CI OK"

@@ -237,6 +237,9 @@ class Libos {
     std::mutex mutex;
   };
 
+  // Loads `kind` after its dependencies. Each module, a dependency included,
+  // is timed, counted and traced on its own: its load_nanos_ excludes the
+  // dependencies it pulled in, so TotalLoadNanos() sums what each module cost.
   asbase::Status LoadLocked(ModuleKind kind);
   // Constructs one module's state, without its dependencies or the
   // LoadModuleImage cost: shared by the load path and clone boot.

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/core/asstd/asstd.h"
 #include "src/core/asstd/wasi.h"
 #include "src/core/visor/visor.h"
@@ -50,11 +51,27 @@ TEST(WfdTest, FirstSyscallLoadsModuleSecondDoesNot) {
   ASSERT_TRUE(wfd.ok());
   AsStd as(wfd->get());
 
+  asobs::Counter& fatfs_loads = asobs::Registry::Global().GetCounter(
+      "alloy_libos_module_loads_total", {{"module", "fatfs"}});
+  const uint64_t fatfs_loads_before = fatfs_loads.value();
+
   ASSERT_FALSE((*wfd)->libos().IsLoaded(ModuleKind::kFdtab));
   ASSERT_TRUE(as.WriteWholeFile("/a.txt", Bytes("x")).ok());  // slow path
   EXPECT_TRUE((*wfd)->libos().IsLoaded(ModuleKind::kFdtab));
   EXPECT_TRUE((*wfd)->libos().IsLoaded(ModuleKind::kFatfs));
-  EXPECT_GT((*wfd)->libos().ModuleLoadNanos(ModuleKind::kFdtab), 0);
+
+  // fdtab pulled fatfs in as a dependency: each is charged its own load,
+  // and each pays at least the modelled dlmopen cost.
+  const asbase::SimCostModel& model = asbase::SimCostModel::Global();
+  const int64_t dlmopen = model.Scaled(model.dlmopen_per_module_nanos);
+  const int64_t fatfs = (*wfd)->libos().ModuleLoadNanos(ModuleKind::kFatfs);
+  const int64_t fdtab = (*wfd)->libos().ModuleLoadNanos(ModuleKind::kFdtab);
+  EXPECT_GE(fatfs, dlmopen);
+  EXPECT_GE(fdtab, dlmopen);
+  EXPECT_EQ(fatfs + fdtab, (*wfd)->libos().TotalLoadNanos())
+      << "a file write loads exactly fatfs and fdtab";
+  EXPECT_EQ(fatfs_loads.value(), fatfs_loads_before + 1)
+      << "the dependency load is counted under its own module";
 
   const int64_t load_after_first = (*wfd)->libos().TotalLoadNanos();
   ASSERT_TRUE(as.WriteWholeFile("/b.txt", Bytes("y")).ok());  // fast path
