@@ -283,10 +283,10 @@ int Main(int argc, char** argv) {
     options.max_connections = n_connections + 64;
     options.idle_timeout_ms = 120000;  // never reap under the bench
     ashttp::HttpServer server(
-        [](const ashttp::HttpRequest& request) {
+        [](ashttp::HttpRequest request, ashttp::HttpResponder respond) {
           ashttp::HttpResponse response;
           response.body = "ok:" + request.target;
-          return response;
+          respond(std::move(response));
         },
         options);
     if (!server.Start(0).ok()) {
@@ -485,10 +485,10 @@ int Main(int argc, char** argv) {
   // --------------------------------- 3. pipelined burst vs sequential calls
   {
     ashttp::HttpServer server(
-        [](const ashttp::HttpRequest&) {
+        [](ashttp::HttpRequest, ashttp::HttpResponder respond) {
           ashttp::HttpResponse response;
           response.body = "pong";
-          return response;
+          respond(std::move(response));
         },
         ashttp::HttpServerOptions{});
     if (server.Start(0).ok()) {

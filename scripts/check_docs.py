@@ -8,6 +8,9 @@
 2. Metrics drift: every `alloy_*` family declared in src/obs/metrics.cc
    must be documented in docs/metrics.md, and vice versa (label names the
    doc mentions are exempt).
+3. Env-knob drift: every "ALLOY_*" string literal under src/ must have a
+   row in docs/operations.md, and every `ALLOY_*` row there must name a
+   knob some source under src/ reads.
 
 Exits non-zero with one line per problem.
 """
@@ -79,8 +82,29 @@ def check_metrics_drift() -> list:
     return problems
 
 
+def check_env_knob_drift() -> list:
+    knob = re.compile(r'"(ALLOY_[A-Z0-9_]+)"')
+    read = set()
+    for path in sorted((ROOT / "src").rglob("*")):
+        if path.suffix in (".cc", ".h"):
+            read |= set(knob.findall(path.read_text()))
+    doc = (ROOT / "docs/operations.md").read_text()
+    rows = set(re.findall(r"^\|\s*`(ALLOY_[A-Z0-9_]+)`", doc, re.MULTILINE))
+    problems = []
+    for name in sorted(read - rows):
+        problems.append(
+            f"docs/operations.md: {name} is read under src/ but has no row"
+        )
+    for name in sorted(rows - read):
+        problems.append(
+            f"docs/operations.md: {name} has a row but nothing under src/ "
+            "reads it"
+        )
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_metrics_drift()
+    problems = check_links() + check_metrics_drift() + check_env_knob_drift()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:

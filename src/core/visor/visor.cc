@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <optional>
+#include <string_view>
 
 #include "src/common/clock.h"
 #include "src/common/logging.h"
@@ -64,6 +65,67 @@ std::string QueryParam(const std::string& target, const std::string& key) {
     pos = amp + 1;
   }
   return "";
+}
+
+ashttp::HttpResponse ErrorResponse(int status, const std::string& reason,
+                                   std::string body) {
+  ashttp::HttpResponse response;
+  response.status = status;
+  response.reason = reason;
+  response.body = std::move(body);
+  return response;
+}
+
+ashttp::HttpResponse NotFoundResponse() {
+  return ErrorResponse(404, "Not Found", "unknown endpoint");
+}
+
+// `x-queue-budget-ms`: a plain decimal token (no sign, no unit), clamped
+// to AsVisor::kMaxQueueBudgetMs so the nanosecond comparison in Admit
+// cannot overflow. Nullopt when malformed: read leniently, "abc" would be
+// a 0 ms budget and reject every queueable request.
+std::optional<int64_t> ParseQueueBudgetMs(std::string_view value) {
+  if (value.empty()) {
+    return std::nullopt;
+  }
+  int64_t budget = 0;
+  for (char c : value) {
+    if (c < '0' || c > '9') {
+      return std::nullopt;
+    }
+    budget = std::min(budget * 10 + (c - '0'), AsVisor::kMaxQueueBudgetMs);
+  }
+  return budget;
+}
+
+// The watchdog's answer for a finished invocation.
+ashttp::HttpResponse InvokeResponse(
+    const std::string& workflow_name,
+    const asbase::Result<InvokeResult>& invoked) {
+  if (!invoked.ok()) {
+    switch (invoked.status().code()) {
+      case asbase::ErrorCode::kNotFound:
+        return ErrorResponse(404, "Not Found", invoked.status().ToString());
+      case asbase::ErrorCode::kDeadlineExceeded:
+        return ErrorResponse(504, "Gateway Timeout",
+                             invoked.status().ToString());
+      default:
+        return ErrorResponse(500, "Error", invoked.status().ToString());
+    }
+  }
+  asbase::Json body;
+  body.Set("workflow", workflow_name);
+  body.Set("cold_start_nanos", invoked->cold_start_nanos);
+  body.Set("end_to_end_nanos", invoked->end_to_end_nanos);
+  body.Set("start", invoked->warm_start    ? "hit"
+                    : invoked->clone_start ? "clone"
+                                           : "full");
+  body.Set("instances", static_cast<int64_t>(invoked->run.instances_run));
+  body.Set("result", invoked->run.result);
+  ashttp::HttpResponse response;
+  response.headers["content-type"] = "application/json";
+  response.body = body.Dump();
+  return response;
 }
 
 asbase::Json SummarizeTrace(const asobs::Trace& trace) {
@@ -257,6 +319,7 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
   entry.pool = std::make_shared<WfdPool>(spec.name, std::move(pool_options));
   entry.options = std::move(options);
   std::shared_ptr<WfdPool> old_pool;
+  std::vector<Ticket> orphans;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     // Overwrite drops the previous entry — including its pool, whose warm
@@ -266,15 +329,20 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
     auto it = workflows_.find(spec.name);
     if (it != workflows_.end()) {
       old_pool = it->second.pool;
+      orphans = TakeWaitersLocked(it->second);
     }
     workflows_[spec.name] = std::move(entry);
     // A fresh registration supersedes any migration tombstone: requests for
     // this name belong here again, not wherever it moved to last time.
     migrated_out_.erase(spec.name);
   }
-  // Requests queued against the old registration re-evaluate (their ticket
-  // vanished with the old Entry).
-  admission_cv_.notify_all();
+  // Requests queued against the old registration give up: their tickets
+  // went with the old Entry.
+  for (const Ticket& ticket : orphans) {
+    Refuse(spec.name, ticket,
+           asbase::NotFound("workflow '" + spec.name +
+                            "' re-registered while queued"));
+  }
   if (old_pool != nullptr) {
     // Take the orphan off the warmer now (Shutdown waits out a tick in
     // flight — never under mutex_) so it does not keep booting WFDs nobody
@@ -285,6 +353,7 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
 
 bool AsVisor::UnregisterWorkflow(const std::string& workflow_name) {
   std::shared_ptr<WfdPool> old_pool;
+  std::vector<Ticket> orphans;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = workflows_.find(workflow_name);
@@ -292,11 +361,14 @@ bool AsVisor::UnregisterWorkflow(const std::string& workflow_name) {
       return false;
     }
     old_pool = it->second.pool;
+    orphans = TakeWaitersLocked(it->second);
     workflows_.erase(it);
   }
-  // Queued admissions for this workflow wake, find their ticket gone, and
-  // unwind with NotFound.
-  admission_cv_.notify_all();
+  for (const Ticket& ticket : orphans) {
+    Refuse(workflow_name, ticket,
+           asbase::NotFound("workflow '" + workflow_name +
+                            "' unregistered while queued"));
+  }
   if (old_pool != nullptr) {
     old_pool->Shutdown();
   }
@@ -320,6 +392,7 @@ asbase::Result<AsVisor::WorkflowRegistration> AsVisor::GetRegistration(
 
 std::shared_ptr<WfdPool> AsVisor::MigrateOut(const std::string& workflow_name) {
   std::shared_ptr<WfdPool> old_pool;
+  std::vector<Ticket> movers;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = workflows_.find(workflow_name);
@@ -327,6 +400,7 @@ std::shared_ptr<WfdPool> AsVisor::MigrateOut(const std::string& workflow_name) {
       return nullptr;
     }
     old_pool = it->second.pool;
+    movers = TakeWaitersLocked(it->second);
     workflows_.erase(it);
     const int64_t now = asbase::MonoNanos();
     migrated_out_[workflow_name] = now;
@@ -340,9 +414,14 @@ std::shared_ptr<WfdPool> AsVisor::MigrateOut(const std::string& workflow_name) {
       }
     }
   }
-  // Queued waiters wake, find the tombstone, and unwind as *migrated* —
-  // the router re-dispatches them to the new owner (queue handoff).
-  admission_cv_.notify_all();
+  // Queued tickets unwind as *migrated*, carrying the wait paid here: the
+  // router re-dispatches them to the new owner (queue handoff).
+  for (const Ticket& ticket : movers) {
+    Refuse(workflow_name, ticket,
+           asbase::Unavailable("workflow '" + workflow_name +
+                               "' migrated while queued"),
+           /*migrated=*/true);
+  }
   return old_pool;
 }
 
@@ -888,6 +967,7 @@ void AsVisor::WriteBlackBox(const BlackBoxRequest& request) {
 // ------------------------------------------------------ admission control
 
 void AsVisor::ReleaseAdmission(const std::string& workflow_name) {
+  std::vector<Grant> grants;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (inflight_global_ > 0) {
@@ -897,10 +977,12 @@ void AsVisor::ReleaseAdmission(const std::string& workflow_name) {
     if (it != workflows_.end() && it->second.inflight > 0) {
       --it->second.inflight;
     }
+    // The freed slot goes to the next ticket in line — this workflow's
+    // queue head or a co-tenant's, by deficit round robin.
+    GrantQueuedLocked(&grants);
   }
   inflight_gauge_->Add(-1);
-  // A slot freed: the head of this workflow's queue (if any) can admit.
-  admission_cv_.notify_all();
+  DispatchGrants(std::move(grants));
 }
 
 int64_t AsVisor::PredictedWaitNanosLocked(const Entry& entry) const {
@@ -998,156 +1080,126 @@ void AsVisor::ChargeGrantLocked(const std::string& winner) {
   }
 }
 
-asbase::Status AsVisor::AdmitBlocking(const std::string& workflow_name,
-                                      int64_t budget_ms_override,
-                                      int64_t* queue_wait_nanos,
-                                      int64_t* predicted_wait_nanos,
-                                      bool* migrated) {
-  *queue_wait_nanos = 0;
-  *predicted_wait_nanos = 0;
-  *migrated = false;
-  uint64_t ticket = 0;
-  const int64_t enqueued_at = asbase::MonoNanos();
-  asobs::Gauge* queued_gauge = nullptr;
-  asobs::LatencyHistogram* queue_wait_hist = nullptr;
-  // Live iff `workflow_name` has a fresh migration tombstone (call under
-  // mutex_): the workflow is not gone, it moved shards.
-  auto migrated_away = [&]() {
-    auto tomb = migrated_out_.find(workflow_name);
-    return tomb != migrated_out_.end() &&
-           asbase::MonoNanos() - tomb->second <= kMigrationTombstoneNanos;
+bool AsVisor::MigratedAwayLocked(const std::string& workflow_name) const {
+  auto tomb = migrated_out_.find(workflow_name);
+  return tomb != migrated_out_.end() &&
+         asbase::MonoNanos() - tomb->second <= kMigrationTombstoneNanos;
+}
+
+AsVisor::Admission AsVisor::Admit(const std::string& workflow_name,
+                                  int64_t budget_ms_override, Ticket& ticket) {
+  Admission admission;
+  auto reject = [&](asbase::Status status) {
+    admission.outcome = AdmitOutcome::kRejected;
+    admission.status = std::move(status);
+    return admission;
   };
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto it = workflows_.find(workflow_name);
-    if (it == workflows_.end()) {
-      if (migrated_away()) {
-        // Raced the route flip: the workflow lives on another shard now.
-        *migrated = true;
-        return asbase::Unavailable("workflow '" + workflow_name +
-                                   "' migrated to another shard");
-      }
-      return asbase::NotFound("no workflow named '" + workflow_name + "'");
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = workflows_.find(workflow_name);
+  if (it == workflows_.end()) {
+    if (MigratedAwayLocked(workflow_name)) {
+      // Raced the route flip: the workflow lives on another shard now.
+      admission.migrated = true;
+      return reject(asbase::Unavailable("workflow '" + workflow_name +
+                                        "' migrated to another shard"));
     }
-    Entry& entry = it->second;
-    // Same registry series even if the entry is replaced while we wait (the
-    // registry dedupes by name+labels), so the gauge pointer stays valid.
-    queued_gauge = entry.queued_gauge;
-    queue_wait_hist = entry.queue_wait_hist;
-    const bool slot_free =
-        entry.inflight < entry.options.max_concurrency &&
-        inflight_global_ < serving_.max_inflight;
-    // Fast path: admit only when no other workflow has a runnable waiter —
-    // a fresh arrival must not leapfrog a co-tenant already queued for a
-    // global slot.
-    if (slot_free && entry.waiters.empty() &&
-        NextWeightedWorkflowLocked().empty()) {
-      ++inflight_global_;
-      ++entry.inflight;
-      inflight_gauge_->Add(1);
-      return asbase::OkStatus();
-    }
-    // Saturated. Queue only if allowed, not full, and the predicted wait
-    // fits the budget; otherwise reject and report the prediction so the
-    // caller can compute Retry-After.
-    *predicted_wait_nanos = PredictedWaitNanosLocked(entry);
-    if (entry.options.queue_capacity == 0) {
-      return asbase::ResourceExhausted(
-          "workflow '" + workflow_name + "' at max_concurrency (" +
-          std::to_string(entry.options.max_concurrency) + ")");
-    }
-    if (entry.waiters.size() >= entry.options.queue_capacity) {
-      return asbase::ResourceExhausted(
-          "workflow '" + workflow_name + "' admission queue full (" +
-          std::to_string(entry.options.queue_capacity) + ")");
-    }
-    const int64_t budget_ms = budget_ms_override >= 0
-                                  ? budget_ms_override
-                                  : entry.options.queueing_budget_ms;
-    if (*predicted_wait_nanos > budget_ms * 1'000'000) {
-      return asbase::ResourceExhausted(
-          "predicted queue wait " +
-          std::to_string(*predicted_wait_nanos / 1'000'000) +
-          "ms exceeds budget " + std::to_string(budget_ms) + "ms for '" +
-          workflow_name + "'");
-    }
-    ticket = entry.next_ticket++;
-    entry.waiters.push_back(ticket);
-    queued_gauge->Add(1);
-
-    // Wait for our turn: front of the queue AND a free slot. Re-find the
-    // entry each wake — a re-registration replaces it (our ticket vanishes
-    // with the old Entry) and draining aborts the wait.
-    admission_cv_.wait(lock, [&] {
-      if (draining_) {
-        return true;
-      }
-      auto found = workflows_.find(workflow_name);
-      if (found == workflows_.end() || found->second.waiters.empty() ||
-          std::find(found->second.waiters.begin(),
-                    found->second.waiters.end(),
-                    ticket) == found->second.waiters.end()) {
-        return true;  // entry replaced: give up
-      }
-      // Front of our workflow's queue, slots free, and it is our
-      // workflow's deficit-round-robin turn for the global slot.
-      return found->second.waiters.front() == ticket &&
-             found->second.inflight < found->second.options.max_concurrency &&
-             inflight_global_ < serving_.max_inflight &&
-             NextWeightedWorkflowLocked() == workflow_name;
-    });
-    queued_gauge->Add(-1);
-    *queue_wait_nanos = asbase::MonoNanos() - enqueued_at;
-
-    auto found = workflows_.find(workflow_name);
-    bool granted = false;
-    if (found != workflows_.end()) {
-      auto& waiters = found->second.waiters;
-      auto pos = std::find(waiters.begin(), waiters.end(), ticket);
-      if (pos != waiters.end()) {
-        granted = pos == waiters.begin();
-        if (granted && !draining_) {
-          // DRR bookkeeping happens while our ticket is still queued so the
-          // eligible set matches what the selector saw when it picked us.
-          ChargeGrantLocked(workflow_name);
-        }
-        // Remove the ticket on every exit path: a stale ticket abandoned by
-        // a drained waiter would keep this workflow "eligible" forever and
-        // wedge the round-robin for every co-tenant.
-        waiters.erase(pos);
-        if (waiters.empty()) {
-          // Credit is only meaningful under contention; a drained queue
-          // starts from scratch next time.
-          found->second.deficit = 0;
-        }
-      }
-    }
-    if (draining_) {
-      // Also unblock whoever is now at the front.
-      lock.unlock();
-      admission_cv_.notify_all();
-      return asbase::Unavailable("watchdog draining");
-    }
-    if (!granted) {
-      if (migrated_away()) {
-        // Queue handoff: our ticket vanished because the workflow migrated
-        // mid-wait. *queue_wait_nanos already holds the wait paid here; the
-        // router carries it to the new shard so the total stays honest.
-        *migrated = true;
-        return asbase::Unavailable("workflow '" + workflow_name +
-                                   "' migrated while queued");
-      }
-      return asbase::NotFound("workflow '" + workflow_name +
-                              "' re-registered while queued");
-    }
-    ++inflight_global_;
-    ++found->second.inflight;
+    return reject(
+        asbase::NotFound("no workflow named '" + workflow_name + "'"));
   }
-  inflight_gauge_->Add(1);
-  queue_wait_hist->Record(*queue_wait_nanos);
-  // Our pop may have moved a new waiter to the front.
-  admission_cv_.notify_all();
-  return asbase::OkStatus();
+  Entry& entry = it->second;
+  const bool slot_free = entry.inflight < entry.options.max_concurrency &&
+                         inflight_global_ < serving_.max_inflight;
+  // Fast path: admit only when no other workflow has a runnable waiter —
+  // a fresh arrival must not leapfrog a co-tenant already queued for a
+  // global slot.
+  if (slot_free && entry.waiters.empty() &&
+      NextWeightedWorkflowLocked().empty()) {
+    ++inflight_global_;
+    ++entry.inflight;
+    inflight_gauge_->Add(1);
+    return admission;
+  }
+  // Saturated. Queue only if allowed, not full, and the predicted wait
+  // fits the budget; otherwise reject and report the prediction so the
+  // caller can compute Retry-After.
+  admission.predicted_wait_nanos = PredictedWaitNanosLocked(entry);
+  if (entry.options.queue_capacity == 0) {
+    return reject(asbase::ResourceExhausted(
+        "workflow '" + workflow_name + "' at max_concurrency (" +
+        std::to_string(entry.options.max_concurrency) + ")"));
+  }
+  if (entry.waiters.size() >= entry.options.queue_capacity) {
+    return reject(asbase::ResourceExhausted(
+        "workflow '" + workflow_name + "' admission queue full (" +
+        std::to_string(entry.options.queue_capacity) + ")"));
+  }
+  // Clamped, so the nanosecond product cannot overflow.
+  const int64_t budget_ms = std::min(
+      budget_ms_override >= 0 ? budget_ms_override
+                              : entry.options.queueing_budget_ms,
+      kMaxQueueBudgetMs);
+  if (admission.predicted_wait_nanos > budget_ms * 1'000'000) {
+    return reject(asbase::ResourceExhausted(
+        "predicted queue wait " +
+        std::to_string(admission.predicted_wait_nanos / 1'000'000) +
+        "ms exceeds budget " + std::to_string(budget_ms) + "ms for '" +
+        workflow_name + "'"));
+  }
+  if (draining_) {
+    return reject(asbase::Unavailable("watchdog draining"));
+  }
+  // A free slot would have admitted above (after every release the queues
+  // hold no runnable head while a global slot is free), so the ticket
+  // waits for ReleaseAdmission or SetMaxInflight to grant it.
+  ticket.enqueued_at = asbase::MonoNanos();
+  entry.waiters.push_back(std::move(ticket));
+  entry.queued_gauge->Add(1);
+  admission.outcome = AdmitOutcome::kQueued;
+  return admission;
+}
+
+void AsVisor::GrantQueuedLocked(std::vector<Grant>* grants) {
+  const int64_t now = asbase::MonoNanos();
+  while (inflight_global_ < serving_.max_inflight) {
+    const std::string winner = NextWeightedWorkflowLocked();
+    if (winner.empty()) {
+      return;
+    }
+    // DRR bookkeeping happens while the winner's ticket is still queued so
+    // the eligible set matches what the selector saw.
+    ChargeGrantLocked(winner);
+    Entry& entry = workflows_.find(winner)->second;
+    Grant grant{winner, std::move(entry.waiters.front()), 0};
+    entry.waiters.pop_front();
+    if (entry.waiters.empty()) {
+      // Credit is only meaningful under contention; a drained queue starts
+      // from scratch next time.
+      entry.deficit = 0;
+    }
+    entry.queued_gauge->Add(-1);
+    grant.queue_wait_nanos = now - grant.ticket.enqueued_at;
+    entry.queue_wait_hist->Record(grant.queue_wait_nanos);
+    ++inflight_global_;
+    ++entry.inflight;
+    inflight_gauge_->Add(1);
+    grants->push_back(std::move(grant));
+  }
+}
+
+void AsVisor::DispatchGrants(std::vector<Grant> grants) {
+  for (Grant& grant : grants) {
+    RunGranted(std::move(grant.workflow), std::move(grant.ticket),
+               grant.queue_wait_nanos);
+  }
+}
+
+std::vector<AsVisor::Ticket> AsVisor::TakeWaitersLocked(Entry& entry) {
+  std::vector<Ticket> taken(std::make_move_iterator(entry.waiters.begin()),
+                            std::make_move_iterator(entry.waiters.end()));
+  entry.waiters.clear();
+  entry.deficit = 0;
+  entry.queued_gauge->Add(-static_cast<int64_t>(taken.size()));
+  return taken;
 }
 
 // --------------------------------------------------------------- watchdog
@@ -1178,11 +1230,19 @@ asbase::Status AsVisor::StartServing(const ServingOptions& serving) {
 }
 
 void AsVisor::BeginDrain() {
+  std::vector<std::pair<std::string, Ticket>> drained;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     draining_ = true;
+    for (auto& [name, entry] : workflows_) {
+      for (Ticket& ticket : TakeWaitersLocked(entry)) {
+        drained.emplace_back(name, std::move(ticket));
+      }
+    }
   }
-  admission_cv_.notify_all();
+  for (const auto& [name, ticket] : drained) {
+    Refuse(name, ticket, asbase::Unavailable("watchdog draining"));
+  }
 }
 
 void AsVisor::StopServing() {
@@ -1212,12 +1272,14 @@ void AsVisor::ShutdownPools() {
 }
 
 void AsVisor::SetMaxInflight(size_t max_inflight) {
+  std::vector<Grant> grants;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     serving_.max_inflight = std::max<size_t>(1, max_inflight);
+    // A raised cap may make queued tickets runnable immediately.
+    GrantQueuedLocked(&grants);
   }
-  // A raised cap may make queued waiters runnable immediately.
-  admission_cv_.notify_all();
+  DispatchGrants(std::move(grants));
 }
 
 size_t AsVisor::max_inflight() const {
@@ -1260,41 +1322,41 @@ asbase::Status AsVisor::StartWatchdog(uint16_t port, ServingOptions serving) {
   }
   AS_RETURN_IF_ERROR(StartServing(serving));
   watchdog_ = std::make_unique<ashttp::HttpServer>(
-      [this](const ashttp::HttpRequest& request) {
-        ashttp::HttpResponse response;
-        if (request.method == "GET" && request.target == "/health") {
-          response.body = "ok";
-          return response;
-        }
-        if (request.method == "GET" && request.target == "/healthz") {
-          return ServeHealthz();
-        }
-        if (request.method == "GET" && request.target == "/readyz") {
-          return ServeReadyz();
-        }
-        if (request.method == "GET" && request.target == "/metrics") {
-          return ServeMetrics();
-        }
-        if (request.method == "GET" &&
-            request.target.rfind("/trace", 0) == 0) {
-          return ServeTrace(request.target);
-        }
-        if (request.method == "GET" &&
-            request.target.rfind("/debug/flight", 0) == 0) {
-          return ServeFlight(request.target);
-        }
-        if (request.method == "GET" &&
-            request.target.rfind("/debug/latency", 0) == 0) {
-          return ServeLatency(request.target);
-        }
+      [this](ashttp::HttpRequest request, ashttp::HttpResponder respond) {
         if (request.method == "POST" &&
             request.target.rfind("/invoke/", 0) == 0) {
-          return HandleInvoke(request);
+          HandleInvoke(
+              std::make_shared<const ashttp::HttpRequest>(std::move(request)),
+              std::move(respond));
+          return;
         }
-        response.status = 404;
-        response.reason = "Not Found";
-        response.body = "unknown endpoint";
-        return response;
+        if (request.method == "GET" &&
+            (request.target == "/health" || request.target == "/healthz")) {
+          respond(ServeHealthz());
+          return;
+        }
+        if (request.method == "GET" && request.target == "/readyz") {
+          respond(ServeReadyz());
+          return;
+        }
+        if (request.method == "GET") {
+          // Rendering endpoints run on a serving worker, not the reactor.
+          Offload([this, target = std::move(request.target), respond] {
+            if (target == "/metrics") {
+              respond(ServeMetrics());
+            } else if (target.rfind("/trace", 0) == 0) {
+              respond(ServeTrace(target));
+            } else if (target.rfind("/debug/flight", 0) == 0) {
+              respond(ServeFlight(target));
+            } else if (target.rfind("/debug/latency", 0) == 0) {
+              respond(ServeLatency(target));
+            } else {
+              respond(NotFoundResponse());
+            }
+          });
+          return;
+        }
+        respond(NotFoundResponse());
       });
   asbase::Status started = watchdog_->Start(port);
   if (!started.ok()) {
@@ -1304,179 +1366,158 @@ asbase::Status AsVisor::StartWatchdog(uint16_t port, ServingOptions serving) {
   return started;
 }
 
-ashttp::HttpResponse AsVisor::HandleInvoke(const ashttp::HttpRequest& request,
-                                           int64_t carried_queue_wait_nanos) {
-  ashttp::HttpResponse response;
+void AsVisor::Offload(std::function<void()> task) {
   if (serving_pool_ == nullptr) {
-    response.status = 503;
-    response.reason = "Service Unavailable";
-    response.body = "serving not started";
-    return response;
+    task();
+    return;
   }
-  const std::string name = request.target.substr(std::string("/invoke/").size());
+  serving_pool_->Submit(std::move(task));
+}
+
+void AsVisor::HandleInvoke(RequestPtr request, ashttp::HttpResponder respond,
+                           int64_t carried_queue_wait_nanos) {
+  if (serving_pool_ == nullptr) {
+    respond(ErrorResponse(503, "Service Unavailable", "serving not started"));
+    return;
+  }
+  const std::string name =
+      request->target.substr(std::string("/invoke/").size());
   // Admission decisions (429 lines, drain warnings) carry the shard +
   // workflow; the invocation itself re-establishes the context on its
   // serving-pool worker thread.
   asbase::ScopedLogContext log_context(shard_.index, name);
-  asbase::Json params;
-  if (!request.body.empty()) {
-    auto parsed = asbase::Json::Parse(request.body);
-    if (!parsed.ok()) {
-      response.status = 400;
-      response.reason = "Bad Request";
-      response.body = parsed.status().ToString();
-      return response;
-    }
-    params = *parsed;
-  }
-
-  // Admission control: admit, queue (when the workflow allows it and the
-  // predicted wait fits this request's budget), or reject with a
-  // Retry-After computed from that prediction.
   int64_t budget_ms_override = -1;
-  auto budget_header = request.headers.find("x-queue-budget-ms");
-  if (budget_header != request.headers.end()) {
-    budget_ms_override = std::atoll(budget_header->second.c_str());
-    if (budget_ms_override < 0) {
-      budget_ms_override = -1;
+  auto budget_header = request->headers.find("x-queue-budget-ms");
+  if (budget_header != request->headers.end()) {
+    const std::optional<int64_t> budget =
+        ParseQueueBudgetMs(budget_header->second);
+    if (!budget.has_value()) {
+      respond(ErrorResponse(
+          400, "Bad Request",
+          "x-queue-budget-ms must be a decimal number of milliseconds"));
+      return;
     }
-  }
-  int64_t queue_wait_nanos = 0;
-  int64_t predicted_wait_nanos = 0;
-  bool migrated = false;
-  asbase::Status admitted = AdmitBlocking(name, budget_ms_override,
-                                          &queue_wait_nanos,
-                                          &predicted_wait_nanos, &migrated);
-  if (!admitted.ok()) {
-    if (migrated) {
-      // The workflow moved shards (possibly while this request sat in the
-      // admission queue). 307 + marker headers: the router re-dispatches to
-      // the new owner, carrying the wait already paid; a direct client
-      // retries the same URL and the route lands it correctly.
-      response.status = 307;
-      response.reason = "Temporary Redirect";
-      response.headers["location"] = request.target;
-      response.headers["x-alloy-migrated"] = "1";
-      response.headers["x-alloy-queue-wait-ns"] =
-          std::to_string(carried_queue_wait_nanos + queue_wait_nanos);
-      response.body = admitted.ToString();
-      return response;
-    }
-    if (admitted.code() == asbase::ErrorCode::kNotFound) {
-      response.status = 404;
-      response.reason = "Not Found";
-      response.body = admitted.ToString();
-      return response;
-    }
-    if (admitted.code() == asbase::ErrorCode::kUnavailable) {
-      response.status = 503;
-      response.reason = "Service Unavailable";
-      response.body = admitted.ToString();
-      return response;
-    }
-    response.status = 429;
-    response.reason = "Too Many Requests";
-    int retry_after_fallback = 1;
-    uint32_t flight_id = 0;
-    asobs::Counter* rejections = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      retry_after_fallback = serving_.retry_after_seconds;
-      auto it = workflows_.find(name);
-      if (it != workflows_.end()) {
-        flight_id = it->second.flight_id;
-        rejections = it->second.rejections;
-      }
-    }
-    if (rejections != nullptr) {
-      rejections->Add(1);
-    } else {
-      asobs::Registry::Global()
-          .GetCounter("alloy_visor_rejections_total", WorkflowLabels(name))
-          .Add(1);
-    }
-    // Rejections leave a flight record too — a 429 storm is exactly the
-    // kind of incident the black box must explain. queue_wait carries the
-    // predicted wait that drove the rejection.
-    asobs::FlightRecord rejected;
-    rejected.shard = shard_.index;
-    rejected.outcome = asobs::FlightOutcome::kRejected;
-    rejected.start_nanos = asbase::MonoNanos();
-    rejected.end_nanos = rejected.start_nanos;
-    rejected.queue_wait_nanos = predicted_wait_nanos;
-    EmitFlight(flight_id, rejected);
-    AccountOutcome(name, nullptr, asobs::FlightOutcome::kRejected, 0);
-    // Tell the client when a retry is predicted to succeed; fall back to
-    // the static knob before any service-time sample exists.
-    const int retry_after =
-        predicted_wait_nanos > 0
-            ? std::max<int>(
-                  1, static_cast<int>(
-                         std::ceil(static_cast<double>(predicted_wait_nanos) /
-                                   1e9)))
-            : retry_after_fallback;
-    response.headers["retry-after"] = std::to_string(retry_after);
-    response.body = admitted.ToString();
-    return response;
+    budget_ms_override = *budget;
   }
 
-  // Dispatch onto the serving pool; the connection thread blocks until the
-  // invocation completes (the admission caps bound how much work can be
-  // queued behind the workers).
-  struct Pending {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::optional<asbase::Result<InvokeResult>> result;
-  };
-  auto pending = std::make_shared<Pending>();
+  // Admission control: grant, queue (when the workflow allows it and the
+  // predicted wait fits this request's budget), or refuse — at once.
+  Ticket ticket{std::move(request), std::move(respond), 0,
+                carried_queue_wait_nanos};
+  const Admission admission = Admit(name, budget_ms_override, ticket);
+  switch (admission.outcome) {
+    case AdmitOutcome::kGranted:
+      RunGranted(name, std::move(ticket), 0);
+      return;
+    case AdmitOutcome::kQueued:
+      return;  // the ticket owns the request now; a release grants it
+    case AdmitOutcome::kRejected:
+      Refuse(name, ticket, admission.status, admission.migrated,
+             admission.predicted_wait_nanos);
+      return;
+  }
+}
+
+void AsVisor::RunGranted(std::string workflow_name, Ticket ticket,
+                         int64_t queue_wait_nanos) {
   const int64_t total_queue_wait_nanos =
-      carried_queue_wait_nanos + queue_wait_nanos;
-  serving_pool_->Submit([this, name, params, pending, total_queue_wait_nanos] {
+      ticket.carried_wait_nanos + queue_wait_nanos;
+  serving_pool_->Submit([this, name = std::move(workflow_name),
+                         ticket = std::move(ticket),
+                         total_queue_wait_nanos] {
+    // Parsed here, not on the reactor: a 128 KiB body costs the reactor
+    // nothing, and a bad one still frees its slot.
+    asbase::Json params;
+    if (!ticket.request->body.empty()) {
+      auto parsed = asbase::Json::Parse(ticket.request->body);
+      if (!parsed.ok()) {
+        ReleaseAdmission(name);
+        ticket.respond(
+            ErrorResponse(400, "Bad Request", parsed.status().ToString()));
+        return;
+      }
+      params = std::move(*parsed);
+    }
     InvokeOptions invoke_options;
     invoke_options.queue_wait_nanos = total_queue_wait_nanos;
-    auto invoked = Invoke(name, params, invoke_options);
-    {
-      std::lock_guard<std::mutex> lock(pending->mutex);
-      pending->result.emplace(std::move(invoked));
-    }
-    pending->cv.notify_one();
+    const asbase::Result<InvokeResult> invoked =
+        Invoke(name, params, invoke_options);
+    ReleaseAdmission(name);
+    ticket.respond(InvokeResponse(name, invoked));
   });
-  {
-    std::unique_lock<std::mutex> lock(pending->mutex);
-    pending->cv.wait(lock, [&] { return pending->result.has_value(); });
-  }
-  ReleaseAdmission(name);
+}
 
-  const asbase::Result<InvokeResult>& invoked = *pending->result;
-  if (!invoked.ok()) {
-    switch (invoked.status().code()) {
-      case asbase::ErrorCode::kNotFound:
-        response.status = 404;
-        response.reason = "Not Found";
-        break;
-      case asbase::ErrorCode::kDeadlineExceeded:
-        response.status = 504;
-        response.reason = "Gateway Timeout";
-        break;
-      default:
-        response.status = 500;
-        response.reason = "Error";
-    }
-    response.body = invoked.status().ToString();
-    return response;
+void AsVisor::Refuse(const std::string& workflow_name, const Ticket& ticket,
+                     const asbase::Status& status, bool migrated,
+                     int64_t predicted_wait_nanos) {
+  if (migrated) {
+    // The workflow moved shards (possibly while this request sat in the
+    // admission queue). 307 + marker headers: the router re-dispatches to
+    // the new owner, carrying the wait already paid; a direct client
+    // retries the same URL and the route lands it correctly.
+    const int64_t waited =
+        ticket.enqueued_at > 0 ? asbase::MonoNanos() - ticket.enqueued_at : 0;
+    ashttp::HttpResponse response =
+        ErrorResponse(307, "Temporary Redirect", status.ToString());
+    response.headers["location"] = ticket.request->target;
+    response.headers["x-alloy-migrated"] = "1";
+    response.headers["x-alloy-queue-wait-ns"] =
+        std::to_string(ticket.carried_wait_nanos + waited);
+    ticket.respond(std::move(response));
+    return;
   }
-  asbase::Json body;
-  body.Set("workflow", name);
-  body.Set("cold_start_nanos", invoked->cold_start_nanos);
-  body.Set("end_to_end_nanos", invoked->end_to_end_nanos);
-  body.Set("start", invoked->warm_start    ? "hit"
-                    : invoked->clone_start ? "clone"
-                                           : "full");
-  body.Set("instances", static_cast<int64_t>(invoked->run.instances_run));
-  body.Set("result", invoked->run.result);
-  response.headers["content-type"] = "application/json";
-  response.body = body.Dump();
-  return response;
+  if (status.code() == asbase::ErrorCode::kNotFound) {
+    ticket.respond(ErrorResponse(404, "Not Found", status.ToString()));
+    return;
+  }
+  if (status.code() == asbase::ErrorCode::kUnavailable) {
+    ticket.respond(
+        ErrorResponse(503, "Service Unavailable", status.ToString()));
+    return;
+  }
+  int retry_after_fallback = 1;
+  uint32_t flight_id = 0;
+  asobs::Counter* rejections = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    retry_after_fallback = serving_.retry_after_seconds;
+    auto it = workflows_.find(workflow_name);
+    if (it != workflows_.end()) {
+      flight_id = it->second.flight_id;
+      rejections = it->second.rejections;
+    }
+  }
+  if (rejections != nullptr) {
+    rejections->Add(1);
+  } else {
+    asobs::Registry::Global()
+        .GetCounter("alloy_visor_rejections_total",
+                    WorkflowLabels(workflow_name))
+        .Add(1);
+  }
+  // Rejections leave a flight record too — a 429 storm is exactly the
+  // kind of incident the black box must explain. queue_wait carries the
+  // predicted wait that drove the rejection.
+  asobs::FlightRecord rejected;
+  rejected.shard = shard_.index;
+  rejected.outcome = asobs::FlightOutcome::kRejected;
+  rejected.start_nanos = asbase::MonoNanos();
+  rejected.end_nanos = rejected.start_nanos;
+  rejected.queue_wait_nanos = predicted_wait_nanos;
+  EmitFlight(flight_id, rejected);
+  AccountOutcome(workflow_name, nullptr, asobs::FlightOutcome::kRejected, 0);
+  // Tell the client when a retry is predicted to succeed; fall back to
+  // the static knob before any service-time sample exists.
+  const int retry_after =
+      predicted_wait_nanos > 0
+          ? std::max<int>(
+                1, static_cast<int>(std::ceil(
+                       static_cast<double>(predicted_wait_nanos) / 1e9)))
+          : retry_after_fallback;
+  ashttp::HttpResponse response =
+      ErrorResponse(429, "Too Many Requests", status.ToString());
+  response.headers["retry-after"] = std::to_string(retry_after);
+  ticket.respond(std::move(response));
 }
 
 ashttp::HttpResponse AsVisor::ServeMetrics() const {
@@ -1579,12 +1620,11 @@ uint16_t AsVisor::watchdog_port() const {
 }
 
 void AsVisor::StopWatchdog() {
-  // Abort queued admissions first: their connection threads sit inside
-  // HandleInvoke and the server's Stop() joins them.
+  // Answer queued tickets 503 first, so the server's settle sees them out.
   BeginDrain();
   if (watchdog_ != nullptr) {
-    // Stop the server first: connection threads block on in-flight
-    // invocations, which need the serving pool alive to finish.
+    // Stop the server before the pool: in-flight invocations still owe
+    // their responses, and need the serving pool alive to finish.
     watchdog_->Stop();
     watchdog_.reset();
   }

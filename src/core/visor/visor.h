@@ -9,11 +9,14 @@
 //
 // Serving layer (DESIGN.md §8): invocations arriving through the watchdog
 // are dispatched onto a worker thread pool, gated by per-workflow
-// `max_concurrency` and a global in-flight cap. A saturated workflow may
-// absorb short bursts through a bounded FIFO admission queue: a request
-// queues only when its *predicted* wait (queue position × an EWMA of recent
-// service time / max_concurrency) fits its queueing budget; otherwise it is
-// rejected with HTTP 429 and a Retry-After computed from that prediction.
+// `max_concurrency` and a global in-flight cap. Admission never blocks: a
+// request is granted (straight onto the pool), rejected, or parked as a
+// ticket that holds the request and its responder but no thread. A
+// saturated workflow may absorb short bursts through a bounded FIFO ticket
+// queue: a request queues only when its *predicted* wait (queue position ×
+// an EWMA of recent service time / max_concurrency) fits its queueing
+// budget; otherwise it is rejected with HTTP 429 and a Retry-After computed
+// from that prediction. A finishing invocation grants the next ticket.
 // Each invocation may carry a deadline (`timeout_ms`) enforced cooperatively
 // by the orchestrator; an expired run fails with kDeadlineExceeded (HTTP
 // 504). Registration also pre-warms the workflow's WFD pool (the shard's
@@ -24,8 +27,8 @@
 #define SRC_CORE_VISOR_VISOR_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -91,7 +94,8 @@ class AsVisor {
     size_t queue_capacity = 0;
     // Default per-request queueing budget: a request queues only if its
     // predicted wait fits; a client may override per request via the
-    // `x-queue-budget-ms` header.
+    // `x-queue-budget-ms` header (a decimal number of milliseconds; anything
+    // else answers 400). Budgets are capped at kMaxQueueBudgetMs.
     int64_t queueing_budget_ms = 250;
     // Per-invocation deadline in milliseconds; 0 = none.
     int64_t timeout_ms = 0;
@@ -252,12 +256,11 @@ class AsVisor {
   // ---- owns the shared HTTP server itself) ----
   // Brings up the admission state + worker pool without an HTTP server.
   asbase::Status StartServing(const ServingOptions& serving);
-  // Non-blocking: flips draining so every queued admission unwinds with
-  // kUnavailable (503). Safe to call on all shards before any join.
+  // Non-blocking: flips draining and answers every queued ticket 503.
+  // Safe to call on all shards before any join.
   void BeginDrain();
   // BeginDrain + drain and destroy the worker pool. Callers must stop the
-  // HTTP server delivering requests first (its connection threads block on
-  // the pool's invocations).
+  // HTTP server delivering requests first.
   void StopServing();
   // Shuts down every workflow's pool (taking it off this shard's warmer)
   // and destroys parked WFDs, in workflow-name order (deterministic
@@ -266,15 +269,25 @@ class AsVisor {
 
   // Serving-path entry points, public so the router's shared server can
   // dispatch to the owning shard without a cross-shard lock.
-  // `carried_queue_wait_nanos` is queue time already spent on a previous
-  // shard when a migration handed this request off mid-queue; it is added
-  // to this shard's own queue wait so the invocation's trace and flight
-  // record show the true total. A request whose workflow migrated away
-  // mid-queue returns 307 with `x-alloy-migrated: 1` and its accumulated
-  // wait in `x-alloy-queue-wait-ns`; the router re-dispatches, a direct
-  // client treats it like any redirect.
-  ashttp::HttpResponse HandleInvoke(const ashttp::HttpRequest& request,
-                                    int64_t carried_queue_wait_nanos = 0);
+  using RequestPtr = std::shared_ptr<const ashttp::HttpRequest>;
+  // POST /invoke/<workflow>. Returns at once, on the caller's thread (the
+  // edge reactor): the request is granted onto the serving pool, queued as
+  // a ticket, or refused; `respond` is called exactly once, from whichever
+  // thread settles it. The body is parsed on the serving pool (400 on bad
+  // JSON). `carried_queue_wait_nanos` is queue time already spent on a
+  // previous shard when a migration handed this request off mid-queue; it
+  // is added to this shard's own queue wait so the invocation's trace and
+  // flight record show the true total. A request whose workflow migrated
+  // away (mid-queue or racing the route flip) is answered 307 with
+  // `x-alloy-migrated: 1` and its accumulated wait in
+  // `x-alloy-queue-wait-ns`; the router re-dispatches, a direct client
+  // treats it like any redirect.
+  void HandleInvoke(RequestPtr request, ashttp::HttpResponder respond,
+                    int64_t carried_queue_wait_nanos = 0);
+  // Runs `task` on this shard's serving pool (inline when serving is not
+  // started): keeps the edge's data-rendering GET endpoints off its
+  // reactor.
+  void Offload(std::function<void()> task);
   ashttp::HttpResponse ServeTrace(const std::string& target) const;
   // GET /debug/flight?workflow=&since= — recent flight records (all
   // workflows when the param is empty; since = MonoNanos cursor).
@@ -299,7 +312,7 @@ class AsVisor {
   int64_t trace_threshold_ms() const;
 
   // Rebalance hook: replaces this shard's slice of the global in-flight
-  // budget (clamped to >= 1) and wakes queued admissions to re-evaluate.
+  // budget (clamped to >= 1) and grants queued tickets a raised cap admits.
   void SetMaxInflight(size_t max_inflight);
   size_t max_inflight() const;
 
@@ -316,6 +329,9 @@ class AsVisor {
 
   // Trace ring depth per workflow served by /trace.
   static constexpr size_t kTraceRing = 8;
+  // Upper bound on a queueing budget (workflow default or the
+  // `x-queue-budget-ms` header): one hour. Larger values clamp to it.
+  static constexpr int64_t kMaxQueueBudgetMs = 3'600'000;
 
  private:
   // What this workflow's runs actually warm up: the LibOS modules its last
@@ -327,6 +343,16 @@ class AsVisor {
   struct WarmupProfile {
     std::mutex mutex;
     std::vector<ModuleKind> modules;
+  };
+
+  // A request parked in an admission queue: it holds the request and its
+  // responder, never a thread.
+  struct Ticket {
+    RequestPtr request;
+    ashttp::HttpResponder respond;
+    int64_t enqueued_at = 0;
+    // Queue time paid on earlier shards before a migration handed it here.
+    int64_t carried_wait_nanos = 0;
   };
 
   struct Entry {
@@ -346,8 +372,7 @@ class AsVisor {
     int inflight = 0;
     // FIFO admission queue: tickets of requests waiting for a concurrency
     // slot, front = next to run. Bounded by options.queue_capacity.
-    std::deque<uint64_t> waiters;
-    uint64_t next_ticket = 1;
+    std::deque<Ticket> waiters;
     // Deficit-round-robin credit toward the next admission grant: each
     // contested grant adds `weight` per round to every workflow with a
     // runnable queue head and costs the winner 1. Reset when the queue
@@ -386,23 +411,56 @@ class AsVisor {
     asobs::LatencyHistogram* snapshot_clone_hist = nullptr;
   };
 
+  // Frees an invocation's slot and grants whatever queued tickets that
+  // lets run.
   void ReleaseAdmission(const std::string& workflow_name);
 
-  // Queue-with-budget admission (DESIGN.md §8): admit immediately when a
-  // slot is free, else queue FIFO if the predicted wait fits the budget
-  // (workflow default, or budget_ms_override >= 0 from the request), else
-  // reject kResourceExhausted. On rejection *predicted_wait_nanos carries
-  // the prediction so the caller can compute Retry-After; on admission
-  // *queue_wait_nanos is the time actually spent queued. When the workflow
-  // migrated away (entry vanished with a live tombstone) the status is
-  // kUnavailable and *migrated is set — HandleInvoke answers with the
-  // redirect marker instead of a 503, and *queue_wait_nanos carries the
-  // wait already paid so the new shard can account it.
-  asbase::Status AdmitBlocking(const std::string& workflow_name,
-                               int64_t budget_ms_override,
-                               int64_t* queue_wait_nanos,
-                               int64_t* predicted_wait_nanos,
-                               bool* migrated);
+  enum class AdmitOutcome { kGranted, kQueued, kRejected };
+  struct Admission {
+    AdmitOutcome outcome = AdmitOutcome::kGranted;
+    // Why, when rejected: kResourceExhausted (429), kNotFound (404),
+    // kUnavailable (503, or 307 when `migrated`).
+    asbase::Status status;
+    // The prediction behind a budget rejection, for Retry-After.
+    int64_t predicted_wait_nanos = 0;
+    // The workflow moved shards (entry gone, live tombstone).
+    bool migrated = false;
+  };
+
+  // Queue-with-budget admission (DESIGN.md §8), decided at once: grant
+  // when a slot is free (the caller dispatches the ticket), else queue the
+  // ticket FIFO if the predicted wait fits the budget (workflow default,
+  // or budget_ms_override >= 0 from the request), else reject. Only a
+  // queued ticket is moved from.
+  Admission Admit(const std::string& workflow_name, int64_t budget_ms_override,
+                  Ticket& ticket);
+
+  // A queued ticket granted a slot, with the wait it paid in this queue.
+  struct Grant {
+    std::string workflow;
+    Ticket ticket;
+    int64_t queue_wait_nanos = 0;
+  };
+  // Grants queued tickets while global slots remain, in deficit-round-robin
+  // order across workflows and FIFO within one.
+  void GrantQueuedLocked(std::vector<Grant>* grants);
+  // Outside mutex_: puts granted tickets on the serving pool.
+  void DispatchGrants(std::vector<Grant> grants);
+  // Runs an admitted request on the serving pool: parse the body, invoke,
+  // release the slot, answer.
+  void RunGranted(std::string workflow_name, Ticket ticket,
+                  int64_t queue_wait_nanos);
+  // Answers a request admission turned away, by `status` as Admission
+  // documents it: at once, or later when draining, re-registration or
+  // migration emptied its queue.
+  void Refuse(const std::string& workflow_name, const Ticket& ticket,
+              const asbase::Status& status, bool migrated = false,
+              int64_t predicted_wait_nanos = 0);
+  // Takes every ticket out of `entry`'s queue (caller holds mutex_).
+  std::vector<Ticket> TakeWaitersLocked(Entry& entry);
+  // True iff `workflow_name` has a fresh migration tombstone (caller holds
+  // mutex_): the workflow is not gone, it moved shards.
+  bool MigratedAwayLocked(const std::string& workflow_name) const;
   // Wait the next arrival would see: (position) × service EWMA scaled by
   // the workflow's concurrency. Zero until a service-time sample exists.
   int64_t PredictedWaitNanosLocked(const Entry& entry) const;
@@ -414,8 +472,8 @@ class AsVisor {
   // and pick the highest resulting deficit (ties: smallest name). A
   // weight-3 workflow therefore banks credit 3× as fast and wins ~3 of
   // every 4 contested grants against a weight-1 co-tenant, while equal
-  // weights degenerate to plain round-robin. Pure — the cv predicate calls
-  // it; ChargeGrantLocked applies the mutation once per actual grant.
+  // weights degenerate to plain round-robin. Pure — ChargeGrantLocked
+  // applies the mutation once per actual grant.
   // Empty when nobody eligible is queued.
   std::string NextWeightedWorkflowLocked() const;
   // Applies the DRR bookkeeping for granting `winner` a slot. Must run
@@ -466,9 +524,6 @@ class AsVisor {
   PoolWarmer warmer_;
 
   mutable std::mutex mutex_;
-  // Wakes queued requests when a slot frees, a queue position advances, or
-  // the watchdog drains.
-  std::condition_variable admission_cv_;
   bool draining_ = false;  // guarded by mutex_; set by BeginDrain
   std::map<std::string, Entry> workflows_;
   // Migration tombstones (guarded by mutex_): workflow -> MonoNanos of its

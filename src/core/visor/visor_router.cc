@@ -1,7 +1,9 @@
 #include "src/core/visor/visor_router.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -359,47 +361,40 @@ asbase::Status AsVisorRouter::StartWatchdog(uint16_t port,
     }
   }
   server_ = std::make_unique<ashttp::HttpServer>(
-      [this](const ashttp::HttpRequest& request) {
-        ashttp::HttpResponse response;
-        if (request.method == "GET" && request.target == "/health") {
-          response.body = "ok";
-          return response;
-        }
-        if (request.method == "GET" && request.target == "/healthz") {
-          // Liveness is a process property, not a shard one.
-          response.body = "ok";
-          return response;
-        }
-        if (request.method == "GET" && request.target == "/readyz") {
-          return ServeReadyz();
-        }
-        if (request.method == "GET" && request.target == "/metrics") {
-          // One registry serves all shards; their series are kept apart by
-          // the alloy_visor_shard label.
-          response.headers["content-type"] = "text/plain; version=0.0.4";
-          response.body = asobs::Registry::Global().RenderPrometheus();
-          return response;
-        }
-        if (request.method == "GET" &&
-            request.target.rfind("/trace", 0) == 0) {
-          return ServeTrace(request.target);
-        }
-        if (request.method == "GET" &&
-            request.target.rfind("/debug/flight", 0) == 0) {
-          return ServeFlight(request.target);
-        }
-        if (request.method == "GET" &&
-            request.target.rfind("/debug/latency", 0) == 0) {
-          return ServeLatency(request.target);
-        }
+      [this](ashttp::HttpRequest request, ashttp::HttpResponder respond) {
         if (request.method == "POST" &&
             request.target.rfind("/invoke/", 0) == 0) {
-          return Dispatch(request);
+          Dispatch(
+              std::make_shared<const ashttp::HttpRequest>(std::move(request)),
+              std::move(respond));
+          return;
         }
+        if (request.method == "GET" &&
+            (request.target == "/health" || request.target == "/healthz")) {
+          // Liveness is a process property, not a shard one.
+          ashttp::HttpResponse response;
+          response.body = "ok";
+          respond(std::move(response));
+          return;
+        }
+        if (request.method == "GET" && request.target == "/readyz") {
+          respond(ServeReadyz());
+          return;
+        }
+        if (request.method == "GET") {
+          // Rendering endpoints run on a serving worker (shard 0's — it
+          // survives every ScaleTo), not the reactor.
+          ShardPtr(0)->Offload(
+              [this, target = std::move(request.target), respond] {
+                respond(ServeData(target));
+              });
+          return;
+        }
+        ashttp::HttpResponse response;
         response.status = 404;
         response.reason = "Not Found";
         response.body = "unknown endpoint";
-        return response;
+        respond(std::move(response));
       });
   asbase::Status started = server_->Start(port);
   if (!started.ok()) {
@@ -415,33 +410,92 @@ asbase::Status AsVisorRouter::StartWatchdog(uint16_t port,
   return started;
 }
 
-ashttp::HttpResponse AsVisorRouter::Dispatch(
-    const ashttp::HttpRequest& request) {
+void AsVisorRouter::Dispatch(AsVisor::RequestPtr request,
+                             ashttp::HttpResponder respond) {
+  DispatchHop(std::move(request), std::move(respond), 0, 0);
+}
+
+void AsVisorRouter::DispatchHop(AsVisor::RequestPtr request,
+                                ashttp::HttpResponder respond, int hop,
+                                int64_t carried_wait_nanos) {
   const std::string name =
-      request.target.substr(std::string("/invoke/").size());
+      request->target.substr(std::string("/invoke/").size());
   // Routing is the only shared step on the hot path, and it takes a read
   // lock at most — an unregistered name falls through to the hash shard,
   // which answers 404 itself.
-  int64_t carried_wait_nanos = 0;
-  ashttp::HttpResponse response;
-  for (int hop = 0; hop < kMaxMigrationHops; ++hop) {
-    response = ResolveShard(name)->HandleInvoke(request, carried_wait_nanos);
-    if (response.status != 307 ||
-        response.headers.find("x-alloy-migrated") == response.headers.end()) {
-      return response;
-    }
-    // Queue handoff: the workflow migrated while this request was queued
-    // (or racing the route flip). Re-dispatch to the new owner, carrying
-    // the queue wait already paid so the invocation's trace and flight
-    // record stay honest about the total.
-    queue_handoffs_->Add(1);
-    auto wait = response.headers.find("x-alloy-queue-wait-ns");
-    if (wait != response.headers.end()) {
-      carried_wait_nanos = std::atoll(wait->second.c_str());
-    }
+  std::shared_ptr<AsVisor> shard = ResolveShard(name);
+  ashttp::HttpResponder follow(
+      [this, request, respond, hop](ashttp::HttpResponse response) {
+        if (response.status != 307 ||
+            response.headers.find("x-alloy-migrated") ==
+                response.headers.end()) {
+          respond(std::move(response));
+          return;
+        }
+        // Queue handoff: the workflow migrated while this request was
+        // queued (or racing the route flip). Re-dispatch to the new owner,
+        // carrying the queue wait already paid so the invocation's trace
+        // and flight record stay honest about the total.
+        queue_handoffs_->Add(1);
+        if (hop + 1 >= kMaxMigrationHops) {
+          // Hop budget exhausted (the mesh is thrashing): surface the
+          // redirect to the client, whose retry re-enters with a fresh
+          // budget.
+          respond(std::move(response));
+          return;
+        }
+        int64_t carried = 0;
+        auto wait = response.headers.find("x-alloy-queue-wait-ns");
+        if (wait != response.headers.end()) {
+          carried = std::atoll(wait->second.c_str());
+        }
+        DispatchHop(request, respond, hop + 1, carried);
+      });
+  shard->HandleInvoke(std::move(request), std::move(follow),
+                      carried_wait_nanos);
+}
+
+ashttp::HttpResponse AsVisorRouter::Dispatch(
+    const ashttp::HttpRequest& request) {
+  struct Reply {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::optional<ashttp::HttpResponse> response;
+  };
+  auto reply = std::make_shared<Reply>();
+  Dispatch(std::make_shared<const ashttp::HttpRequest>(request),
+           ashttp::HttpResponder([reply](ashttp::HttpResponse response) {
+             std::lock_guard<std::mutex> lock(reply->mutex);
+             reply->response = std::move(response);
+             reply->cv.notify_one();
+           }));
+  std::unique_lock<std::mutex> lock(reply->mutex);
+  reply->cv.wait(lock, [&] { return reply->response.has_value(); });
+  return std::move(*reply->response);
+}
+
+ashttp::HttpResponse AsVisorRouter::ServeData(const std::string& target) const {
+  if (target == "/metrics") {
+    // One registry serves all shards; their series are kept apart by the
+    // alloy_visor_shard label.
+    ashttp::HttpResponse response;
+    response.headers["content-type"] = "text/plain; version=0.0.4";
+    response.body = asobs::Registry::Global().RenderPrometheus();
+    return response;
   }
-  // Hop budget exhausted (the mesh is thrashing): surface the redirect to
-  // the client, whose retry re-enters with a fresh budget.
+  if (target.rfind("/trace", 0) == 0) {
+    return ServeTrace(target);
+  }
+  if (target.rfind("/debug/flight", 0) == 0) {
+    return ServeFlight(target);
+  }
+  if (target.rfind("/debug/latency", 0) == 0) {
+    return ServeLatency(target);
+  }
+  ashttp::HttpResponse response;
+  response.status = 404;
+  response.reason = "Not Found";
+  response.body = "unknown endpoint";
   return response;
 }
 
@@ -562,13 +616,13 @@ void AsVisorRouter::StopWatchdog() {
   serving_active_.store(false, std::memory_order_release);
   const std::vector<std::shared_ptr<AsVisor>> shards = SnapshotShards();
   // Phase 1: flip every shard to draining (index order, non-blocking) so
-  // queued admissions across ALL shards start unwinding with 503 before any
-  // join below can wait on them.
+  // queued tickets across ALL shards are answered 503 before the server's
+  // settle below waits for owed responses.
   for (const auto& shard : shards) {
     shard->BeginDrain();
   }
-  // Phase 2: stop the shared server — joins its connection threads, whose
-  // queued waiters just unwound.
+  // Phase 2: stop the shared server once the responses it owes (in-flight
+  // invocations still finishing on the pools) are out.
   if (server_ != nullptr) {
     server_->Stop();
     server_.reset();

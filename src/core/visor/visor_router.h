@@ -2,16 +2,12 @@
 // per-core AsVisor shards behind a consistent-hash router, rebalanced at
 // runtime.
 //
-// A single AsVisor serializes every admission decision, pool lease, and
-// queue wake-up on one mutex — and every ReleaseAdmission broadcast wakes
-// *all* queued waiters, each of which re-locks that mutex and re-runs an
-// O(workflows + queue depth) eligibility predicate. Past a few dozen
-// concurrent requests the control plane burns more CPU thundering than
-// serving. The router splits the world into N independent shards: each
-// workflow lives on exactly one shard (consistent hash on its name, or an
-// explicit `pin_shard` override), so admission state, the condvar herd, the
+// A single AsVisor serializes every admission decision, ticket grant and
+// pool lease on one mutex. The router splits the world into N independent
+// shards: each workflow lives on exactly one shard (consistent hash on its
+// name, or an explicit `pin_shard` override), so admission state, the
 // WfdPools and the one PoolWarmer thread that drives them, and the
-// service-time EWMAs are all shard-local and the per-completion wake cost
+// service-time EWMAs are all shard-local and that mutex's contention
 // divides by N.
 //
 // Placement is a 64-vnode/shard FNV-1a hash ring, so changing the shard
@@ -107,16 +103,20 @@ class AsVisorRouter {
   asbase::Status StartWatchdog(uint16_t port, AsVisor::ServingOptions serving);
   uint16_t watchdog_port() const;
   // Stops the rebalancer, then three deterministic phases: (1) BeginDrain
-  // on every shard in index order — queued admissions unwind with 503;
-  // (2) stop the shared server, joining its connection threads; (3)
+  // on every shard in index order — queued tickets are answered 503;
+  // (2) stop the shared server once owed responses are out; (3)
   // StopServing each shard in index order (drains + destroys its pool).
   void StopWatchdog();
 
   // The serving pipeline without the HTTP socket: routes the request to the
   // owning shard's HandleInvoke (admission + dispatch + response mapping),
   // following internal migration redirects (bounded hops) so a workflow
-  // moving shards costs the client nothing but the re-queue.
-  // What the shared server's handler calls; benches drive it directly.
+  // moving shards costs the client nothing but the re-queue. Returns at
+  // once; `respond` gets the final answer. What the shared server's
+  // handler calls.
+  void Dispatch(AsVisor::RequestPtr request, ashttp::HttpResponder respond);
+  // Blocking shim over the above for callers without a responder of their
+  // own (benches, tests): waits for the answer on the calling thread.
   ashttp::HttpResponse Dispatch(const ashttp::HttpRequest& request);
 
   // Rebalance hook: re-divides a new global in-flight budget EVENLY across
@@ -172,6 +172,12 @@ class AsVisorRouter {
     size_t shard;
   };
 
+  // One hop of Dispatch: hands the request to its owning shard with a
+  // responder that follows a migration 307 to the next owner (carrying the
+  // queue wait already paid) until the hop budget runs out.
+  void DispatchHop(AsVisor::RequestPtr request, ashttp::HttpResponder respond,
+                   int hop, int64_t carried_wait_nanos);
+
   // MigrateWorkflow without the admin mutex — ScaleTo (which already holds
   // it) calls this for each evacuated workflow.
   asbase::Status MigrateWorkflowInternal(const std::string& workflow_name,
@@ -190,6 +196,9 @@ class AsVisorRouter {
   // Creates shard `index` of `shard_count` (identity + cpu slice).
   std::shared_ptr<AsVisor> MakeShard(size_t index, size_t shard_count) const;
 
+  // GET /metrics, /trace, /debug/*: the rendering endpoints the shared
+  // server runs on a serving worker.
+  ashttp::HttpResponse ServeData(const std::string& target) const;
   ashttp::HttpResponse ServeTrace(const std::string& target) const;
   // /readyz across shards: 503 if ANY shard is draining (a rolling drain
   // must pull the whole process out of the balancer before requests start

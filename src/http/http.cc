@@ -174,6 +174,34 @@ std::string Serialize(const HttpResponse& response) {
   return out;
 }
 
+// ------------------------------------------------------------- responder
+
+struct HttpResponder::Channel {
+  explicit Channel(Sink sink_in) : sink(std::move(sink_in)) {}
+  ~Channel() {
+    if (!answered.load(std::memory_order_acquire)) {
+      HttpResponse response;
+      response.status = 500;
+      response.reason = "Internal Server Error";
+      response.body = "request dropped unanswered";
+      sink(std::move(response));
+    }
+  }
+
+  Sink sink;
+  std::atomic<bool> answered{false};
+};
+
+HttpResponder::HttpResponder(Sink sink)
+    : channel_(std::make_shared<Channel>(std::move(sink))) {}
+
+void HttpResponder::operator()(HttpResponse response) const {
+  if (channel_ != nullptr &&
+      !channel_->answered.exchange(true, std::memory_order_acq_rel)) {
+    channel_->sink(std::move(response));
+  }
+}
+
 asbase::Result<HttpRequest> ReadRequest(ByteStream& stream) {
   // Blocking shim over the reactor's incremental parser: feed until the
   // first complete request. Bytes past it (a pipelined next request) are

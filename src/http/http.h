@@ -12,9 +12,10 @@
 //
 // The server is an epoll reactor (src/http/server.cc): non-blocking
 // accept + per-connection incremental parsing (src/http/parser.h) with
-// HTTP/1.1 keep-alive and pipelining, buffered non-blocking writes, a
-// connection cap with idle reaping, and a bounded worker pool for handler
-// execution — no thread-per-connection anywhere. The blocking
+// HTTP/1.1 keep-alive and pipelining, buffered non-blocking writes, and a
+// connection cap with idle reaping — no thread-per-connection anywhere.
+// Handlers run inline on the reactor and answer through an HttpResponder,
+// at once or later from whichever thread finishes the work. The blocking
 // ReadRequest/ReadResponse helpers remain for clients and for serving over
 // the user-space netstack.
 
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/thread_pool.h"
 #include "src/netstack/stack.h"
 
 namespace ashttp {
@@ -92,7 +92,27 @@ std::string Serialize(const HttpResponse& response);
 asbase::Result<HttpRequest> ReadRequest(ByteStream& stream);
 asbase::Result<HttpResponse> ReadResponse(ByteStream& stream);
 
-using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
+// One-shot reply channel for a request an HttpHandler took. Copies share
+// the channel: the first call sends, later calls are ignored. Callable from
+// any thread, also after HttpServer::Stop(), which drops the response. A
+// request whose every copy is destroyed unanswered gets a 500, so a lost
+// responder costs one error response instead of a hung connection.
+class HttpResponder {
+ public:
+  using Sink = std::function<void(HttpResponse)>;
+  explicit HttpResponder(Sink sink);
+
+  void operator()(HttpResponse response) const;
+
+ private:
+  struct Channel;
+  std::shared_ptr<Channel> channel_;
+};
+
+// Runs on an edge reactor thread and must not block: answer inline through
+// `respond`, or hand `respond` to whatever finishes the work.
+using HttpHandler =
+    std::function<void(HttpRequest request, HttpResponder respond)>;
 
 // Tuning for the edge reactor. The environment fallbacks let deployments
 // (and benches) size the edge without code changes; explicit options win.
@@ -101,10 +121,6 @@ struct HttpServerOptions {
   // connections; the listener lives on reactor 0 and accepted connections
   // are dealt round-robin. [env ALLOY_EDGE_REACTORS]
   size_t reactors = 1;
-  // Handler worker threads. Parsed requests execute here, so a slow
-  // invocation occupies a worker, never a reactor. 0 = max(4, hardware
-  // concurrency). [env ALLOY_EDGE_WORKERS]
-  size_t workers = 0;
   // Concurrent connection cap. Accepts past the cap answer 503 and close.
   // [env ALLOY_EDGE_MAX_CONNS]
   size_t max_connections = 4096;
@@ -158,13 +174,12 @@ class HttpServer {
   std::atomic<bool> accepting_{false};
   std::atomic<size_t> active_connections_{0};
   std::atomic<size_t> accept_cursor_{0};  // round-robin reactor placement
-  // Responses owed to clients: dispatched handlers whose completion hasn't
-  // been processed yet, plus connections holding unflushed response bytes.
+  // Responses owed to clients: handled requests whose response hasn't
+  // reached their reactor yet, plus connections holding unflushed bytes.
   // Stop() settles this to zero (bounded by a 5s cap) before tearing the
   // reactors down, so drain-time 503s actually reach their clients.
   std::atomic<int64_t> settle_debt_{0};
   std::vector<std::unique_ptr<internal::EdgeReactor>> reactors_;
-  std::unique_ptr<asbase::ThreadPool> workers_;
 };
 
 // One-shot client against a host TCP server.

@@ -8,10 +8,13 @@
 //     accepted fds are dealt round-robin across reactors.
 //   * Request bytes feed the incremental RequestParser as they arrive, so a
 //     slow or pipelining client costs a connection object, never a thread.
-//   * Parsed requests run the handler on a bounded shared worker pool; the
-//     response is handed back to the owning reactor over a completion queue
-//     + eventfd, keeping every socket under single-threaded ownership
-//     (responses stay in request order per connection — pipelining-safe).
+//   * Parsed requests run the handler inline on the reactor. The handler
+//     never blocks: it answers through an HttpResponder, at once or later
+//     from whichever thread finishes the work (the visor's serving pool).
+//     The responder posts the serialized response to the owning reactor's
+//     inbox + eventfd, keeping every socket under single-threaded ownership
+//     (one request in flight per connection, so responses stay in request
+//     order — pipelining-safe). No thread waits on a request anywhere.
 //   * Writes are buffered and flushed opportunistically; EAGAIN arms
 //     EPOLLOUT and the reactor finishes the flush when the socket drains.
 //   * A connection cap (503 + close past it) and idle reaping bound edge
@@ -88,9 +91,9 @@ std::string ErrorResponseWire(int status, const std::string& reason,
 
 }  // namespace
 
-// Owned by exactly one reactor; every field except `dead` is touched only
-// on that reactor's thread. Workers get a shared_ptr plus a copy of the
-// request, and come back through the completion queue.
+// Owned by exactly one reactor and touched only on its thread. Responders
+// hold a weak_ptr, so a connection closed while its request is in flight
+// dies at once and its late completion is dropped.
 struct EdgeConnection {
   explicit EdgeConnection(int fd_in, HttpServer* server_in,
                           RequestParser::Limits limits)
@@ -122,15 +125,96 @@ struct EdgeConnection {
   bool read_closed = false;
   bool flush_debt = false;  // counted in server->settle_debt_
   int64_t last_activity = 0;
-  std::atomic<bool> dead{false};
+  bool dead = false;
+};
+
+// A serialized response on its way back to the reactor owning `connection`.
+struct Completion {
+  std::weak_ptr<EdgeConnection> connection;
+  std::string wire;
+  bool close_after;
+};
+
+// A reactor's mailbox: adopted connections from reactor 0's accept path and
+// completions from responders on any thread. Shared with every responder
+// the reactor hands out, since those may outlive the reactor and the
+// server: the eventfd lives here, and Close() turns later posts into drops.
+class EdgeInbox {
+ public:
+  EdgeInbox() : wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+  ~EdgeInbox() {
+    if (wake_fd_ >= 0) {
+      ::close(wake_fd_);
+    }
+  }
+
+  int wake_fd() const { return wake_fd_; }
+
+  void Wake() {
+    const uint64_t one = 1;
+    ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+    (void)n;
+  }
+
+  void Adopt(std::shared_ptr<EdgeConnection> connection) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (closed_) {
+        return;
+      }
+      adds_.push_back(std::move(connection));
+    }
+    Wake();
+  }
+
+  void Post(Completion completion) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (closed_) {
+        return;  // the server stopped: nobody will write this response
+      }
+      completions_.push_back(std::move(completion));
+    }
+    Wake();
+  }
+
+  void Take(std::vector<std::shared_ptr<EdgeConnection>>* adds,
+            std::vector<Completion>* completions) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    adds->swap(adds_);
+    completions->swap(completions_);
+  }
+
+  // After the reactor thread exited: drops what is queued (adopted
+  // connections close here, while their server is alive) and every later
+  // post.
+  void Close() {
+    std::vector<std::shared_ptr<EdgeConnection>> adds;
+    std::vector<Completion> completions;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      closed_ = true;
+      adds.swap(adds_);
+      completions.swap(completions_);
+    }
+  }
+
+ private:
+  const int wake_fd_;
+  std::mutex mutex_;
+  bool closed_ = false;
+  std::vector<std::shared_ptr<EdgeConnection>> adds_;
+  std::vector<Completion> completions_;
 };
 
 class EdgeReactor {
  public:
   EdgeReactor(HttpServer* server, size_t index)
-      : server_(server), index_(index) {
+      : server_(server),
+        index_(index),
+        inbox_(std::make_shared<EdgeInbox>()),
+        wake_fd_(inbox_->wake_fd()) {
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     epoll_event event{};
     event.events = EPOLLIN;
     event.data.fd = wake_fd_;
@@ -146,12 +230,10 @@ class EdgeReactor {
   }
 
   ~EdgeReactor() {
+    inbox_->Close();
     connections_.clear();  // destructors close the fds
     if (epoll_fd_ >= 0) {
       ::close(epoll_fd_);
-    }
-    if (wake_fd_ >= 0) {
-      ::close(wake_fd_);
     }
   }
 
@@ -165,40 +247,15 @@ class EdgeReactor {
     }
   }
 
-  void Wake() {
-    const uint64_t one = 1;
-    ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-    (void)n;
-  }
+  void Wake() { inbox_->Wake(); }
 
   // Called from reactor 0's accept path; hands a fresh connection to this
   // reactor's thread.
   void Adopt(std::shared_ptr<EdgeConnection> connection) {
-    {
-      std::lock_guard<std::mutex> lock(inbox_mutex_);
-      adds_.push_back(std::move(connection));
-    }
-    Wake();
-  }
-
-  // Called from worker threads with the serialized response.
-  void Complete(std::shared_ptr<EdgeConnection> connection, std::string wire,
-                bool close_after) {
-    {
-      std::lock_guard<std::mutex> lock(inbox_mutex_);
-      completions_.push_back(
-          Completion{std::move(connection), std::move(wire), close_after});
-    }
-    Wake();
+    inbox_->Adopt(std::move(connection));
   }
 
  private:
-  struct Completion {
-    std::shared_ptr<EdgeConnection> connection;
-    std::string wire;
-    bool close_after;
-  };
-
   void Loop() {
     const int64_t idle_nanos = server_->options_.idle_timeout_ms * 1000000;
     // The reap scan needs a periodic wake; a quarter of the timeout keeps
@@ -241,8 +298,7 @@ class EdgeReactor {
         if ((events[i].events & EPOLLIN) != 0) {
           ReadReady(connection);
         }
-        if (!connection->dead.load(std::memory_order_relaxed) &&
-            (events[i].events & EPOLLOUT) != 0) {
+        if (!connection->dead && (events[i].events & EPOLLOUT) != 0) {
           Flush(connection);
         }
       }
@@ -317,20 +373,17 @@ class EdgeReactor {
   void DrainInbox() {
     std::vector<std::shared_ptr<EdgeConnection>> adds;
     std::vector<Completion> completions;
-    {
-      std::lock_guard<std::mutex> lock(inbox_mutex_);
-      adds.swap(adds_);
-      completions.swap(completions_);
-    }
+    inbox_->Take(&adds, &completions);
     for (auto& connection : adds) {
       Register(std::move(connection));
     }
     for (auto& completion : completions) {
-      auto& connection = completion.connection;
-      server_->settle_debt_.fetch_sub(1, std::memory_order_relaxed);
-      if (connection->dead.load(std::memory_order_relaxed)) {
-        continue;
+      const std::shared_ptr<EdgeConnection> connection =
+          completion.connection.lock();
+      if (connection == nullptr || connection->dead) {
+        continue;  // Close() already settled its debt
       }
+      server_->settle_debt_.fetch_sub(1, std::memory_order_relaxed);
       EdgeMetrics::Get().requests.Add();
       connection->handler_inflight = false;
       connection->last_activity = asbase::MonoNanos();
@@ -377,20 +430,21 @@ class EdgeReactor {
     }
   }
 
-  void Dispatch(std::shared_ptr<EdgeConnection> connection,
+  // Hands the request to the handler, inline. Whoever answers serializes
+  // the response on their own thread and posts it to this reactor's inbox.
+  void Dispatch(const std::shared_ptr<EdgeConnection>& connection,
                 HttpRequest request) {
     server_->settle_debt_.fetch_add(1, std::memory_order_relaxed);
-    EdgeReactor* reactor = this;
-    server_->workers_->Submit([reactor, connection = std::move(connection),
-                               request = std::move(request)]() mutable {
-      const bool close_after = WantsClose(request);
-      HttpResponse response = connection->server->handler_(request);
-      if (close_after) {
-        response.headers["connection"] = "close";
-      }
-      reactor->Complete(std::move(connection), Serialize(response),
-                        close_after);
-    });
+    const bool close_after = WantsClose(request);
+    HttpResponder respond(
+        [inbox = inbox_, weak = std::weak_ptr<EdgeConnection>(connection),
+         close_after](HttpResponse response) {
+          if (close_after) {
+            response.headers["connection"] = "close";
+          }
+          inbox->Post(Completion{weak, Serialize(response), close_after});
+        });
+    server_->handler_(std::move(request), std::move(respond));
   }
 
   void ReadReady(const std::shared_ptr<EdgeConnection>& connection) {
@@ -490,18 +544,25 @@ class EdgeReactor {
   }
 
   void Close(const std::shared_ptr<EdgeConnection>& connection) {
-    if (connection->dead.exchange(true, std::memory_order_relaxed)) {
+    if (connection->dead) {
       return;
     }
+    connection->dead = true;
+    // A dead connection is owed nothing: neither its unflushed bytes nor
+    // the response to a request still in a handler's hands.
     if (connection->flush_debt) {
       connection->flush_debt = false;
       server_->settle_debt_.fetch_sub(1, std::memory_order_relaxed);
     }
+    if (connection->handler_inflight) {
+      connection->handler_inflight = false;
+      server_->settle_debt_.fetch_sub(1, std::memory_order_relaxed);
+    }
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, connection->fd, nullptr);
     connections_.erase(connection->fd);
-    // The fd itself closes in the destructor, once any in-flight worker
-    // task has dropped its reference — that keeps the fd number from being
-    // reused while a completion for it is still in an inbox.
+    // The fd closes in the destructor, once the caller's reference goes. A
+    // completion still on its way holds a weak_ptr to this object, not the
+    // fd number, so it cannot land on a later connection reusing the fd.
   }
 
   void ReapIdle(int64_t idle_nanos) {
@@ -527,15 +588,12 @@ class EdgeReactor {
 
   HttpServer* server_;
   size_t index_;
+  const std::shared_ptr<EdgeInbox> inbox_;
+  const int wake_fd_;  // owned by inbox_
   bool listen_registered_ = false;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;
   std::thread thread_;
   std::unordered_map<int, std::shared_ptr<EdgeConnection>> connections_;
-
-  std::mutex inbox_mutex_;
-  std::vector<std::shared_ptr<EdgeConnection>> adds_;
-  std::vector<Completion> completions_;
 };
 
 }  // namespace internal
@@ -544,7 +602,6 @@ HttpServerOptions HttpServerOptions::FromEnv() {
   HttpServerOptions options;
   options.reactors =
       std::max<size_t>(1, internal::EnvSize("ALLOY_EDGE_REACTORS", 1));
-  options.workers = internal::EnvSize("ALLOY_EDGE_WORKERS", 0);
   options.max_connections = std::max<size_t>(
       1, internal::EnvSize("ALLOY_EDGE_MAX_CONNS", options.max_connections));
   options.idle_timeout_ms = static_cast<int64_t>(internal::EnvSize(
@@ -562,15 +619,6 @@ HttpServer::HttpServer(HttpHandler handler, HttpServerOptions options)
     : handler_(std::move(handler)), options_(options) {
   if (options_.reactors == 0) {
     options_.reactors = 1;
-  }
-  if (options_.workers == 0) {
-    // The visor's queue-with-budget admission *blocks* the handler until a
-    // slot frees, so every queued invocation occupies an edge worker for
-    // its whole wait. The default bound must therefore comfortably exceed
-    // max_inflight + queue depth of a typical visor, not just the CPU
-    // count.
-    options_.workers = std::max<size_t>(
-        64, 4 * std::max<size_t>(1, std::thread::hardware_concurrency()));
   }
 }
 
@@ -608,7 +656,6 @@ asbase::Status HttpServer::Start(uint16_t port) {
     listen_fd_ = -1;
     return asbase::Internal("listen failed");
   }
-  workers_ = std::make_unique<asbase::ThreadPool>(options_.workers);
   settle_debt_.store(0, std::memory_order_relaxed);
   accepting_.store(true, std::memory_order_release);
   running_.store(true, std::memory_order_release);
@@ -627,26 +674,23 @@ void HttpServer::Stop() {
     return;
   }
   // Phase 1: stop taking new connections, but keep the reactors serving so
-  // in-flight handlers (e.g. a visor unwinding its admission queue with
-  // 503s during drain) still get their responses onto the wire.
+  // responses still owed (e.g. a visor unwinding its admission queue with
+  // 503s during drain, or finishing in-flight invocations) reach the wire.
   accepting_.store(false, std::memory_order_release);
   for (auto& reactor : reactors_) {
     reactor->Wake();
   }
   const int64_t settle_deadline = asbase::MonoNanos() + 5ll * 1000000000;
-  while (asbase::MonoNanos() < settle_deadline) {
-    workers_->Drain();
-    if (settle_debt_.load(std::memory_order_relaxed) == 0) {
-      break;
-    }
+  while (settle_debt_.load(std::memory_order_relaxed) != 0 &&
+         asbase::MonoNanos() < settle_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   if (settle_debt_.load(std::memory_order_relaxed) != 0) {
     AS_LOG(kWarn) << "edge stop: abandoning unflushed responses after 5s";
   }
-  // Phase 2: tear down. Reactors exit, then any straggler handler tasks
-  // (their completions go unread but the inboxes outlive them), then the
-  // connection table (destructors close the fds).
+  // Phase 2: tear down. Reactors exit, then their inboxes close (a
+  // responder answering later finds its inbox closed and drops the
+  // response), then the connection tables (destructors close the fds).
   running_.store(false, std::memory_order_release);
   for (auto& reactor : reactors_) {
     reactor->Wake();
@@ -654,9 +698,7 @@ void HttpServer::Stop() {
   for (auto& reactor : reactors_) {
     reactor->Join();
   }
-  workers_->Drain();
   reactors_.clear();
-  workers_.reset();
   ::close(listen_fd_);
   listen_fd_ = -1;
 }

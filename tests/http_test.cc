@@ -1,7 +1,7 @@
 // Tests for the HTTP layer over both transports (host sockets and the
 // user-space netstack), plus the epoll edge reactor: keep-alive,
 // pipelining, malformed-input hardening, connection cap, idle reap,
-// partial writes, and thread boundedness.
+// partial writes, thread boundedness, and responder lifetime.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
+#include <mutex>
+#include <optional>
 #include <thread>
 
 #include "src/http/http.h"
@@ -291,6 +294,16 @@ class RawClient {
 
   void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
 
+  // Closes with a reset instead of a FIN: the server sees the connection
+  // die at once.
+  void Abort() {
+    linger reset{};
+    reset.l_onoff = 1;
+    reset.l_linger = 0;
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+    stream_.reset();
+  }
+
  private:
   int fd_ = -1;
   bool connected_ = false;
@@ -300,10 +313,10 @@ class RawClient {
 
 HttpServer EchoServer(HttpServerOptions options) {
   return HttpServer(
-      [](const HttpRequest& request) {
+      [](HttpRequest request, HttpResponder respond) {
         HttpResponse response;
         response.body = "echo:" + request.body + " @" + request.target;
-        return response;
+        respond(std::move(response));
       },
       options);
 }
@@ -512,10 +525,10 @@ TEST(HttpEdgeTest, PartialWritesDeliverLargeResponse) {
   // the client drains through a deliberately tiny receive buffer.
   const std::string big(6u << 20, 'z');
   HttpServer server(
-      [&big](const HttpRequest&) {
+      [&big](HttpRequest, HttpResponder respond) {
         HttpResponse response;
         response.body = big;
-        return response;
+        respond(std::move(response));
       },
       HttpServerOptions{});
   ASSERT_TRUE(server.Start(0).ok());
@@ -527,6 +540,67 @@ TEST(HttpEdgeTest, PartialWritesDeliverLargeResponse) {
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response->body.size(), big.size());
   EXPECT_EQ(response->body, big);
+  server.Stop();
+}
+
+TEST(HttpEdgeTest, ResponderCalledAfterStopIsDropped) {
+  std::mutex mutex;
+  std::optional<HttpResponder> kept;
+  std::atomic<bool> handled{false};
+  auto server = std::make_unique<HttpServer>(
+      [&](HttpRequest, HttpResponder respond) {
+        std::lock_guard<std::mutex> lock(mutex);
+        kept.emplace(std::move(respond));
+        handled = true;
+      },
+      HttpServerOptions{});
+  ASSERT_TRUE(server->Start(0).ok());
+  {
+    RawClient client(server->port());
+    client.Send("GET /held HTTP/1.1\r\nhost: x\r\n\r\n");
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!handled && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(handled);
+    client.Abort();
+  }
+  // The reset connection is owed nothing, so Stop() does not wait out its
+  // 5 s settle cap for the held request.
+  const auto stop_start = std::chrono::steady_clock::now();
+  server->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            std::chrono::seconds(4));
+  server.reset();
+
+  // The responder outlived its connection, reactor and server: answering
+  // (twice — the second call is ignored) and destroying it touch none of
+  // them. ASan reports any use after free here.
+  std::thread late([&] {
+    std::lock_guard<std::mutex> lock(mutex);
+    HttpResponse response;
+    response.body = "too late";
+    (*kept)(response);
+    (*kept)(response);
+    kept.reset();
+  });
+  late.join();
+}
+
+TEST(HttpEdgeTest, DroppedResponderAnswers500) {
+  HttpServer server([](HttpRequest, HttpResponder) {}, HttpServerOptions{});
+  ASSERT_TRUE(server.Start(0).ok());
+  RawClient client(server.port());
+  client.Send("GET /lost HTTP/1.1\r\nhost: x\r\n\r\n");
+  auto response = client.ReadOne();
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status, 500);
+  // The connection stays usable.
+  client.Send("GET /lost2 HTTP/1.1\r\nhost: x\r\n\r\n");
+  auto second = client.ReadOne();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->status, 500);
   server.Stop();
 }
 
@@ -566,10 +640,10 @@ TEST(HttpEdgeTest, ResidentThreadsStayBoundedUnder1kConnections) {
 }
 
 TEST(HttpServerTest, ServesOverHostSocket) {
-  HttpServer server([](const HttpRequest& request) {
+  HttpServer server([](HttpRequest request, HttpResponder respond) {
     HttpResponse response;
     response.body = "echo:" + request.body + " @" + request.target;
-    return response;
+    respond(std::move(response));
   });
   ASSERT_TRUE(server.Start(0).ok());
   ASSERT_NE(server.port(), 0);
@@ -586,10 +660,10 @@ TEST(HttpServerTest, ServesOverHostSocket) {
 }
 
 TEST(HttpServerTest, ManySequentialCalls) {
-  HttpServer server([](const HttpRequest& request) {
+  HttpServer server([](HttpRequest request, HttpResponder respond) {
     HttpResponse response;
-    response.body = request.body;
-    return response;
+    response.body = std::move(request.body);
+    respond(std::move(response));
   });
   ASSERT_TRUE(server.Start(0).ok());
   for (int i = 0; i < 20; ++i) {

@@ -2,10 +2,16 @@
 // pre-warm floor + idle-TTL eviction driven by one PoolWarmer per shard
 // (no polling, one thread per shard, Shutdown vs a tick in flight,
 // eviction after migration), concurrent watchdog dispatch,
-// admission control (queue-with-budget, 429 + computed Retry-After),
+// admission control (queue-with-budget, 429 + computed Retry-After,
+// tickets that hold no thread, the x-queue-budget-ms grammar),
 // cooperative deadlines (504), and the destroy-on-failure rule.
 
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -979,6 +985,208 @@ TEST(VisorServingTest, WeightedSharesGrantSlotsProportionally) {
     EXPECT_EQ(a_grants, 3) << "window " << window
                            << " must grant the weight-3 workflow 3 of 4 slots";
   }
+}
+
+// ------------------------------- one hop: admission holds no threads
+
+TEST(VisorServingTest, WatchdogAddsOnlyReactorsAndServingWorkers) {
+  RouterOptions router_options;
+  router_options.shards = 2;
+  AsVisorRouter router(router_options);
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  router.RegisterWorkflow(NoopSpec("hopthreads"), options);
+  AsVisor::ServingOptions serving;
+  serving.worker_threads = 6;
+  serving.max_inflight = 8;
+  const size_t before = ProcessThreads();
+  ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
+  const size_t reactors = ashttp::HttpServerOptions::FromEnv().reactors;
+  const size_t rebalancer = router.rebalancer() != nullptr ? 1 : 0;
+  EXPECT_EQ(ProcessThreads() - before,
+            reactors + serving.worker_threads + rebalancer)
+      << "the edge must add its reactors and nothing else";
+  router.StopWatchdog();
+}
+
+int ConnectLoopback(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  timeval timeout{};
+  timeout.tv_sec = 10;  // fail loudly instead of hanging the suite
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(VisorServingTest, QueuedBurstHoldsNoThreadsAndServesInTicketOrder) {
+  static std::atomic<bool> gate_started{false};
+  static std::atomic<bool> gate_release{false};
+  gate_started = false;
+  gate_release = false;
+  std::mutex order_mutex;
+  std::vector<int64_t> run_order;
+  FunctionRegistry::Global().Register(
+      "serving.fifo", [&](FunctionContext& ctx) -> asbase::Status {
+        const int64_t seq = ctx.params()["seq"].as_int(-1);
+        if (seq == 0) {
+          gate_started = true;
+          while (!gate_release) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        } else {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        if (seq >= 0) {
+          std::lock_guard<std::mutex> lock(order_mutex);
+          run_order.push_back(seq);
+        }
+        ctx.SetResult("seq" + std::to_string(seq));
+        return asbase::OkStatus();
+      });
+  AsVisor visor;
+  WorkflowSpec spec;
+  spec.name = "fifowf";
+  spec.stages.push_back(StageSpec{{FunctionSpec{"serving.fifo", 1}}});
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.pool_size = 1;
+  options.max_concurrency = 1;
+  options.queue_capacity = 64;
+  options.queueing_budget_ms = 60'000;
+  visor.RegisterWorkflow(spec, options);
+  ASSERT_TRUE(visor.StartWatchdog(0).ok());
+  // Warm up: the WFD exists and the service-time EWMA has a sample.
+  auto warm = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+                               InvokeRequest("fifowf"));
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm->status, 200) << warm->body;
+  const size_t threads_before = ProcessThreads();
+
+  // One keep-alive connection per request, all driven from this thread.
+  // Request 0 holds the only slot; each later one is sent only once its
+  // predecessor is queued, so ticket order is send order.
+  constexpr int kRequests = 48;
+  asobs::Gauge& queued = asobs::Registry::Global().GetGauge(
+      "alloy_visor_queued", {{"workflow", "fifowf"}});
+  std::vector<std::unique_ptr<ashttp::HostStream>> connections;
+  for (int i = 0; i < kRequests; ++i) {
+    const int fd = ConnectLoopback(visor.watchdog_port());
+    ASSERT_GE(fd, 0) << i;
+    connections.push_back(std::make_unique<ashttp::HostStream>(fd));
+    asbase::Json params;
+    params.Set("seq", static_cast<int64_t>(i));
+    const std::string wire =
+        ashttp::Serialize(InvokeRequest("fifowf", params.Dump()));
+    ASSERT_TRUE(connections.back()
+                    ->Write({reinterpret_cast<const uint8_t*>(wire.data()),
+                             wire.size()})
+                    .ok());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline &&
+           (i == 0 ? !gate_started.load() : queued.value() < i)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    ASSERT_TRUE(i == 0 ? gate_started.load() : queued.value() == i) << i;
+  }
+  EXPECT_EQ(ProcessThreads(), threads_before)
+      << "47 queued requests must not hold a thread each";
+
+  gate_release = true;
+  for (int i = 0; i < kRequests; ++i) {
+    auto response = ashttp::ReadResponse(*connections[i]);
+    ASSERT_TRUE(response.ok()) << i;
+    ASSERT_EQ(response->status, 200) << i << ": " << response->body;
+    auto body = asbase::Json::Parse(response->body);
+    ASSERT_TRUE(body.ok());
+    EXPECT_EQ((*body)["result"].as_string(), "seq" + std::to_string(i));
+  }
+  std::lock_guard<std::mutex> lock(order_mutex);
+  ASSERT_EQ(run_order.size(), static_cast<size_t>(kRequests));
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(run_order[i], i) << "grants must follow ticket order";
+  }
+}
+
+TEST(VisorServingTest, QueueBudgetHeaderIsABoundedDecimal) {
+  static std::atomic<bool> gate_started{false};
+  static std::atomic<bool> gate_release{false};
+  gate_started = false;
+  gate_release = false;
+  FunctionRegistry::Global().Register(
+      "serving.budgetgate", [](FunctionContext& ctx) -> asbase::Status {
+        if (ctx.params()["hold"].as_bool(false)) {
+          gate_started = true;
+          while (!gate_release) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }
+        ctx.SetResult("ok");
+        return asbase::OkStatus();
+      });
+  AsVisor visor;
+  WorkflowSpec spec;
+  spec.name = "budgethdr";
+  spec.stages.push_back(StageSpec{{FunctionSpec{"serving.budgetgate", 1}}});
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.pool_size = 1;
+  options.max_concurrency = 1;
+  options.queue_capacity = 4;
+  visor.RegisterWorkflow(spec, options);
+  ASSERT_TRUE(visor.StartWatchdog(0).ok());
+  // A service-time sample, so every queued arrival predicts a wait > 0.
+  ASSERT_TRUE(visor.Invoke("budgethdr", asbase::Json()).ok());
+
+  asbase::Json hold;
+  hold.Set("hold", true);
+  std::thread holder([&] {
+    auto response = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+                                     InvokeRequest("budgethdr", hold.Dump()));
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->status, 200);
+  });
+  while (!gate_started) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Malformed budgets are the client's error, not a 0 ms budget (429).
+  for (const std::string bad : {"abc", "-1", "10ms", "", "+5", "1e3"}) {
+    auto request = InvokeRequest("budgethdr");
+    request.headers["x-queue-budget-ms"] = bad;
+    auto response =
+        ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+    ASSERT_TRUE(response.ok()) << bad;
+    EXPECT_EQ(response->status, 400) << "'" << bad << "'";
+  }
+  // A huge budget clamps to kMaxQueueBudgetMs instead of overflowing the
+  // nanosecond comparison into a negative budget (which rejected it): the
+  // request queues and serves once the slot frees.
+  std::thread patient([&] {
+    auto request = InvokeRequest("budgethdr");
+    request.headers["x-queue-budget-ms"] = "99999999999999999999";
+    auto response =
+        ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->status, 200) << response->body;
+  });
+  asobs::Gauge& queued = asobs::Registry::Global().GetGauge(
+      "alloy_visor_queued", {{"workflow", "budgethdr"}});
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (queued.value() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(queued.value(), 1);
+  gate_release = true;
+  holder.join();
+  patient.join();
 }
 
 // ------------------------- flight recorder / tail retention / SLO (§11)
