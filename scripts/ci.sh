@@ -4,7 +4,7 @@
 # queue, the pool warmer, the watchdog pipeline, the flight-ring seqlock,
 # and the poller/timer/backpressure paths are the most thread-heavy code in
 # the tree, so they get the race detector even when the full TSan suite
-# would be too slow — and the serving layer once more under ASan.
+# would be too slow — and the serving layer and fatfs once more under ASan.
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -53,6 +53,10 @@ cmake -S . -B "${BUILD}-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DALLOY_SANITIZE=address >/dev/null
 cmake --build "${BUILD}-asan" -j "$(nproc)"
 ALLOY_VISOR_SHARDS=4 ctest --test-dir "${BUILD}-asan" -L serving --output-on-failure
+# The fatfs label is fatfs_test: the in-memory FAT is an array of 512-byte
+# sector pages indexed by cluster / 128, so an off-by-one in cluster bounds
+# is an out-of-bounds read that only ASan reports.
+ctest --test-dir "${BUILD}-asan" -L fatfs --output-on-failure
 
 echo "==> serving + dataplane + sharding + obs-overhead bench smoke (--quick)"
 (cd "${BUILD}" && ./bench/bench_serving --quick >/dev/null)

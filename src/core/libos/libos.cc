@@ -88,8 +88,10 @@ Libos::Libos(Options options, const WfdSnapshot& snapshot)
       auto mem_disk = std::make_unique<asblk::MemDisk>(snapshot.disk);
       module->mem_disk = mem_disk.get();
       module->owned_disk = std::move(mem_disk);
-      module->fs = asfat::FatVolume::MountFromMeta(module->owned_disk.get(),
-                                                   snapshot.fat);
+      auto volume = asfat::FatVolume::MountFromMeta(module->owned_disk.get(),
+                                                    snapshot.fat);
+      module->volume = volume.get();
+      module->fs = std::move(volume);
       module->pristine_disk = snapshot.disk;
       module->pristine_fat = snapshot.fat;
       fs_ = std::move(module);
@@ -323,6 +325,7 @@ asbase::Status Libos::BuildLocked(ModuleKind kind) {
         // any function writes: the pristine half of a clone template.
         module->pristine_disk = module->mem_disk->SnapshotImage();
         module->pristine_fat = (*mounted)->SnapshotMeta();
+        module->volume = mounted->get();
       }
       module->fs = std::move(*mounted);
       fs_ = std::move(module);
@@ -559,7 +562,7 @@ size_t Libos::ResidentHeapBytes() const {
 size_t Libos::ResidentDiskBytes() const {
   return fs_ == nullptr || fs_->mem_disk == nullptr
              ? 0
-             : fs_->mem_disk->ResidentBytes();
+             : fs_->mem_disk->ResidentBytes() + fs_->volume->PrivateFatBytes();
 }
 
 // ------------------------------------------------------------------ files

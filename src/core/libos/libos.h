@@ -185,8 +185,9 @@ class Libos {
   size_t ResidentHeapBytes() const;
 
   // Bytes of disk chunks privately materialized by this WFD's owned
-  // MemDisk (0 for external disks, ramfs, or an unloaded fs module).
-  // CoW-aware like ResidentHeapBytes.
+  // MemDisk plus the FAT sectors its volume holds privately (0 for external
+  // disks, ramfs, or an unloaded fs module). CoW-aware like
+  // ResidentHeapBytes.
   size_t ResidentDiskBytes() const;
 
  private:
@@ -200,8 +201,10 @@ class Libos {
   struct FsModule {
     std::unique_ptr<asblk::BlockDevice> owned_disk;
     std::unique_ptr<asfat::Filesystem> fs;
-    // Non-null only when this module owns a MemDisk.
+    // Non-null only when this module owns a MemDisk; `volume` is then the
+    // FAT volume `fs` mounts on it.
     asblk::MemDisk* mem_disk = nullptr;
+    asfat::FatVolume* volume = nullptr;
     // The owned disk frozen right after format, and the volume's metadata
     // right after mount: what a clone template holds. Null for external
     // disks and ramfs.

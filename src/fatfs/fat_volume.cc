@@ -32,6 +32,9 @@ IoCounters& FatIoCounters() {
 }
 
 constexpr size_t kSector = asblk::BlockDevice::kBlockSize;
+// Source of every zero-fill write: one 4 KiB cluster's worth, never a
+// per-call allocation.
+constexpr uint8_t kZeroBlock[4096] = {};
 constexpr uint32_t kEntrySize = 32;
 constexpr uint8_t kAttrDirectory = 0x10;
 constexpr uint8_t kAttrArchive = 0x20;
@@ -188,7 +191,7 @@ asbase::Status FatVolume::Format(asblk::BlockDevice* device,
   AS_RETURN_IF_ERROR(device->Write(0, boot));
 
   // Zero the FAT region, then seed entries 0, 1 and the root cluster.
-  std::vector<uint8_t> zero(kSector, 0);
+  const std::span<const uint8_t> zero(kZeroBlock, kSector);
   for (uint64_t s = 0; s < fat_sectors; ++s) {
     AS_RETURN_IF_ERROR(device->Write(reserved + s, zero));
   }
@@ -243,16 +246,22 @@ asbase::Status FatVolume::LoadGeometry() {
 }
 
 asbase::Status FatVolume::LoadFat() {
-  fat_ = std::make_shared<std::vector<uint32_t>>(cluster_count_ + 2, 0);
-  std::vector<uint32_t>& fat = *fat_;
-  std::vector<uint8_t> sector(kSector);
   const uint32_t entries_needed = cluster_count_ + 2;
-  for (uint32_t s = 0; s * (kSector / 4) < entries_needed; ++s) {
+  const uint32_t sectors =
+      (entries_needed + kEntriesPerSector - 1) / kEntriesPerSector;
+  fat_.reserve(sectors);
+  uint8_t sector[kSector];
+  for (uint32_t s = 0; s < sectors; ++s) {
     AS_RETURN_IF_ERROR(device_->Read(reserved_sectors_ + s, sector));
-    const uint32_t base = s * (kSector / 4);
-    for (uint32_t i = 0; i < kSector / 4 && base + i < entries_needed; ++i) {
-      fat[base + i] = GetLe32(&sector[i * 4]) & kFatMask;
+    auto page = std::make_shared<FatSector>();
+    const uint32_t base = s * kEntriesPerSector;
+    // Entries past the last cluster stay zero, as the write-through
+    // stores them.
+    for (uint32_t i = 0; i < kEntriesPerSector && base + i < entries_needed;
+         ++i) {
+      (*page)[i] = GetLe32(&sector[i * 4]) & kFatMask;
     }
+    fat_.push_back(std::move(page));
   }
   return asbase::OkStatus();
 }
@@ -267,7 +276,10 @@ FatVolume::MetaImage FatVolume::SnapshotMeta() {
   meta.data_start_sector = data_start_sector_;
   meta.cluster_count = cluster_count_;
   meta.root_cluster = root_cluster_;
-  meta.fat = fat_;  // shared; MutableFat copies before the next update
+  // Every sector is now shared with the image: the next update of any of
+  // them copies it first.
+  base_ = std::make_shared<const FatPages>(fat_);
+  meta.fat = base_;
   meta.next_free_hint = next_free_hint_;
   return meta;
 }
@@ -282,39 +294,31 @@ std::unique_ptr<FatVolume> FatVolume::MountFromMeta(asblk::BlockDevice* device,
   volume->data_start_sector_ = meta.data_start_sector;
   volume->cluster_count_ = meta.cluster_count;
   volume->root_cluster_ = meta.root_cluster;
-  volume->fat_ = meta.fat;
+  volume->fat_ = *meta.fat;
+  volume->base_ = meta.fat;
   volume->next_free_hint_ = meta.next_free_hint;
   return volume;
 }
 
 // ----------------------------------------------------------------- FAT ops
 
-std::vector<uint32_t>& FatVolume::MutableFat() {
-  // use_count > 1 means a MetaImage (or a sibling mounted from one) still
-  // references this vector: copy before mutating. A spuriously high count
-  // (the image died concurrently) only costs an extra copy, never a shared
-  // mutation.
-  if (fat_.use_count() > 1) {
-    fat_ = std::make_shared<std::vector<uint32_t>>(*fat_);
-  }
-  return *fat_;
-}
-
 uint32_t FatVolume::FatEntry(uint32_t cluster) const {
-  AS_CHECK(cluster < fat().size()) << "FAT index out of range";
-  return fat()[cluster];
+  AS_CHECK(cluster < cluster_count_ + 2) << "FAT index out of range";
+  return (*fat_[cluster / kEntriesPerSector])[cluster % kEntriesPerSector];
 }
 
 asbase::Status FatVolume::SetFatEntry(uint32_t cluster, uint32_t value) {
-  std::vector<uint32_t>& fat = MutableFat();
-  AS_CHECK(cluster < fat.size());
-  fat[cluster] = value & kFatMask;
-  // Write-through of the containing FAT sector.
-  const uint32_t sector_index = cluster / (kSector / 4);
-  std::vector<uint8_t> sector(kSector);
-  const uint32_t base = sector_index * (kSector / 4);
-  for (uint32_t i = 0; i < kSector / 4; ++i) {
-    PutLe32(&sector[i * 4], base + i < fat.size() ? fat[base + i] : 0);
+  AS_CHECK(cluster < cluster_count_ + 2) << "FAT index out of range";
+  const uint32_t sector_index = cluster / kEntriesPerSector;
+  std::shared_ptr<FatSector>& page = fat_[sector_index];
+  if (base_ != nullptr && page == (*base_)[sector_index]) {
+    page = std::make_shared<FatSector>(*page);
+  }
+  (*page)[cluster % kEntriesPerSector] = value & kFatMask;
+  // Write-through of the same sector.
+  uint8_t sector[kSector];
+  for (uint32_t i = 0; i < kEntriesPerSector; ++i) {
+    PutLe32(&sector[i * 4], (*page)[i]);
   }
   return device_->Write(reserved_sectors_ + sector_index, sector);
 }
@@ -323,7 +327,7 @@ asbase::Result<uint32_t> FatVolume::AllocateCluster(uint32_t prev_cluster) {
   const uint32_t hint = next_free_hint_ < 2 ? 2 : next_free_hint_;
   for (uint32_t probe = 0; probe < cluster_count_; ++probe) {
     const uint32_t candidate = 2 + (hint - 2 + probe) % cluster_count_;
-    if (fat()[candidate] == 0) {
+    if (FatEntry(candidate) == 0) {
       AS_RETURN_IF_ERROR(SetFatEntry(candidate, 0x0FFFFFFF));
       if (prev_cluster != 0) {
         AS_RETURN_IF_ERROR(SetFatEntry(prev_cluster, candidate));
@@ -375,22 +379,28 @@ asbase::Status FatVolume::WriteInCluster(uint32_t cluster, uint32_t offset,
   AS_CHECK(offset + data.size() <= bytes_per_cluster_);
   const uint64_t first_sector = ClusterFirstSector(cluster);
   const uint32_t start_sector = offset / kSector;
+  if (offset % kSector == 0 && data.size() % kSector == 0) {
+    return device_->Write(first_sector + start_sector, data);
+  }
+  // Read-modify-write for the partial sectors.
   const uint32_t end_sector =
       static_cast<uint32_t>((offset + data.size() + kSector - 1) / kSector);
   std::vector<uint8_t> buffer((end_sector - start_sector) * kSector);
-  const bool aligned = offset % kSector == 0 && data.size() % kSector == 0;
-  if (!aligned) {
-    // Read-modify-write for the partial sectors.
-    AS_RETURN_IF_ERROR(device_->Read(first_sector + start_sector, buffer));
-  }
+  AS_RETURN_IF_ERROR(device_->Read(first_sector + start_sector, buffer));
   std::memcpy(buffer.data() + (offset - start_sector * kSector), data.data(),
               data.size());
   return device_->Write(first_sector + start_sector, buffer);
 }
 
 asbase::Status FatVolume::ZeroCluster(uint32_t cluster) {
-  std::vector<uint8_t> zero(bytes_per_cluster_, 0);
-  return device_->Write(ClusterFirstSector(cluster), zero);
+  constexpr uint32_t kZeroSectors = sizeof(kZeroBlock) / kSector;
+  const uint64_t first_sector = ClusterFirstSector(cluster);
+  for (uint32_t s = 0; s < sectors_per_cluster_; s += kZeroSectors) {
+    const uint32_t n = std::min(kZeroSectors, sectors_per_cluster_ - s);
+    AS_RETURN_IF_ERROR(device_->Write(
+        first_sector + s, std::span<const uint8_t>(kZeroBlock, n * kSector)));
+  }
+  return asbase::OkStatus();
 }
 
 asbase::Result<uint32_t> FatVolume::ClusterForOffset(uint32_t first_cluster,
@@ -1028,11 +1038,20 @@ asbase::Result<uint32_t> FatVolume::CountFreeClusters() {
   std::lock_guard<std::mutex> lock(mutex_);
   uint32_t free = 0;
   for (uint32_t c = 2; c < cluster_count_ + 2; ++c) {
-    if (fat()[c] == 0) {
+    if (FatEntry(c) == 0) {
       ++free;
     }
   }
   return free;
+}
+
+size_t FatVolume::PrivateFatBytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  size_t owned = 0;
+  for (size_t s = 0; s < fat_.size(); ++s) {
+    owned += base_ == nullptr || fat_[s] != (*base_)[s] ? 1 : 0;
+  }
+  return owned * sizeof(FatSector);
 }
 
 }  // namespace asfat

@@ -16,9 +16,11 @@
 #ifndef SRC_FATFS_FAT_VOLUME_H_
 #define SRC_FATFS_FAT_VOLUME_H_
 
+#include <array>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "src/blockdev/block_device.h"
 #include "src/fatfs/filesystem.h"
@@ -41,12 +43,20 @@ class FatVolume : public Filesystem {
   static asbase::Result<std::unique_ptr<FatVolume>> Mount(
       asblk::BlockDevice* device);
 
+  // The in-memory FAT is one page per 512-byte FAT sector (128 entries),
+  // each shared copy-on-write: the unit a FAT update touches.
+  static constexpr uint32_t kEntriesPerSector =
+      asblk::BlockDevice::kBlockSize / 4;
+  using FatSector = std::array<uint32_t, kEntriesPerSector>;
+  using FatPages = std::vector<std::shared_ptr<FatSector>>;
+
   // Snapshot-fork fast mount (DESIGN.md §14): everything Mount derives from
   // the device — geometry plus the in-memory FAT — captured once from a
-  // booted volume. The FAT vector is shared copy-on-write between the image
-  // and every volume mounted from it; a volume's first FAT update after the
-  // capture copies the vector privately (see MutableFat), so an idle clone's
-  // host-heap cost for the FAT is zero.
+  // booted volume. The FAT pages are shared between the image and every
+  // volume mounted from it; a volume's first update of an entry after the
+  // capture copies that entry's 512-byte sector privately, so an idle
+  // clone's FAT costs one pointer per sector and a 4 KiB file write one
+  // sector.
   struct MetaImage {
     uint32_t sectors_per_cluster = 0;
     uint32_t bytes_per_cluster = 0;
@@ -55,7 +65,7 @@ class FatVolume : public Filesystem {
     uint32_t data_start_sector = 0;
     uint32_t cluster_count = 0;
     uint32_t root_cluster = 2;
-    std::shared_ptr<std::vector<uint32_t>> fat;  // immutable once captured
+    std::shared_ptr<const FatPages> fat;  // pages immutable once captured
     uint32_t next_free_hint = 3;
   };
 
@@ -88,6 +98,9 @@ class FatVolume : public Filesystem {
   uint32_t cluster_count() const { return cluster_count_; }
   uint32_t bytes_per_cluster() const { return bytes_per_cluster_; }
   asbase::Result<uint32_t> CountFreeClusters();
+  // Bytes of FAT sectors this volume holds alone: every sector after Mount,
+  // none after SnapshotMeta or MountFromMeta until an update copies one.
+  size_t PrivateFatBytes() const;
 
   static constexpr uint32_t kEndOfChain = 0x0FFFFFF8;
   static constexpr uint32_t kFatMask = 0x0FFFFFFF;
@@ -125,13 +138,7 @@ class FatVolume : public Filesystem {
   asbase::Status LoadGeometry();
   asbase::Status LoadFat();
 
-  // The FAT cache, copy-on-write: shared with a MetaImage (and sibling
-  // volumes) until the first update, which copies it privately. Readers use
-  // fat(); writers must go through MutableFat(). mutex_ held for both.
-  const std::vector<uint32_t>& fat() const { return *fat_; }
-  std::vector<uint32_t>& MutableFat();
-
-  // FAT access (in-memory cache, write-through).
+  // FAT access (in-memory cache, write-through). mutex_ held.
   uint32_t FatEntry(uint32_t cluster) const;
   asbase::Status SetFatEntry(uint32_t cluster, uint32_t value);
   asbase::Result<uint32_t> AllocateCluster(uint32_t prev_cluster);
@@ -179,7 +186,7 @@ class FatVolume : public Filesystem {
   asbase::Status FlushFile(OpenFile& file);
 
   asblk::BlockDevice* device_;
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
 
   // Geometry (from the boot sector).
   uint32_t sectors_per_cluster_ = 0;
@@ -190,7 +197,12 @@ class FatVolume : public Filesystem {
   uint32_t cluster_count_ = 0;
   uint32_t root_cluster_ = 2;
 
-  std::shared_ptr<std::vector<uint32_t>> fat_;  // in-memory copy of the FAT
+  // In-memory copy of the FAT. A sector whose page is still base_'s (the
+  // image this volume was mounted from or captured into) is shared and
+  // never written in place: SetFatEntry copies it first. Null base_ (after
+  // Mount): every page is this volume's own.
+  FatPages fat_;
+  std::shared_ptr<const FatPages> base_;
   uint32_t next_free_hint_ = 3;
 
   std::unordered_map<int, OpenFile> open_files_;

@@ -1,11 +1,27 @@
 #include "src/obs/flight.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
 
 #include "src/common/histogram.h"
+#include "src/common/logging.h"
 
 namespace asobs {
+namespace {
+
+// Relaxed atomic access to a plain slot field (the seqlock orders them).
+template <typename T>
+void Put(T& field, T value) {
+  std::atomic_ref<T>(field).store(value, std::memory_order_relaxed);
+}
+template <typename T>
+T Get(T& field) {
+  return std::atomic_ref<T>(field).load(std::memory_order_relaxed);
+}
+
+}  // namespace
 
 const char* FlightOutcomeName(FlightOutcome outcome) {
   switch (outcome) {
@@ -62,7 +78,21 @@ asbase::Json FlightRecord::ToJson() const {
 
 FlightRecorder::FlightRecorder(size_t capacity) : capacity_(capacity) {
   if (capacity_ > 0) {
-    slots_ = std::make_unique<Slot[]>(capacity_);
+    // Anonymous memory is zero-filled on first touch: the ring costs
+    // address space until records arrive, resident pages only after.
+    AS_CHECK(capacity_ <= SIZE_MAX / sizeof(Slot)) << "flight ring too large";
+    void* ring = ::mmap(nullptr, capacity_ * sizeof(Slot),
+                        PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                        -1, 0);
+    AS_CHECK(ring != MAP_FAILED) << "cannot map a " << capacity_
+                                 << "-record flight ring";
+    slots_ = static_cast<Slot*>(ring);
+  }
+}
+
+FlightRecorder::~FlightRecorder() {
+  if (slots_ != nullptr) {
+    ::munmap(slots_, capacity_ * sizeof(Slot));
   }
 }
 
@@ -103,44 +133,40 @@ bool FlightRecorder::Record(uint32_t workflow_id, const FlightRecord& record) {
   // a hot path. The claim must NOT expect a lap-derived value (2 × lap):
   // one dropped write would leave the slot's sequence behind every later
   // ticket's expectation and permanently kill the slot.
-  uint64_t expected = slot.seq.load(std::memory_order_relaxed);
+  std::atomic_ref<uint64_t> seq(slot.seq);
+  uint64_t expected = seq.load(std::memory_order_relaxed);
   if ((expected & 1) != 0 ||
-      !slot.seq.compare_exchange_strong(expected, expected + 1,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
+      !seq.compare_exchange_strong(expected, expected + 1,
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_relaxed)) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
 
-  slot.workflow_id.store(workflow_id, std::memory_order_relaxed);
-  slot.shard.store(record.shard, std::memory_order_relaxed);
-  slot.outcome.store(static_cast<uint32_t>(record.outcome),
-                     std::memory_order_relaxed);
-  slot.start.store(static_cast<uint32_t>(record.start),
-                   std::memory_order_relaxed);
-  slot.start_nanos.store(record.start_nanos, std::memory_order_relaxed);
-  slot.end_nanos.store(record.end_nanos, std::memory_order_relaxed);
-  slot.total_nanos.store(record.total_nanos, std::memory_order_relaxed);
-  slot.queue_wait_nanos.store(record.queue_wait_nanos,
-                              std::memory_order_relaxed);
-  slot.lease_nanos.store(record.lease_nanos, std::memory_order_relaxed);
-  slot.module_load_nanos.store(record.module_load_nanos,
-                               std::memory_order_relaxed);
-  slot.exec_nanos.store(record.exec_nanos, std::memory_order_relaxed);
-  slot.net_nanos.store(record.net_nanos, std::memory_order_relaxed);
-  slot.reset_nanos.store(record.reset_nanos, std::memory_order_relaxed);
+  Put(slot.workflow_id, workflow_id);
+  Put(slot.shard, record.shard);
+  Put(slot.outcome, static_cast<uint32_t>(record.outcome));
+  Put(slot.start, static_cast<uint32_t>(record.start));
+  Put(slot.start_nanos, record.start_nanos);
+  Put(slot.end_nanos, record.end_nanos);
+  Put(slot.total_nanos, record.total_nanos);
+  Put(slot.queue_wait_nanos, record.queue_wait_nanos);
+  Put(slot.lease_nanos, record.lease_nanos);
+  Put(slot.module_load_nanos, record.module_load_nanos);
+  Put(slot.exec_nanos, record.exec_nanos);
+  Put(slot.net_nanos, record.net_nanos);
+  Put(slot.reset_nanos, record.reset_nanos);
   const uint32_t stages =
       std::min<uint32_t>(record.stages, FlightRecord::kMaxStages);
-  slot.stages.store(stages, std::memory_order_relaxed);
+  Put(slot.stages, stages);
   for (uint32_t i = 0; i < stages; ++i) {
-    slot.stage_nanos[i].store(record.stage_nanos[i],
-                              std::memory_order_relaxed);
+    Put(slot.stage_nanos[i], record.stage_nanos[i]);
   }
 
   // Release: odd → even of the next lap. Readers that acquire-loaded the odd
   // value skip; readers that see the even value and re-read it unchanged got
   // a consistent record.
-  slot.seq.store(expected + 2, std::memory_order_release);
+  seq.store(expected + 2, std::memory_order_release);
   recorded_.fetch_add(1, std::memory_order_relaxed);
   return true;
 #endif  // ALLOY_DISABLE_FLIGHT
@@ -152,45 +178,45 @@ std::vector<FlightRecord> FlightRecorder::Snapshot(const std::string& workflow,
   if (capacity_ == 0) {
     return out;
   }
-  out.reserve(capacity_);
-  for (size_t i = 0; i < capacity_; ++i) {
-    const Slot& slot = slots_[i];
+  // Slot i has been written only if some ticket i + k * capacity_ was
+  // claimed, so the untouched tail of a young ring is neither scanned nor
+  // paged in.
+  const size_t live = static_cast<size_t>(std::min<uint64_t>(
+      cursor_.load(std::memory_order_relaxed), capacity_));
+  out.reserve(live);
+  for (size_t i = 0; i < live; ++i) {
+    Slot& slot = slots_[i];
+    std::atomic_ref<uint64_t> seq(slot.seq);
     FlightRecord record;
     uint32_t workflow_id = 0;
     bool consistent = false;
     // Two attempts: a slot that changes twice under one scrape is being
     // hammered; its contents will show up again on the next scrape.
     for (int attempt = 0; attempt < 2 && !consistent; ++attempt) {
-      const uint64_t before = slot.seq.load(std::memory_order_acquire);
+      const uint64_t before = seq.load(std::memory_order_acquire);
       if (before == 0 || (before & 1) != 0) {
         break;  // never written, or write in progress
       }
-      workflow_id = slot.workflow_id.load(std::memory_order_relaxed);
-      record.shard = slot.shard.load(std::memory_order_relaxed);
-      record.outcome = static_cast<FlightOutcome>(
-          slot.outcome.load(std::memory_order_relaxed));
-      record.start = static_cast<FlightStart>(
-          slot.start.load(std::memory_order_relaxed));
-      record.start_nanos = slot.start_nanos.load(std::memory_order_relaxed);
-      record.end_nanos = slot.end_nanos.load(std::memory_order_relaxed);
-      record.total_nanos = slot.total_nanos.load(std::memory_order_relaxed);
-      record.queue_wait_nanos =
-          slot.queue_wait_nanos.load(std::memory_order_relaxed);
-      record.lease_nanos = slot.lease_nanos.load(std::memory_order_relaxed);
-      record.module_load_nanos =
-          slot.module_load_nanos.load(std::memory_order_relaxed);
-      record.exec_nanos = slot.exec_nanos.load(std::memory_order_relaxed);
-      record.net_nanos = slot.net_nanos.load(std::memory_order_relaxed);
-      record.reset_nanos = slot.reset_nanos.load(std::memory_order_relaxed);
-      record.stages = std::min<uint32_t>(
-          slot.stages.load(std::memory_order_relaxed),
-          FlightRecord::kMaxStages);
+      workflow_id = Get(slot.workflow_id);
+      record.shard = Get(slot.shard);
+      record.outcome = static_cast<FlightOutcome>(Get(slot.outcome));
+      record.start = static_cast<FlightStart>(Get(slot.start));
+      record.start_nanos = Get(slot.start_nanos);
+      record.end_nanos = Get(slot.end_nanos);
+      record.total_nanos = Get(slot.total_nanos);
+      record.queue_wait_nanos = Get(slot.queue_wait_nanos);
+      record.lease_nanos = Get(slot.lease_nanos);
+      record.module_load_nanos = Get(slot.module_load_nanos);
+      record.exec_nanos = Get(slot.exec_nanos);
+      record.net_nanos = Get(slot.net_nanos);
+      record.reset_nanos = Get(slot.reset_nanos);
+      record.stages =
+          std::min<uint32_t>(Get(slot.stages), FlightRecord::kMaxStages);
       for (uint32_t s = 0; s < record.stages; ++s) {
-        record.stage_nanos[s] =
-            slot.stage_nanos[s].load(std::memory_order_relaxed);
+        record.stage_nanos[s] = Get(slot.stage_nanos[s]);
       }
       std::atomic_thread_fence(std::memory_order_acquire);
-      consistent = slot.seq.load(std::memory_order_relaxed) == before;
+      consistent = seq.load(std::memory_order_relaxed) == before;
     }
     if (!consistent) {
       continue;

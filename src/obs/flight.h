@@ -18,8 +18,13 @@
 // interned once at registration time and referenced by id. Readers use a
 // per-slot seqlock (sequence odd = write in progress, changed = torn) so a
 // scrape concurrent with a wrapping writer skips the slot instead of
-// observing a mixed record; because every field is an atomic, the protocol
-// is also exactly representable to TSan (no "benign race" suppressions).
+// observing a mixed record; because every field is accessed atomically, the
+// protocol is also exactly representable to TSan (no "benign race"
+// suppressions).
+//
+// Memory: the ring is anonymous zero-fill memory, and an all-zero slot is a
+// never-written one, so a page of the ring becomes resident only when a
+// record lands in it. A shard that serves little traffic holds little ring.
 //
 // Compile-time kill switch: building with -DALLOY_DISABLE_FLIGHT turns
 // Record() into an immediate return for overhead A/B measurements
@@ -30,7 +35,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -92,6 +96,7 @@ class FlightRecorder {
   // capacity 0 disables the recorder entirely: Record() returns immediately
   // and Snapshot() is empty. Capacity is fixed for the recorder's lifetime.
   explicit FlightRecorder(size_t capacity);
+  ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -122,33 +127,35 @@ class FlightRecorder {
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
  private:
-  // Seqlock slot. seq even = stable, odd = write in progress. Every payload
-  // field is an atomic accessed relaxed, so a racing reader observes values
-  // (possibly from two different records — which the seq recheck detects)
-  // rather than undefined behavior.
+  // Seqlock slot. seq even = stable, odd = write in progress, 0 = never
+  // written. Plain integers, so zero-filled memory is an empty ring; every
+  // access goes through std::atomic_ref, relaxed, so a racing reader
+  // observes values (possibly from two different records — which the seq
+  // recheck detects) rather than undefined behavior.
   struct Slot {
-    std::atomic<uint64_t> seq{0};
-    std::atomic<uint32_t> workflow_id{0};
-    std::atomic<int32_t> shard{-1};
-    std::atomic<uint32_t> outcome{0};
-    std::atomic<uint32_t> start{0};
-    std::atomic<int64_t> start_nanos{0};
-    std::atomic<int64_t> end_nanos{0};
-    std::atomic<int64_t> total_nanos{0};
-    std::atomic<int64_t> queue_wait_nanos{0};
-    std::atomic<int64_t> lease_nanos{0};
-    std::atomic<int64_t> module_load_nanos{0};
-    std::atomic<int64_t> exec_nanos{0};
-    std::atomic<int64_t> net_nanos{0};
-    std::atomic<int64_t> reset_nanos{0};
-    std::atomic<uint32_t> stages{0};
-    std::atomic<int64_t> stage_nanos[FlightRecord::kMaxStages];
+    uint64_t seq;
+    uint32_t workflow_id;
+    int32_t shard;
+    uint32_t outcome;
+    uint32_t start;
+    int64_t start_nanos;
+    int64_t end_nanos;
+    int64_t total_nanos;
+    int64_t queue_wait_nanos;
+    int64_t lease_nanos;
+    int64_t module_load_nanos;
+    int64_t exec_nanos;
+    int64_t net_nanos;
+    int64_t reset_nanos;
+    uint32_t stages;
+    int64_t stage_nanos[FlightRecord::kMaxStages];
   };
+  static_assert(sizeof(Slot) == 152, "docs/operations.md quotes 152 B");
 
   std::string WorkflowName(uint32_t id) const;
 
   const size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
+  Slot* slots_ = nullptr;  // capacity_ slots of anonymous mmap, or null
   std::atomic<uint64_t> cursor_{0};
   std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> dropped_{0};

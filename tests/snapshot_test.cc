@@ -21,6 +21,7 @@
 #include "src/core/visor/visor.h"
 #include "src/core/visor/visor_router.h"
 #include "src/core/wfd.h"
+#include "src/fatfs/fat_volume.h"
 #include "src/obs/metrics.h"
 
 namespace alloy {
@@ -234,6 +235,155 @@ TEST(MemDiskTest, UnalignedIoAcrossPageBoundariesRoundTrips) {
   EXPECT_EQ(first, std::vector<uint8_t>(first.size(), 1));
 }
 
+// ------------------------------------------------------------ FAT sectors
+
+// A freshly formatted disk of the default WFD geometry (64 MiB), frozen,
+// and the metadata captured from its volume: the fatfs half of a template.
+struct FatImage {
+  std::unique_ptr<asblk::MemDisk> disk;
+  std::unique_ptr<asfat::FatVolume> volume;  // the template's own volume
+  std::shared_ptr<const asblk::MemDiskImage> image;
+  asfat::FatVolume::MetaImage meta;
+};
+
+void MakeFatImage(FatImage* out) {
+  out->disk = std::make_unique<asblk::MemDisk>(WfdOptions{}.disk_blocks);
+  ASSERT_TRUE(asfat::FatVolume::Format(out->disk.get()).ok());
+  auto volume = asfat::FatVolume::Mount(out->disk.get());
+  ASSERT_TRUE(volume.ok()) << volume.status().ToString();
+  out->volume = std::move(*volume);
+  out->image = out->disk->SnapshotImage();
+  out->meta = out->volume->SnapshotMeta();
+}
+
+// The entries of every FAT sector, by value.
+std::vector<asfat::FatVolume::FatSector> FatContents(
+    const asfat::FatVolume::FatPages& pages) {
+  std::vector<asfat::FatVolume::FatSector> out;
+  for (const auto& page : pages) {
+    out.push_back(*page);
+  }
+  return out;
+}
+
+std::string ReadVolumeFile(asfat::FatVolume& volume, const std::string& path) {
+  auto bytes = volume.ReadFile(path);
+  return bytes.ok() ? std::string(bytes->begin(), bytes->end())
+                    : "<" + bytes.status().ToString() + ">";
+}
+
+TEST(FatSectorCowTest, FourKiBWriteCopiesOneSectorAndSharesTheRest) {
+  FatImage fat;
+  ASSERT_NO_FATAL_FAILURE(MakeFatImage(&fat));
+  ASSERT_EQ(fat.meta.fat->size(), 128u) << "64 MiB disk: 128 FAT sectors";
+  const auto pristine = FatContents(*fat.meta.fat);
+  EXPECT_EQ(fat.volume->PrivateFatBytes(), 0u) << "captured: all shared";
+  const uint32_t free_before = *fat.volume->CountFreeClusters();
+
+  asblk::MemDisk disk_a(fat.image);
+  asblk::MemDisk disk_b(fat.image);
+  auto a = asfat::FatVolume::MountFromMeta(&disk_a, fat.meta);
+  auto b = asfat::FatVolume::MountFromMeta(&disk_b, fat.meta);
+  EXPECT_EQ(a->PrivateFatBytes(), 0u);
+  ASSERT_TRUE(a->WriteFile("/page.bin", std::string(4096, 'p')).ok());
+  EXPECT_EQ(a->PrivateFatBytes(), 512u) << "one sector, not the 64 KiB FAT";
+  EXPECT_EQ(*a->CountFreeClusters(), free_before - 1);
+
+  // The template and a sibling clone are unchanged.
+  EXPECT_EQ(FatContents(*fat.meta.fat), pristine);
+  EXPECT_EQ(fat.volume->PrivateFatBytes(), 0u);
+  EXPECT_EQ(*fat.volume->CountFreeClusters(), free_before);
+  EXPECT_EQ(b->PrivateFatBytes(), 0u);
+  EXPECT_EQ(*b->CountFreeClusters(), free_before);
+  EXPECT_FALSE(b->Stat("/page.bin").ok());
+
+  // The sibling's write into the same sector gets its own copy.
+  ASSERT_TRUE(b->WriteFile("/other.bin", std::string(4096, 'o')).ok());
+  EXPECT_EQ(b->PrivateFatBytes(), 512u);
+  EXPECT_EQ(ReadVolumeFile(*a, "/page.bin"), std::string(4096, 'p'));
+  EXPECT_EQ(ReadVolumeFile(*b, "/other.bin"), std::string(4096, 'o'));
+  EXPECT_EQ(FatContents(*fat.meta.fat), pristine);
+}
+
+TEST(FatSectorCowTest, MegabyteWriteCopiesExactlyTheSectorsItTouched) {
+  FatImage fat;
+  ASSERT_NO_FATAL_FAILURE(MakeFatImage(&fat));
+  const auto pristine = FatContents(*fat.meta.fat);
+  asblk::MemDisk disk(fat.image);
+  auto clone = asfat::FatVolume::MountFromMeta(&disk, fat.meta);
+  ASSERT_TRUE(clone->WriteFile("/big.bin", std::string(1 << 20, 'm')).ok());
+
+  // Which sectors changed, read back from the disk the write-through hit.
+  auto mounted = asfat::FatVolume::Mount(&disk);
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  const auto on_disk = FatContents(*(*mounted)->SnapshotMeta().fat);
+  ASSERT_EQ(on_disk.size(), pristine.size());
+  size_t touched = 0;
+  for (size_t s = 0; s < on_disk.size(); ++s) {
+    touched += on_disk[s] != pristine[s] ? 1 : 0;
+  }
+  // 256 clusters from cluster 3 on: entries 3..258, sectors 0..2.
+  EXPECT_EQ(touched, 3u);
+  EXPECT_EQ(clone->PrivateFatBytes(), touched * 512);
+  EXPECT_EQ(FatContents(*fat.meta.fat), pristine);
+}
+
+TEST(FatSectorCowTest, MountOfACloneDiskReadsBackTheClonesFat) {
+  FatImage fat;
+  ASSERT_NO_FATAL_FAILURE(MakeFatImage(&fat));
+  asblk::MemDisk disk(fat.image);
+  auto clone = asfat::FatVolume::MountFromMeta(&disk, fat.meta);
+  // Allocations, a freed chain and a directory: every FAT update path.
+  ASSERT_TRUE(clone->WriteFile("/a.bin", std::string(300 << 10, 'a')).ok());
+  ASSERT_TRUE(clone->Mkdir("/dir").ok());
+  ASSERT_TRUE(clone->WriteFile("/dir/b.bin", std::string(9000, 'b')).ok());
+  ASSERT_TRUE(clone->Remove("/a.bin").ok());
+  ASSERT_TRUE(clone->WriteFile("/c.bin", std::string(600 << 10, 'c')).ok());
+
+  auto mounted = asfat::FatVolume::Mount(&disk);
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  EXPECT_EQ(FatContents(*(*mounted)->SnapshotMeta().fat),
+            FatContents(*clone->SnapshotMeta().fat));
+  EXPECT_EQ(ReadVolumeFile(**mounted, "/dir/b.bin"), std::string(9000, 'b'));
+  EXPECT_EQ(*(*mounted)->CountFreeClusters(), *clone->CountFreeClusters());
+}
+
+TEST(FatSectorCowTest, ConcurrentClonesAndTemplateWritesStayIsolated) {
+  FatImage fat;
+  ASSERT_NO_FATAL_FAILURE(MakeFatImage(&fat));
+  const auto pristine = FatContents(*fat.meta.fat);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&fat, &failures, t] {
+      for (int round = 0; round < 8; ++round) {
+        asblk::MemDisk disk(fat.image);
+        auto clone = asfat::FatVolume::MountFromMeta(&disk, fat.meta);
+        const std::string body(4096 * (1 + round % 3),
+                               static_cast<char>('a' + t));
+        if (!clone->WriteFile("/t.bin", body).ok() ||
+            ReadVolumeFile(*clone, "/t.bin") != body ||
+            clone->PrivateFatBytes() != 512) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  // The template's own volume keeps writing while clones mount and write.
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_TRUE(fat.volume
+                    ->WriteFile("/tmpl" + std::to_string(i) + ".bin",
+                                std::string(8192, 'T'))
+                    .ok());
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(FatContents(*fat.meta.fat), pristine);
+  EXPECT_EQ(ReadVolumeFile(*fat.volume, "/tmpl15.bin"), std::string(8192, 'T'));
+}
+
 // ------------------------------------------------------------- wfd clone
 
 // A pristine template whose fatfs module is loaded: the formatted disk is
@@ -257,7 +407,8 @@ TEST(WfdSnapshotTest, FourKiBFileWriteIntoCloneCostsAFewPages) {
   ASSERT_TRUE(clone.ok()) << clone.status().ToString();
   ASSERT_TRUE(
       WriteFile((*clone)->libos(), "/page.bin", std::string(4096, 'p')).ok());
-  // The FAT sector, directory entry and data cluster pages: 12 KiB.
+  // The FAT sector, directory entry and data cluster pages (12 KiB), plus
+  // the one 512-byte FAT sector the volume copied.
   EXPECT_LE((*clone)->ResidentBytes(), 16u * 1024);
   EXPECT_EQ(ReadFile((*clone)->libos(), "/page.bin"), std::string(4096, 'p'));
 }
@@ -273,8 +424,9 @@ TEST(WfdSnapshotTest, ClusterWriteTouchesOnePageOnAnUnevenGeometry) {
   ASSERT_TRUE(clone.ok()) << clone.status().ToString();
   ASSERT_TRUE(
       WriteFile((*clone)->libos(), "/page.bin", std::string(4096, 'u')).ok());
-  // The FAT sector, directory entry and data cluster pages: 3 pages.
-  EXPECT_LE((*clone)->libos().ResidentDiskBytes(), 3u * 4096);
+  // The FAT sector, directory entry and data cluster pages: 3 pages, plus
+  // the one 512-byte FAT sector the volume copied.
+  EXPECT_LE((*clone)->libos().ResidentDiskBytes(), 3u * 4096 + 512);
   EXPECT_EQ(ReadFile((*clone)->libos(), "/page.bin"), std::string(4096, 'u'));
 }
 
