@@ -133,11 +133,10 @@ std::shared_ptr<const MemDiskImage> MemDisk::SnapshotImage() {
 
 size_t MemDisk::ResidentBytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  size_t total = 0;
-  for (const auto& [index, chunk] : chunks_) {
-    total += chunk->size();
-  }
-  return total;
+  // Every chunk is kChunkBytes (ChunkForWrite makes or copies one), so this
+  // is O(1): the pool charges it on every park, and a long-lived WFD's
+  // rewritten files leave it thousands of chunks.
+  return chunks_.size() * kChunkBytes;
 }
 
 asbase::Result<std::unique_ptr<FileDisk>> FileDisk::Create(

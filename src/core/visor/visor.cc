@@ -128,23 +128,6 @@ ashttp::HttpResponse InvokeResponse(
   return response;
 }
 
-asbase::Json SummarizeTrace(const asobs::Trace& trace) {
-  asbase::Json summary;
-  summary.Set("workflow", trace.workflow());
-  asbase::Json spans{asbase::JsonArray{}};
-  for (const asobs::SpanRecord& record : trace.Spans()) {
-    asbase::Json span;
-    span.Set("id", static_cast<int64_t>(record.id));
-    span.Set("parent", static_cast<int64_t>(record.parent));
-    span.Set("name", record.name);
-    span.Set("category", record.category);
-    span.Set("dur_nanos", record.duration_nanos);
-    spans.Append(std::move(span));
-  }
-  summary.Set("spans", std::move(spans));
-  return summary;
-}
-
 }  // namespace
 
 AsVisor::AsVisor(ShardIdentity shard, std::shared_ptr<SnapshotStore> snapshots)
@@ -797,7 +780,6 @@ asbase::Result<InvokeResult> AsVisor::Invoke(
 
   invoke_hist->Record(result.end_to_end_nanos);
   result.trace = trace;
-  result.span_summary = SummarizeTrace(*trace);
 
   flight.outcome = asobs::FlightOutcome::kOk;
   flight.end_nanos = received_at + result.end_to_end_nanos;
@@ -808,7 +790,6 @@ asbase::Result<InvokeResult> AsVisor::Invoke(
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = workflows_.find(workflow_name);
     if (it != workflows_.end()) {
-      it->second.latency.Record(result.end_to_end_nanos);
       // Service time feeding the admission predictor: execution only (the
       // queue wait is the quantity being predicted, not part of service).
       const double sample = static_cast<double>(result.end_to_end_nanos);
@@ -1530,7 +1511,7 @@ ashttp::HttpResponse AsVisor::ServeMetrics() const {
 ashttp::HttpResponse AsVisor::ServeTrace(const std::string& target) const {
   ashttp::HttpResponse response;
   const std::string workflow = QueryParam(target, "workflow");
-  std::deque<std::shared_ptr<const asobs::Trace>> traces;
+  std::list<std::shared_ptr<const asobs::Trace>> traces;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (workflow.empty()) {
@@ -1633,12 +1614,16 @@ void AsVisor::StopWatchdog() {
 
 asbase::Result<asbase::Histogram> AsVisor::LatencyHistogram(
     const std::string& workflow_name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = workflows_.find(workflow_name);
-  if (it == workflows_.end()) {
-    return asbase::NotFound("no workflow named '" + workflow_name + "'");
+  asobs::LatencyHistogram* invoke_hist = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = workflows_.find(workflow_name);
+    if (it == workflows_.end()) {
+      return asbase::NotFound("no workflow named '" + workflow_name + "'");
+    }
+    invoke_hist = it->second.invoke_hist;
   }
-  return it->second.latency;
+  return invoke_hist->Snapshot();
 }
 
 asbase::Result<size_t> AsVisor::WarmWfdCount(

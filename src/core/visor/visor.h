@@ -27,8 +27,8 @@
 #define SRC_CORE_VISOR_VISOR_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -65,10 +65,9 @@ struct InvokeResult {
   int64_t end_to_end_nanos = 0;
   std::vector<ModuleKind> modules_loaded;
   size_t resident_bytes = 0;
-  // Spans recorded during this invocation (root "invoke" span + children).
+  // Spans recorded during this invocation (root "invoke" span + children);
+  // asobs::SummarizeTrace flattens them for callers that want JSON.
   std::shared_ptr<const asobs::Trace> trace;
-  // Flat {"workflow", "spans":[{"name","category","parent","dur_nanos"}]}.
-  asbase::Json span_summary;
 };
 
 class AsVisor {
@@ -320,7 +319,9 @@ class AsVisor {
   int shard_index() const { return shard_.index; }
   const std::vector<int>& shard_cpus() const { return shard_.cpus; }
 
-  // Per-workflow end-to-end latency samples (P99 analysis, Fig 17a).
+  // Per-workflow end-to-end latency, read from the workflow's bounded
+  // alloy_visor_invoke_nanos series (LatencyHistogram::Snapshot: one
+  // bucket representative per sample over the last 64-128 Ki samples).
   asbase::Result<asbase::Histogram> LatencyHistogram(
       const std::string& workflow_name) const;
 
@@ -371,8 +372,10 @@ class AsVisor {
     // Watchdog invocations currently running this workflow (admission).
     int inflight = 0;
     // FIFO admission queue: tickets of requests waiting for a concurrency
-    // slot, front = next to run. Bounded by options.queue_capacity.
-    std::deque<Ticket> waiters;
+    // slot, front = next to run. Bounded by options.queue_capacity. A list,
+    // like `traces`, so an empty one allocates nothing (a std::deque
+    // allocates on construction and again on every move).
+    std::list<Ticket> waiters;
     // Deficit-round-robin credit toward the next admission grant: each
     // contested grant adds `weight` per round to every workflow with a
     // runnable queue head and costs the winner 1. Reset when the queue
@@ -381,9 +384,8 @@ class AsVisor {
     // EWMA of recent service time (Invoke wall time, queue wait excluded);
     // drives the predicted-wait admission decision and Retry-After.
     double service_ewma_nanos = 0;
-    asbase::Histogram latency;
     // Last kTraceRing invocation traces, oldest first.
-    std::deque<std::shared_ptr<const asobs::Trace>> traces;
+    std::list<std::shared_ptr<const asobs::Trace>> traces;
     // Cached registry series (registry-owned, immortal) so the invoke and
     // admission hot paths never take the global registry mutex — with N
     // shards that mutex would be the one lock every shard still shares.

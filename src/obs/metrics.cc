@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <tuple>
 
 #include "src/common/logging.h"
 
@@ -133,35 +136,185 @@ std::string SerializeLabels(const Labels& labels) {
 
 // ------------------------------------------------------- LatencyHistogram
 
+namespace {
+
+// Log-linear bucketing: 2^kSubBits sub-buckets per power of two. Values
+// below 2^(kSubBits + 1) have a bucket each.
+constexpr int kSubBits = 3;
+constexpr int kSubBuckets = 1 << kSubBits;
+constexpr int64_t kExactBelow = 2 * kSubBuckets;
+// The last bucket holds INT64_MAX, whose octave is 62.
+static_assert(LatencyHistogram::kBuckets == (62 - kSubBits + 2) * kSubBuckets);
+
+// Non-negative sums saturate instead of overflowing.
+int64_t SaturatingAdd(int64_t a, int64_t b) {
+  int64_t sum = 0;
+  return __builtin_add_overflow(a, b, &sum) ? INT64_MAX : sum;
+}
+
+// Nearest-rank index of quantile q among n samples, as
+// asbase::Histogram::Percentile ranks them.
+uint64_t RankOf(double q, uint64_t n) {
+  uint64_t rank = static_cast<uint64_t>(std::ceil(q * static_cast<double>(n)));
+  if (rank > 0) {
+    rank -= 1;
+  }
+  return std::min(rank, n - 1);
+}
+
+}  // namespace
+
+std::mutex& LatencyHistogram::mutex() const {
+  static std::mutex stripes[64];
+  const uintptr_t address = reinterpret_cast<uintptr_t>(this);
+  return stripes[(address >> 4) * 0x9E3779B97F4A7C15ULL >> 58];
+}
+
+int LatencyHistogram::BucketOf(int64_t value) {
+  if (value < kExactBelow) {
+    return static_cast<int>(std::max<int64_t>(value, 0));
+  }
+  const int octave = 63 - __builtin_clzll(static_cast<uint64_t>(value));
+  const int shift = octave - kSubBits;
+  return (shift + 1) * kSubBuckets +
+         static_cast<int>((value >> shift) & (kSubBuckets - 1));
+}
+
+int64_t LatencyHistogram::Representative(int bucket) {
+  if (bucket < kExactBelow) {
+    return bucket;
+  }
+  const int shift = bucket / kSubBuckets - 1;
+  const int64_t lower = static_cast<int64_t>(kSubBuckets + bucket % kSubBuckets)
+                        << shift;
+  const int64_t width = int64_t{1} << shift;
+  return lower + (width - 1) / 2;
+}
+
+void LatencyHistogram::Epoch::Add(int bucket, int64_t value) {
+  if (bucket < lo || bucket >= hi) {
+    const int new_lo = counts == nullptr ? bucket : std::min<int>(lo, bucket);
+    const int new_hi =
+        counts == nullptr ? bucket + 1 : std::max<int>(hi, bucket + 1);
+    auto grown = std::make_unique<uint32_t[]>(new_hi - new_lo);  // zeroed
+    if (counts != nullptr) {
+      std::copy(counts.get(), counts.get() + (hi - lo),
+                grown.get() + (lo - new_lo));
+    }
+    counts = std::move(grown);
+    lo = static_cast<uint16_t>(new_lo);
+    hi = static_cast<uint16_t>(new_hi);
+  }
+  ++counts[bucket - lo];
+  if (count == 0 || value < min) {
+    min = value;
+  }
+  if (count == 0 || value > max) {
+    max = value;
+  }
+  ++count;
+  sum = SaturatingAdd(sum, value);
+}
+
+void LatencyHistogram::Epoch::Clear() {
+  if (counts != nullptr) {
+    std::fill(counts.get(), counts.get() + (hi - lo), 0u);
+  }
+  count = 0;
+  sum = 0;
+  min = 0;
+  max = 0;
+}
+
 void LatencyHistogram::Record(int64_t value_nanos) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  current_.Record(value_nanos);
-  if (current_.count() >= window_) {
-    previous_ = std::move(current_);
-    current_ = asbase::Histogram();
+  value_nanos = std::max<int64_t>(value_nanos, 0);
+  const int bucket = BucketOf(value_nanos);
+  std::lock_guard<std::mutex> lock(mutex());
+  current_.Add(bucket, value_nanos);
+  if (current_.count >= window_) {
+    // The full epoch becomes the previous one; the old previous one's
+    // storage, zeroed, is reused for the new epoch.
+    std::swap(previous_, current_);
+    current_.Clear();
   }
 }
 
-void LatencyHistogram::Merge(const asbase::Histogram& other) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  current_.Merge(other);
-  if (current_.count() >= window_) {
-    previous_ = std::move(current_);
-    current_ = asbase::Histogram();
+LatencyHistogram::Summary LatencyHistogram::Summarize() const {
+  std::lock_guard<std::mutex> lock(mutex());
+  return SummarizeLocked();
+}
+
+LatencyHistogram::Summary LatencyHistogram::SummarizeLocked() const {
+  Summary out;
+  out.count = current_.count + previous_.count;
+  if (out.count == 0) {
+    return out;
   }
+  out.sum = SaturatingAdd(current_.sum, previous_.sum);
+  const Epoch* epochs[] = {&current_, &previous_};
+  bool first = true;
+  int lo = kBuckets;
+  int hi = 0;
+  for (const Epoch* epoch : epochs) {
+    if (epoch->count == 0) {
+      continue;
+    }
+    out.min = first ? epoch->min : std::min(out.min, epoch->min);
+    out.max = first ? epoch->max : std::max(out.max, epoch->max);
+    first = false;
+    lo = std::min<int>(lo, epoch->lo);
+    hi = std::max<int>(hi, epoch->hi);
+  }
+  // One walk over the used range answers every quantile, lowest first.
+  const std::pair<double, int64_t*> quantiles[] = {
+      {0.5, &out.p50}, {0.99, &out.p99}, {0.999, &out.p999}};
+  size_t next = 0;
+  uint64_t seen = 0;
+  for (int bucket = lo; bucket < hi && next < std::size(quantiles); ++bucket) {
+    seen += current_.At(bucket) + previous_.At(bucket);
+    while (next < std::size(quantiles) &&
+           RankOf(quantiles[next].first, out.count) < seen) {
+      *quantiles[next].second =
+          std::clamp(Representative(bucket), out.min, out.max);
+      ++next;
+    }
+  }
+  return out;
 }
 
 asbase::Histogram LatencyHistogram::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  asbase::Histogram merged = previous_;
-  merged.Merge(current_);
-  return merged;
+  Summary summary;
+  std::vector<uint32_t> counts(kBuckets);
+  {
+    std::lock_guard<std::mutex> lock(mutex());
+    summary = SummarizeLocked();
+    for (const Epoch* epoch : {&current_, &previous_}) {
+      for (int bucket = epoch->lo; bucket < epoch->hi; ++bucket) {
+        counts[bucket] += epoch->At(bucket);
+      }
+    }
+  }
+  asbase::Histogram out;
+  for (int bucket = 0; bucket < kBuckets; ++bucket) {
+    const int64_t value =
+        std::clamp(Representative(bucket), summary.min, summary.max);
+    for (uint32_t i = 0; i < counts[bucket]; ++i) {
+      out.Record(value);
+    }
+  }
+  return out;
 }
 
 void LatencyHistogram::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex());
   current_.Clear();
   previous_.Clear();
+}
+
+size_t LatencyHistogram::BucketBytes() const {
+  std::lock_guard<std::mutex> lock(mutex());
+  return (current_.hi - current_.lo + previous_.hi - previous_.lo) *
+         sizeof(uint32_t);
 }
 
 // ------------------------------------------------------------ MetricEmitter
@@ -184,51 +337,55 @@ Registry& Registry::Global() {
   return *registry;
 }
 
-Registry::Family& Registry::FamilyLocked(const std::string& name,
-                                         MetricType type) {
-  auto [it, inserted] = families_.try_emplace(name);
-  if (inserted) {
-    it->second.type = type;
-  } else {
-    AS_CHECK(it->second.type == type)
-        << "metric family '" << name << "' re-registered as "
-        << TypeName(type) << " (was " << TypeName(it->second.type) << ")";
-  }
-  return it->second;
+const Registry::FamilyEntry& Registry::FamilyLocked(const std::string& name,
+                                                    MetricType type) {
+  const auto it = families_.try_emplace(name, type).first;
+  AS_CHECK(it->second == type)
+      << "metric family '" << name << "' re-registered as " << TypeName(type)
+      << " (was " << TypeName(it->second) << ")";
+  return *it;
 }
+
+Registry::LabelSet& Registry::LabelSetLocked(const Labels& labels) {
+  return label_sets_.try_emplace(SerializeLabels(labels)).first->second;
+}
+
+namespace {
+
+// The series of `family` in one label set's list, created on first use.
+template <typename FamilyRef, typename T>
+T& FindOrAdd(std::forward_list<std::pair<FamilyRef, T>>& series,
+             FamilyRef family) {
+  for (auto& [owner, value] : series) {
+    if (owner == family) {
+      return value;
+    }
+  }
+  return series
+      .emplace_front(std::piecewise_construct, std::forward_as_tuple(family),
+                     std::forward_as_tuple())
+      .second;
+}
+
+}  // namespace
 
 Counter& Registry::GetCounter(const std::string& name, const Labels& labels) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Series& series =
-      FamilyLocked(name, MetricType::kCounter).series[SerializeLabels(labels)];
-  if (series.counter == nullptr) {
-    series.labels = labels;
-    series.counter = std::make_unique<Counter>();
-  }
-  return *series.counter;
+  const FamilyEntry* family = &FamilyLocked(name, MetricType::kCounter);
+  return FindOrAdd(LabelSetLocked(labels).counters, family);
 }
 
 Gauge& Registry::GetGauge(const std::string& name, const Labels& labels) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Series& series =
-      FamilyLocked(name, MetricType::kGauge).series[SerializeLabels(labels)];
-  if (series.gauge == nullptr) {
-    series.labels = labels;
-    series.gauge = std::make_unique<Gauge>();
-  }
-  return *series.gauge;
+  const FamilyEntry* family = &FamilyLocked(name, MetricType::kGauge);
+  return FindOrAdd(LabelSetLocked(labels).gauges, family);
 }
 
 LatencyHistogram& Registry::GetHistogram(const std::string& name,
                                          const Labels& labels) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Series& series =
-      FamilyLocked(name, MetricType::kSummary).series[SerializeLabels(labels)];
-  if (series.histogram == nullptr) {
-    series.labels = labels;
-    series.histogram = std::make_unique<LatencyHistogram>();
-  }
-  return *series.histogram;
+  const FamilyEntry* family = &FamilyLocked(name, MetricType::kSummary);
+  return FindOrAdd(LabelSetLocked(labels).summaries, family);
 }
 
 void Registry::DeclareFamily(const std::string& name, MetricType type) {
@@ -256,35 +413,38 @@ std::string Registry::RenderPrometheus() const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     collectors = collectors_;
-    for (const auto& [name, family] : families_) {
-      RenderFamily& out = rendered[name];
-      out.type = family.type;
-      for (const auto& [label_key, series] : family.series) {
-        if (series.counter != nullptr) {
-          std::snprintf(buf, sizeof(buf), " %" PRIu64,
-                        series.counter->value());
-          out.lines.push_back(name + label_key + buf);
-        } else if (series.gauge != nullptr) {
-          std::snprintf(buf, sizeof(buf), " %lld",
-                        static_cast<long long>(series.gauge->value()));
-          out.lines.push_back(name + label_key + buf);
-        } else if (series.histogram != nullptr) {
-          const asbase::Histogram snapshot = series.histogram->Snapshot();
-          const double quantiles[] = {0.5, 0.99, 0.999};
-          for (double q : quantiles) {
-            Labels quantile_labels = series.labels;
-            std::snprintf(buf, sizeof(buf), "%g", q);
-            quantile_labels.emplace_back("quantile", buf);
-            std::snprintf(buf, sizeof(buf), " %lld",
-                          static_cast<long long>(snapshot.Percentile(q)));
-            out.lines.push_back(name + SerializeLabels(quantile_labels) + buf);
-          }
-          std::snprintf(buf, sizeof(buf), " %.0f",
-                        snapshot.mean() * static_cast<double>(snapshot.count()));
-          out.lines.push_back(name + "_sum" + label_key + buf);
-          std::snprintf(buf, sizeof(buf), " %zu", snapshot.count());
-          out.lines.push_back(name + "_count" + label_key + buf);
+    for (const auto& [name, type] : families_) {
+      rendered[name].type = type;
+    }
+    for (const auto& [labels, set] : label_sets_) {
+      for (const auto& [family, counter] : set.counters) {
+        std::snprintf(buf, sizeof(buf), " %" PRIu64, counter.value());
+        rendered[family->first].lines.push_back(family->first + labels + buf);
+      }
+      for (const auto& [family, gauge] : set.gauges) {
+        std::snprintf(buf, sizeof(buf), " %lld",
+                      static_cast<long long>(gauge.value()));
+        rendered[family->first].lines.push_back(family->first + labels + buf);
+      }
+      for (const auto& [family, histogram] : set.summaries) {
+        const std::string& name = family->first;
+        std::vector<std::string>& lines = rendered[name].lines;
+        const LatencyHistogram::Summary summary = histogram.Summarize();
+        // The quantile label goes last inside the series' own braces.
+        const std::string open =
+            labels.empty() ? "{" : labels.substr(0, labels.size() - 1) + ",";
+        const std::pair<const char*, int64_t> quantiles[] = {
+            {"0.5", summary.p50}, {"0.99", summary.p99}, {"0.999", summary.p999}};
+        for (const auto& [q, value] : quantiles) {
+          std::snprintf(buf, sizeof(buf), "quantile=\"%s\"} %lld", q,
+                        static_cast<long long>(value));
+          lines.push_back(name + open + buf);
         }
+        std::snprintf(buf, sizeof(buf), " %lld",
+                      static_cast<long long>(summary.sum));
+        lines.push_back(name + "_sum" + labels + buf);
+        std::snprintf(buf, sizeof(buf), " %" PRIu64, summary.count);
+        lines.push_back(name + "_count" + labels + buf);
       }
     }
   }
@@ -315,17 +475,15 @@ std::string Registry::RenderPrometheus() const {
 
 void Registry::Reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, family] : families_) {
-    for (auto& [label_key, series] : family.series) {
-      if (series.counter != nullptr) {
-        series.counter->Reset();
-      }
-      if (series.gauge != nullptr) {
-        series.gauge->Reset();
-      }
-      if (series.histogram != nullptr) {
-        series.histogram->Reset();
-      }
+  for (auto& [labels, set] : label_sets_) {
+    for (auto& [family, counter] : set.counters) {
+      counter.Reset();
+    }
+    for (auto& [family, gauge] : set.gauges) {
+      gauge.Reset();
+    }
+    for (auto& [family, histogram] : set.summaries) {
+      histogram.Reset();
     }
   }
 }

@@ -19,8 +19,10 @@
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <forward_list>
 #include <functional>
 #include <map>
 #include <memory>
@@ -30,7 +32,6 @@
 #include <vector>
 
 #include "src/common/histogram.h"
-#include "src/common/json.h"
 
 namespace asobs {
 
@@ -64,28 +65,85 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-// Thread-safe, windowed latency summary over asbase::Histogram.
+// Thread-safe, windowed latency summary of bounded size.
 //
-// Memory is bounded by keeping two sample epochs: when the current epoch
-// fills up it becomes the previous one and recording starts fresh, so a
-// snapshot always covers between `window` and `2*window` recent samples.
+// Samples land in log-linear buckets: exact below 16, then 8 sub-buckets
+// per power of two, so a bucket is at most 1/8 of its lower bound wide. A
+// quantile is read as its bucket's midpoint, clamped to the observed
+// min/max, which puts it within 1/16 (6.25%) of the exact nearest-rank
+// value. Two epochs keep recency: when the current epoch reaches `window`
+// samples it becomes the previous one and recording starts fresh, so a
+// summary covers between `window` and `2*window` recent samples. Each epoch
+// stores counts only over the bucket range it has seen, so a series that
+// holds one sample holds one bucket, and a full one at most kBuckets per
+// epoch (~2 KiB) whatever its sample count. Values below zero record as 0.
+//
+// Histograms lock one of a fixed set of process-wide mutexes, picked by
+// address, instead of owning one: a registry holds several per workflow.
 class LatencyHistogram {
  public:
-  explicit LatencyHistogram(size_t window = 1u << 16) : window_(window) {}
+  // Bucket indices span every non-negative int64_t.
+  static constexpr int kBuckets = 488;
+
+  explicit LatencyHistogram(size_t window = 1u << 16)
+      : window_(static_cast<uint32_t>(
+            std::min<size_t>(window, UINT32_MAX))) {}
+
+  LatencyHistogram(const LatencyHistogram&) = delete;
+  LatencyHistogram& operator=(const LatencyHistogram&) = delete;
 
   void Record(int64_t value_nanos);
-  void Merge(const asbase::Histogram& other);
 
-  // Merged copy of both epochs (safe to query without further locking).
+  // What /metrics exports, read from the buckets of both epochs.
+  struct Summary {
+    uint64_t count = 0;
+    int64_t sum = 0;
+    int64_t min = 0;
+    int64_t max = 0;
+    int64_t p50 = 0;
+    int64_t p99 = 0;
+    int64_t p999 = 0;
+  };
+  Summary Summarize() const;
+
+  // Both epochs as an exact-percentile histogram holding each bucket's
+  // representative once per sample (counts and quantiles match
+  // Summarize()). It allocates per sample: diagnostics and tests only.
   asbase::Histogram Snapshot() const;
-  asbase::Json ToJson() const { return Snapshot().ToJson(); }
   void Reset();
 
+  // Heap bytes the bucket counts of both epochs hold.
+  size_t BucketBytes() const;
+
+  // Bucket of a value, and the value a bucket reports before clamping.
+  static int BucketOf(int64_t value);
+  static int64_t Representative(int bucket);
+
  private:
-  mutable std::mutex mutex_;
-  size_t window_;
-  asbase::Histogram current_;
-  asbase::Histogram previous_;
+  // Counts of one epoch over bucket indices [lo, hi); `counts[i - lo]` is
+  // bucket i. Storage grows to cover each new index, never beyond.
+  struct Epoch {
+    std::unique_ptr<uint32_t[]> counts;
+    int64_t sum = 0;
+    int64_t min = 0;
+    int64_t max = 0;
+    uint32_t count = 0;
+    uint16_t lo = 0;
+    uint16_t hi = 0;
+
+    void Add(int bucket, int64_t value);
+    uint32_t At(int bucket) const {
+      return bucket >= lo && bucket < hi ? counts[bucket - lo] : 0;
+    }
+    void Clear();
+  };
+
+  std::mutex& mutex() const;
+  Summary SummarizeLocked() const;
+
+  uint32_t window_;
+  Epoch current_;
+  Epoch previous_;
 };
 
 // Hands collector callbacks a way to contribute samples at scrape time.
@@ -141,22 +199,28 @@ class Registry {
   void Reset();
 
  private:
-  struct Series {
-    Labels labels;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<LatencyHistogram> histogram;
-  };
-  struct Family {
-    MetricType type = MetricType::kCounter;
-    // Keyed by serialized label set for deterministic output.
-    std::map<std::string, Series> series;
+  // A family's name and type, as a node of families_.
+  using FamilyEntry = std::pair<const std::string, MetricType>;
+  // A family's series under one label set. List nodes never move, so a
+  // value's address is the reference GetCounter & co. hand out.
+  template <typename T>
+  using SeriesList = std::forward_list<std::pair<const FamilyEntry*, T>>;
+  // Every series carrying one label set, whatever its family: the label
+  // set is stored once (as its serialized key), and each series costs one
+  // list node holding its value. A workflow's ~20 series share one entry.
+  struct LabelSet {
+    SeriesList<Counter> counters;
+    SeriesList<Gauge> gauges;
+    SeriesList<LatencyHistogram> summaries;
   };
 
-  Family& FamilyLocked(const std::string& name, MetricType type);
+  const FamilyEntry& FamilyLocked(const std::string& name, MetricType type);
+  LabelSet& LabelSetLocked(const Labels& labels);
 
   mutable std::mutex mutex_;
-  std::map<std::string, Family> families_;
+  std::map<std::string, MetricType> families_;
+  // Keyed by SerializeLabels(labels).
+  std::map<std::string, LabelSet> label_sets_;
   std::vector<std::function<void(MetricEmitter&)>> collectors_;
 };
 

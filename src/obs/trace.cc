@@ -130,4 +130,21 @@ asbase::Json Trace::ToChromeJson() const {
   return doc;
 }
 
+asbase::Json SummarizeTrace(const Trace& trace) {
+  asbase::Json summary;
+  summary.Set("workflow", trace.workflow());
+  asbase::Json spans{asbase::JsonArray{}};
+  for (const SpanRecord& record : trace.Spans()) {
+    asbase::Json span;
+    span.Set("id", static_cast<int64_t>(record.id));
+    span.Set("parent", static_cast<int64_t>(record.parent));
+    span.Set("name", record.name);
+    span.Set("category", record.category);
+    span.Set("dur_nanos", record.duration_nanos);
+    spans.Append(std::move(span));
+  }
+  summary.Set("spans", std::move(spans));
+  return summary;
+}
+
 }  // namespace asobs

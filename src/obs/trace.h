@@ -113,6 +113,11 @@ class Trace {
   std::vector<SpanRecord> spans_;
 };
 
+// Flat {"workflow", "spans":[{"id","parent","name","category","dur_nanos"}]}
+// for callers that want one invocation's spans as plain JSON. Built on
+// demand: the invoke path does not pay for it.
+asbase::Json SummarizeTrace(const Trace& trace);
+
 }  // namespace asobs
 
 #endif  // SRC_OBS_TRACE_H_

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -132,6 +135,105 @@ TEST(MetricsTest, HistogramWindowBoundsMemory) {
   // Two epochs of at most `window` samples each.
   EXPECT_LE(hist.Snapshot().count(), 16u);
   EXPECT_GE(hist.Snapshot().count(), 4u);
+}
+
+TEST(MetricsTest, BucketedQuantilesStayWithinHalfABucketOfExact) {
+  // Seeded log-normal latencies (median ~50 us, long tail), more than one
+  // epoch's worth so both epochs contribute.
+  std::mt19937_64 rng(7);
+  std::lognormal_distribution<double> latency(10.8, 1.2);
+  asobs::LatencyHistogram bucketed;
+  asbase::Histogram exact;
+  for (int i = 0; i < 100'000; ++i) {
+    const int64_t value = static_cast<int64_t>(latency(rng));
+    bucketed.Record(value);
+    exact.Record(value);
+  }
+  const asobs::LatencyHistogram::Summary summary = bucketed.Summarize();
+  EXPECT_EQ(summary.count, exact.count());
+  EXPECT_EQ(summary.min, exact.min());
+  EXPECT_EQ(summary.max, exact.max());
+  EXPECT_NEAR(static_cast<double>(summary.sum) / summary.count, exact.mean(),
+              1.0);
+  // A bucket spans at most 1/8 of its lower bound, and a quantile reads
+  // the bucket's midpoint: within 1/16 of the exact nearest-rank value.
+  auto within_half_bucket = [](int64_t approx, int64_t truth) {
+    return std::llabs(approx - truth) * 16 <= truth;
+  };
+  EXPECT_PRED2(within_half_bucket, summary.p50, exact.Percentile(0.5));
+  EXPECT_PRED2(within_half_bucket, summary.p99, exact.Percentile(0.99));
+  EXPECT_PRED2(within_half_bucket, summary.p999, exact.Percentile(0.999));
+  const asbase::Histogram snapshot = bucketed.Snapshot();
+  ASSERT_EQ(snapshot.count(), exact.count());
+  for (double q : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_PRED2(within_half_bucket, snapshot.Percentile(q),
+                 exact.Percentile(q))
+        << "q=" << q;
+  }
+}
+
+TEST(MetricsTest, BucketsCoverEveryValueInOrder) {
+  using asobs::LatencyHistogram;
+  for (int bucket = 0; bucket < LatencyHistogram::kBuckets; ++bucket) {
+    const int64_t representative = LatencyHistogram::Representative(bucket);
+    EXPECT_EQ(LatencyHistogram::BucketOf(representative), bucket);
+    if (bucket > 0) {
+      EXPECT_GT(representative, LatencyHistogram::Representative(bucket - 1));
+    }
+  }
+  EXPECT_EQ(LatencyHistogram::BucketOf(0), 0);
+  EXPECT_EQ(LatencyHistogram::BucketOf(15), 15);
+  EXPECT_EQ(LatencyHistogram::BucketOf(INT64_MAX),
+            LatencyHistogram::kBuckets - 1);
+}
+
+TEST(MetricsTest, HistogramStorageGrowsOnlyOverUsedBuckets) {
+  asobs::LatencyHistogram hist;
+  hist.Record(1000);
+  EXPECT_EQ(hist.BucketBytes(), sizeof(uint32_t))
+      << "one sample must hold one bucket, not a dense array";
+  hist.Record(1100);
+  EXPECT_LE(hist.BucketBytes(), 2 * sizeof(uint32_t));
+  // Every octave in both epochs: the bound whatever the sample count.
+  asobs::LatencyHistogram full(/*window=*/64);
+  for (int round = 0; round < 4; ++round) {
+    for (int shift = 0; shift < 63; ++shift) {
+      full.Record(int64_t{1} << shift);
+      full.Record(INT64_MAX >> shift);
+    }
+  }
+  EXPECT_LE(full.BucketBytes(),
+            2 * asobs::LatencyHistogram::kBuckets * sizeof(uint32_t));
+  EXPECT_LE(sizeof(asobs::LatencyHistogram) + full.BucketBytes(), 4096u);
+}
+
+TEST(MetricsTest, SeriesSharingALabelSetStayDistinct) {
+  Registry registry;
+  const Labels labels = {{"workflow", "wf"}, {"alloy_visor_shard", "1"}};
+  asobs::Counter& hits = registry.GetCounter("alloy_test_hits_total", labels);
+  asobs::Counter& misses =
+      registry.GetCounter("alloy_test_misses_total", labels);
+  asobs::Gauge& depth = registry.GetGauge("alloy_test_depth", labels);
+  asobs::LatencyHistogram& wait =
+      registry.GetHistogram("alloy_test_wait_nanos", labels);
+  EXPECT_NE(&hits, &misses);
+  EXPECT_EQ(&registry.GetCounter("alloy_test_misses_total", labels), &misses);
+  EXPECT_EQ(&registry.GetHistogram("alloy_test_wait_nanos", labels), &wait);
+  hits.Add(2);
+  misses.Add(5);
+  depth.Set(-1);
+  wait.Record(7);
+  const std::string text = registry.RenderPrometheus();
+  for (const char* line :
+       {"alloy_test_hits_total{workflow=\"wf\",alloy_visor_shard=\"1\"} 2\n",
+        "alloy_test_misses_total{workflow=\"wf\",alloy_visor_shard=\"1\"} 5\n",
+        "alloy_test_depth{workflow=\"wf\",alloy_visor_shard=\"1\"} -1\n",
+        "alloy_test_wait_nanos{workflow=\"wf\",alloy_visor_shard=\"1\","
+        "quantile=\"0.99\"} 7\n",
+        "alloy_test_wait_nanos_count{workflow=\"wf\",alloy_visor_shard=\"1\"} "
+        "1\n"}) {
+    EXPECT_NE(text.find(line), std::string::npos) << line << text;
+  }
 }
 
 // ------------------------------------------------------------------- spans
@@ -298,10 +400,10 @@ TEST(VisorObsTest, ColdInvokeHasRootSpanWithModuleLoadChild) {
   EXPECT_EQ(module_parent, root_id)
       << "module_load spans parent under the invoke root";
 
-  // The span summary mirrors the trace.
-  EXPECT_EQ(result->span_summary["workflow"].as_string(), "obs-cold");
-  EXPECT_EQ(result->span_summary["spans"].array().size(),
-            result->trace->Spans().size());
+  // The span summary, built on demand, mirrors the trace.
+  const asbase::Json summary = asobs::SummarizeTrace(*result->trace);
+  EXPECT_EQ(summary["workflow"].as_string(), "obs-cold");
+  EXPECT_EQ(summary["spans"].array().size(), result->trace->Spans().size());
 }
 
 TEST(VisorObsTest, LoadAllInvokeHasNoModuleLoadSpans) {

@@ -1,15 +1,23 @@
-// Resident-memory regression test for an idle sharded visor. It is a binary
-// of its own so that nothing else in the process has already paged in the
-// memory it measures: a shard that has served no request must not hold its
-// flight ring (ALLOY_FLIGHT_RING records of 152 B each) resident.
+// Resident-memory regression tests for a sharded visor. They are a binary
+// of their own so that nothing else in the process has already paged in the
+// memory they measure:
+//   - a shard that has served no request must not hold its flight ring
+//     (ALLOY_FLIGHT_RING records of 152 B each) resident;
+//   - registering a workflow costs a small, fixed amount of heap, most of
+//     it the workflow's metric series;
+//   - a workflow's latency series stay bounded however many samples land.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "src/core/visor/visor_router.h"
+#include "src/obs/metrics.h"
 
 namespace alloy {
 namespace {
@@ -48,6 +56,89 @@ TEST(VisorDensityTest, IdleShardsHoldNoFlightRing) {
   // Four zero-filled 1024-record rings would be 608 KiB.
   EXPECT_LT(growth_kib, 64) << "constructing 4 idle shards made " << growth_kib
                             << " KiB resident";
+}
+
+// Registers `count` one-stage fatfs tenants shaped like the serving bench's
+// zipf_tenants (pool 1, concurrency 1, queue 8, 50 ms idle TTL), named
+// <prefix>-<i>, on shard `pin_shard` (-1: placed by hash).
+std::vector<std::string> RegisterTenants(AsVisorRouter& router,
+                                         const std::string& prefix, int count,
+                                         int pin_shard = -1) {
+  FunctionRegistry::Global().Register(
+      "density.noop", [](FunctionContext&) { return asbase::OkStatus(); });
+  AsVisor::WorkflowOptions options;
+  options.wfd.heap_bytes = 8u << 20;
+  options.wfd.disk_blocks = 16 * 1024;
+  options.wfd.mpk_backend = asmpk::MpkBackend::kEmulated;
+  options.pool_size = 1;
+  options.max_concurrency = 1;
+  options.queue_capacity = 8;
+  options.idle_ttl_ms = 50;
+  options.pin_shard = pin_shard;
+  std::vector<std::string> names;
+  for (int i = 0; i < count; ++i) {
+    WorkflowSpec spec;
+    spec.name = prefix + "-" + std::to_string(i);
+    spec.stages.push_back(StageSpec{{FunctionSpec{"density.noop", 1}}});
+    router.RegisterWorkflow(spec, options);
+    names.push_back(spec.name);
+  }
+  return names;
+}
+
+TEST(VisorDensityTest, RegisteringAWorkflowCostsUnder3KiBOfHeap) {
+  RouterOptions options;
+  options.shards = 4;
+  AsVisorRouter router(options);
+  // One tenant per shard first, so the measured ones pay neither the
+  // shard's pool warmer nor the families' first series.
+  for (int shard = 0; shard < 4; ++shard) {
+    RegisterTenants(router, "density-warm" + std::to_string(shard), 1, shard);
+  }
+  constexpr int kTenants = 64;
+  const size_t before = mallinfo2().uordblks;
+  RegisterTenants(router, "density-tenant", kTenants);
+  const size_t per_tenant = (mallinfo2().uordblks - before) / kTenants;
+  // Each registration creates ~18 metric series under one label set; with
+  // a label vector, key string and boxed value per series, plus two empty
+  // std::deques, it held 9.1 KiB.
+  EXPECT_LT(per_tenant, 3u * 1024) << "one registration holds " << per_tenant
+                                   << " B of heap";
+}
+
+TEST(VisorDensityTest, InvokeSeriesStayBoundedUnderAMillionSamples) {
+  RouterOptions options;
+  options.shards = 4;
+  AsVisorRouter router(options);
+  const std::vector<std::string> names =
+      RegisterTenants(router, "density-load", 64);
+  std::vector<asobs::LatencyHistogram*> series;
+  for (const std::string& name : names) {
+    series.push_back(&asobs::Registry::Global().GetHistogram(
+        "alloy_visor_invoke_nanos",
+        {{"workflow", name},
+         {"alloy_visor_shard", std::to_string(router.ShardOf(name))}}));
+  }
+  // Latencies around 50 us with a long tail, seeded.
+  std::mt19937_64 rng(42);
+  std::lognormal_distribution<double> latency(10.8, 1.0);
+  const int64_t before = VmRssKib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 1'000'000; ++i) {
+    series[i % series.size()]->Record(static_cast<int64_t>(latency(rng)));
+  }
+  const int64_t growth_kib = VmRssKib() - before;
+  // Raw samples would be 8 MB; each series holds at most two epochs of
+  // LatencyHistogram::kBuckets counts.
+  EXPECT_LT(growth_kib, 1024) << "10^6 samples made " << growth_kib
+                              << " KiB resident";
+  for (asobs::LatencyHistogram* one : series) {
+    EXPECT_LE(one->BucketBytes(),
+              2 * asobs::LatencyHistogram::kBuckets * sizeof(uint32_t));
+  }
+  auto snapshot = router.LatencyHistogram(names[0]);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->count(), 1'000'000u / names.size());
 }
 
 }  // namespace
