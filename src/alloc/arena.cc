@@ -3,8 +3,8 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "src/common/logging.h"
 
@@ -45,20 +45,22 @@ Arena& Arena::operator=(Arena&& other) noexcept {
   return *this;
 }
 
-size_t Arena::ResidentBytes() const {
+size_t Arena::ResidentBytes(size_t prefix) const {
   if (data_ == nullptr) {
     return 0;
   }
   const size_t page = PageSize();
-  const size_t pages = size_ / page;
-  std::vector<unsigned char> vec(pages);
-  if (mincore(data_, size_, vec.data()) != 0) {
-    return 0;
-  }
+  const size_t pages = (std::min(prefix, size_) + page - 1) / page;
+  unsigned char vec[256];
   size_t resident = 0;
-  for (unsigned char byte : vec) {
-    if (byte & 1) {
-      ++resident;
+  for (size_t first = 0; first < pages; first += sizeof(vec)) {
+    const size_t count = std::min(sizeof(vec), pages - first);
+    if (mincore(static_cast<char*>(data_) + first * page, count * page, vec) !=
+        0) {
+      return 0;
+    }
+    for (size_t i = 0; i < count; ++i) {
+      resident += vec[i] & 1;
     }
   }
   return resident * page;

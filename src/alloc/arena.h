@@ -29,9 +29,11 @@ class Arena {
   size_t size() const { return size_; }
   bool valid() const { return data_ != nullptr; }
 
-  // Number of resident pages actually touched (via mincore). Used by the
-  // resource-usage benches (Fig 17b).
-  size_t ResidentBytes() const;
+  // Bytes of resident pages (via mincore) among the first `prefix` bytes,
+  // rounded up to whole pages. Used by the resource-usage benches (Fig 17b)
+  // and the warm pool's charge; a caller that knows where touched memory
+  // ends passes that to skip scanning the rest.
+  size_t ResidentBytes(size_t prefix = SIZE_MAX) const;
 
   static size_t PageSize();
 

@@ -1,5 +1,10 @@
 #include "src/alloc/linked_list_allocator.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
+
+#include "src/alloc/arena.h"
 #include "src/common/logging.h"
 
 namespace asalloc {
@@ -7,6 +12,10 @@ namespace {
 
 uintptr_t AlignUp(uintptr_t value, size_t align) {
   return (value + align - 1) & ~(static_cast<uintptr_t>(align) - 1);
+}
+
+uintptr_t AlignDown(uintptr_t value, size_t align) {
+  return value & ~(static_cast<uintptr_t>(align) - 1);
 }
 
 }  // namespace
@@ -24,6 +33,8 @@ void LinkedListAllocator::Init(void* base, size_t size) {
   free_list_->header.size = size;
   free_list_->header.magic = kFreeMagic;
   free_list_->next = nullptr;
+  high_water_ = 0;
+  changed_since_release_ = false;
 }
 
 void* LinkedListAllocator::Allocate(size_t size, size_t align) {
@@ -94,6 +105,8 @@ void* LinkedListAllocator::Allocate(size_t size, size_t align) {
     Header* header = reinterpret_cast<Header*>(used_start);
     header->size = used_size;
     header->magic = kUsedMagic;
+    high_water_ = std::max(high_water_, used_start + used_size - base_);
+    changed_since_release_ = true;
     stats_.used_bytes += used_size;
     stats_.free_bytes -= used_size;
     ++stats_.live_allocations;
@@ -116,6 +129,7 @@ void LinkedListAllocator::Deallocate(void* ptr) {
   stats_.free_bytes += size;
   --stats_.live_allocations;
   ++stats_.total_frees;
+  changed_since_release_ = true;
 
   // Insert in address order.
   FreeNode* node = reinterpret_cast<FreeNode*>(header);
@@ -149,9 +163,49 @@ void LinkedListAllocator::Reset() {
   AS_CHECK(initialized());
   const size_t total_allocations = stats_.total_allocations;
   const size_t total_frees = stats_.total_frees;
+  const size_t high_water = high_water_;
   Init(reinterpret_cast<void*>(base_), size_);
   stats_.total_allocations = total_allocations;
   stats_.total_frees = total_frees;
+  high_water_ = high_water;
+  changed_since_release_ = true;
+}
+
+size_t LinkedListAllocator::ReleaseFreePages() {
+  AS_CHECK(initialized());
+  if (!changed_since_release_) {
+    return 0;
+  }
+  changed_since_release_ = false;
+  const size_t page = Arena::PageSize();
+  const uintptr_t mark = base_ + high_water_;
+  size_t released = 0;
+  const FreeNode* last = nullptr;
+  for (const FreeNode* node = free_list_; node; node = node->next) {
+    last = node;
+    // Whole pages after the node, up to the mark's page: pages past it were
+    // never handed out since the mark was last lowered.
+    const uintptr_t start = reinterpret_cast<uintptr_t>(node);
+    const uintptr_t first = AlignUp(start + sizeof(FreeNode), page);
+    const uintptr_t end = AlignDown(
+        std::min(start + node->header.size, AlignUp(mark, page)), page);
+    if (first < end &&
+        madvise(reinterpret_cast<void*>(first), end - first,
+                MADV_DONTNEED) == 0) {
+      released += end - first;
+    }
+  }
+  // Blocks tile the heap, so a free block reaching its end starts where the
+  // highest live block ends (or at the base, when nothing is live).
+  if (last != nullptr &&
+      reinterpret_cast<uintptr_t>(last) + last->header.size == base_ + size_) {
+    high_water_ = reinterpret_cast<uintptr_t>(last) - base_;
+  }
+  return released;
+}
+
+size_t LinkedListAllocator::TouchedBytes() const {
+  return std::min(size_, high_water_ + sizeof(FreeNode));
 }
 
 LinkedListAllocator::Stats LinkedListAllocator::stats() const {

@@ -35,8 +35,22 @@ class LinkedListAllocator {
   // adjacent free blocks.
   void Deallocate(void* ptr);
 
-  // Drops every allocation and returns the heap to one free block.
+  // Drops every allocation and returns the heap to one free block. The
+  // pages the dropped blocks touched stay resident until ReleaseFreePages.
   void Reset();
+
+  // Hands every whole page inside a free block below the high-water mark
+  // back to the kernel (madvise(MADV_DONTNEED): it refaults as zeros), then
+  // lowers the mark to the end of the highest live block. Block headers and
+  // free-list nodes are never touched. Returns the bytes released; 0 means
+  // no syscall was made, which is always the case when no block was handed
+  // out or returned since the last release.
+  size_t ReleaseFreePages();
+
+  // Bytes from the heap base that may hold touched pages: up to the
+  // high-water mark plus the free-list node that starts there. A residency
+  // scan can stop here.
+  size_t TouchedBytes() const;
 
   struct Stats {
     size_t heap_bytes = 0;
@@ -83,6 +97,10 @@ class LinkedListAllocator {
   size_t size_ = 0;
   FreeNode* free_list_ = nullptr;  // address-ordered
   Stats stats_;
+  // High-water mark, as an offset from base_: the end of the highest block
+  // handed out, lowered by ReleaseFreePages to the highest live block's end.
+  size_t high_water_ = 0;
+  bool changed_since_release_ = false;
 };
 
 }  // namespace asalloc

@@ -439,6 +439,11 @@ asbase::Status Libos::ResetForReuse() {
       std::lock_guard<std::mutex> lock(mm_->mutex);
       mm_->allocator.Deallocate(reinterpret_cast<void*>(record->addr));
     }
+    // Last: a parked WFD holds only the pages of its live allocations. A
+    // heap nothing was allocated from or freed to since the last reset
+    // makes no syscall.
+    std::lock_guard<std::mutex> lock(mm_->mutex);
+    mm_->allocator.ReleaseFreePages();
   }
   return asbase::OkStatus();
 }
@@ -556,7 +561,15 @@ asalloc::Arena* Libos::heap_arena() {
 }
 
 size_t Libos::ResidentHeapBytes() const {
-  return mm_ == nullptr ? 0 : mm_->heap.ResidentBytes();
+  if (mm_ == nullptr) {
+    return 0;
+  }
+  size_t touched = 0;
+  {
+    std::lock_guard<std::mutex> lock(mm_->mutex);
+    touched = mm_->allocator.TouchedBytes();
+  }
+  return mm_->heap.ResidentBytes(touched);
 }
 
 size_t Libos::ResidentDiskBytes() const {

@@ -107,10 +107,11 @@ class Libos {
 
   // Clears per-invocation state so the LibOS can serve the next invocation
   // of the same workflow (warm start): drops unconsumed slot buffers,
-  // closes open fds, unmaps mmap regions. Loaded modules, the heap arena,
-  // and filesystem contents survive — skipping their construction is the
-  // warm-start win. Fails if live state cannot be reclaimed; the caller
-  // must then destroy the WFD instead of re-pooling it.
+  // closes open fds, unmaps mmap regions, then returns the heap's free
+  // pages to the kernel. Loaded modules, the heap mapping and filesystem
+  // contents survive — skipping their construction is the warm-start win.
+  // Fails if live state cannot be reclaimed; the caller must then destroy
+  // the WFD instead of re-pooling it.
   asbase::Status ResetForReuse();
   std::vector<ModuleKind> LoadedModules() const;
   // Bitmask (1 << kind) of the modules this LibOS loaded itself, i.e. paid
@@ -181,7 +182,9 @@ class Libos {
   // Heap arena pages (for MPK binding by the WFD). Null until mm is loaded.
   asalloc::Arena* heap_arena();
 
-  // Resident bytes of the heap arena (resource accounting, Fig 17b).
+  // Resident bytes of the heap arena (resource accounting, Fig 17b): a
+  // mincore scan up to the allocator's high-water mark, since pages above
+  // it were never handed out.
   size_t ResidentHeapBytes() const;
 
   // Bytes of disk chunks privately materialized by this WFD's owned

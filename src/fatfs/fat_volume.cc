@@ -348,6 +348,9 @@ asbase::Status FatVolume::FreeChain(uint32_t first_cluster) {
     }
     const uint32_t next = FatEntry(cluster);
     AS_RETURN_IF_ERROR(SetFatEntry(cluster, 0));
+    // Reuse freed clusters first: on a CoW disk their chunks are already
+    // private, so a rewritten file costs no new chunk.
+    next_free_hint_ = std::min(next_free_hint_, cluster);
     cluster = next;
   }
   return asbase::OkStatus();
@@ -365,6 +368,9 @@ asbase::Status FatVolume::ReadInCluster(uint32_t cluster, uint32_t offset,
   AS_CHECK(offset + out.size() <= bytes_per_cluster_);
   const uint64_t first_sector = ClusterFirstSector(cluster);
   const uint32_t start_sector = offset / kSector;
+  if (offset % kSector == 0 && out.size() % kSector == 0) {
+    return device_->Read(first_sector + start_sector, out);
+  }
   const uint32_t end_sector =
       static_cast<uint32_t>((offset + out.size() + kSector - 1) / kSector);
   std::vector<uint8_t> buffer((end_sector - start_sector) * kSector);
@@ -869,13 +875,19 @@ asbase::Result<size_t> FatVolume::Write(int handle,
     file.dirty = true;
   }
   // Writing past EOF through a sparse seek: FAT has no holes, so extend the
-  // chain with zeroed clusters up to the write position.
+  // chain with zeroed clusters up to and including the write position's.
+  // The first one past EOF is the old EOF cluster's successor, or the one
+  // at the old size itself when that is cluster-aligned (a non-empty file
+  // holds no cluster there yet; an empty one's first is zeroed above).
   if (file.offset > file.size) {
-    uint64_t pos = file.size;
-    while (pos / bytes_per_cluster_ < file.offset / bytes_per_cluster_) {
-      pos = (pos / bytes_per_cluster_ + 1) * bytes_per_cluster_;
-      AS_ASSIGN_OR_RETURN(uint32_t cluster,
-                          ClusterForOffset(file.first_cluster, pos, true));
+    const uint64_t eof_index =
+        (file.size + bytes_per_cluster_ - 1) / bytes_per_cluster_;
+    for (uint64_t index = std::max<uint64_t>(eof_index, 1);
+         index <= file.offset / bytes_per_cluster_; ++index) {
+      AS_ASSIGN_OR_RETURN(
+          uint32_t cluster,
+          ClusterForOffset(file.first_cluster, index * bytes_per_cluster_,
+                           true));
       AS_RETURN_IF_ERROR(ZeroCluster(cluster));
     }
     // Zero the gap bytes inside the last cluster before the old EOF's

@@ -1,7 +1,9 @@
 // Unit + property tests for the WFD heap allocator, arena and slot registry.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -122,6 +124,130 @@ TEST_F(AllocatorTest, StatsTrackLiveness) {
   EXPECT_EQ(stats.total_frees, 2u);
 }
 
+// True when every page of [begin, end) is resident (or, with `want`
+// false, when none is).
+bool PagesResident(const void* begin, const void* end, bool want) {
+  const size_t page = Arena::PageSize();
+  const uintptr_t first = reinterpret_cast<uintptr_t>(begin) / page * page;
+  const uintptr_t last = reinterpret_cast<uintptr_t>(end);
+  const size_t pages = (last - first + page - 1) / page;
+  std::vector<unsigned char> vec(pages);
+  if (mincore(reinterpret_cast<void*>(first), pages * page, vec.data()) != 0) {
+    return false;
+  }
+  return std::all_of(vec.begin(), vec.end(), [want](unsigned char byte) {
+    return ((byte & 1) != 0) == want;
+  });
+}
+
+TEST_F(AllocatorTest, ReleaseFreePagesDropsFreeInteriorAndKeepsLiveBytes) {
+  const size_t page = Arena::PageSize();
+  struct Block {
+    uint8_t* ptr;
+    size_t size;
+  };
+  // Big blocks separated by small ones, so freeing every other big block
+  // leaves free blocks that cannot coalesce with each other.
+  std::vector<Block> big;
+  std::vector<Block> small;
+  for (size_t i = 0; i < 8; ++i) {
+    const size_t size = 3 * page + page / 2 + i * 48;
+    big.push_back({static_cast<uint8_t*>(heap_.Allocate(size)), size});
+    small.push_back({static_cast<uint8_t*>(heap_.Allocate(40)), 40});
+    ASSERT_NE(big.back().ptr, nullptr);
+    ASSERT_NE(small.back().ptr, nullptr);
+    std::memset(big.back().ptr, static_cast<int>(i + 1), size);
+    std::memset(small.back().ptr, static_cast<int>(0x80 + i), 40);
+  }
+  for (size_t i = 1; i < big.size(); i += 2) {
+    heap_.Deallocate(big[i].ptr);
+  }
+  const size_t released = heap_.ReleaseFreePages();
+  EXPECT_GE(released, 4 * 2 * page);
+  EXPECT_TRUE(heap_.CheckInvariants());
+
+  for (size_t i = 0; i < big.size(); ++i) {
+    const Block& block = big[i];
+    if (i % 2 == 0) {
+      EXPECT_TRUE(std::all_of(block.ptr, block.ptr + block.size,
+                              [i](uint8_t b) { return b == i + 1; }))
+          << "live block " << i << " lost its bytes";
+      EXPECT_TRUE(PagesResident(block.ptr, block.ptr + block.size, true));
+    } else {
+      // Whole pages past the free-list node (header + next pointer, which
+      // ends inside the first payload word) are gone.
+      const uintptr_t page_mask = ~static_cast<uintptr_t>(page - 1);
+      const auto* first = reinterpret_cast<uint8_t*>(
+          (reinterpret_cast<uintptr_t>(block.ptr) + 16 + page - 1) &
+          page_mask);
+      const auto* end = reinterpret_cast<uint8_t*>(
+          reinterpret_cast<uintptr_t>(block.ptr + block.size) & page_mask);
+      ASSERT_LT(first, end);
+      EXPECT_TRUE(PagesResident(first, end, false))
+          << "free block " << i << " kept its interior pages";
+    }
+  }
+  for (size_t i = 0; i < small.size(); ++i) {
+    EXPECT_TRUE(std::all_of(small[i].ptr, small[i].ptr + 40,
+                            [i](uint8_t b) { return b == 0x80 + i; }));
+  }
+
+  // Every header is intact: the survivors free cleanly and coalesce back
+  // into one block, and the released pages are usable again.
+  void* reused = heap_.Allocate(2 * page);
+  ASSERT_NE(reused, nullptr);
+  std::memset(reused, 0x5a, 2 * page);
+  heap_.Deallocate(reused);
+  for (size_t i = 0; i < big.size(); i += 2) {
+    heap_.Deallocate(big[i].ptr);
+  }
+  for (const Block& block : small) {
+    heap_.Deallocate(block.ptr);
+  }
+  EXPECT_TRUE(heap_.CheckInvariants());
+  EXPECT_EQ(heap_.stats().free_bytes, arena_.size());
+}
+
+TEST_F(AllocatorTest, ReleaseFreePagesMakesNoSyscallUntilTheMarkMoves) {
+  const size_t page = Arena::PageSize();
+  // A heap nothing was handed out from: no syscall, and nothing to scan
+  // past the first free-list node.
+  EXPECT_EQ(heap_.ReleaseFreePages(), 0u);
+  EXPECT_LT(heap_.TouchedBytes(), page);
+
+  void* block = heap_.Allocate(8 * page);
+  ASSERT_NE(block, nullptr);
+  std::memset(block, 0xee, 8 * page);
+  EXPECT_GT(heap_.TouchedBytes(), 8 * page);
+  heap_.Deallocate(block);
+  EXPECT_EQ(heap_.ReleaseFreePages(), 8 * page);
+  // The mark fell back to the base: only the page holding the free-list
+  // node stays resident, and a second release finds nothing to do.
+  EXPECT_LT(heap_.TouchedBytes(), page);
+  EXPECT_EQ(arena_.ResidentBytes(), page);
+  EXPECT_EQ(heap_.ReleaseFreePages(), 0u);
+
+  // A hole between live blocks is released once; with nothing handed out
+  // or returned since, the next release skips it without a syscall.
+  void* low = heap_.Allocate(64);
+  void* hole = heap_.Allocate(4 * page);
+  void* high = heap_.Allocate(64);
+  ASSERT_NE(high, nullptr);
+  std::memset(hole, 0x11, 4 * page);
+  heap_.Deallocate(hole);
+  EXPECT_GE(heap_.ReleaseFreePages(), 3 * page);
+  EXPECT_EQ(heap_.ReleaseFreePages(), 0u);
+  heap_.Deallocate(low);
+  heap_.Deallocate(high);
+
+  // Reset() drops allocations without moving the mark down.
+  ASSERT_NE(heap_.Allocate(3 * page), nullptr);
+  heap_.Reset();
+  EXPECT_GT(heap_.TouchedBytes(), 3 * page);
+  EXPECT_GT(heap_.ReleaseFreePages(), 0u);
+  EXPECT_LT(heap_.TouchedBytes(), page);
+}
+
 using AllocatorDeathTest = AllocatorTest;
 
 TEST_F(AllocatorDeathTest, DoubleFreeAborts) {
@@ -177,7 +303,14 @@ TEST_P(AllocatorPropertyTest, RandomOpsPreserveInvariants) {
       live.pop_back();
     }
     if (step % 256 == 0) {
+      // Releasing free pages must leave every live block (checked on its
+      // free above) and every free-list node alone.
+      heap.ReleaseFreePages();
       ASSERT_TRUE(heap.CheckInvariants()) << "step " << step;
+      for (const auto& entry : live) {
+        ASSERT_LE(entry.ptr + entry.size,
+                  static_cast<char*>(arena.data()) + heap.TouchedBytes());
+      }
     }
   }
   for (const auto& entry : live) {
@@ -219,6 +352,20 @@ TEST(ArenaTest, ResidentBytesGrowsWithTouch) {
   size_t after = arena.ResidentBytes();
   EXPECT_GE(after, before);
   EXPECT_GE(after, arena.size() / 2);  // most pages now resident
+}
+
+TEST(ArenaTest, ResidentBytesScansOnlyThePrefix) {
+  // More pages than one mincore batch, to cover the batch boundary.
+  const size_t page = Arena::PageSize();
+  Arena arena(1024 * page);
+  auto* bytes = static_cast<uint8_t*>(arena.data());
+  for (size_t index : {0u, 255u, 256u, 700u, 1023u}) {
+    bytes[index * page] = 1;
+  }
+  EXPECT_EQ(arena.ResidentBytes(), 5 * page);
+  EXPECT_EQ(arena.ResidentBytes(256 * page), 2 * page);
+  EXPECT_EQ(arena.ResidentBytes(256 * page + 1), 3 * page);
+  EXPECT_EQ(arena.ResidentBytes(0), 0u);
 }
 
 // ---------------------------------------------------------------- SlotRegistry

@@ -295,6 +295,34 @@ TEST_P(FilesystemTest, MultiClusterFileRoundTrips) {
   EXPECT_EQ(*back, data);
 }
 
+// Reads whose offset and size are whole sectors skip the bounce buffer on
+// FAT; they must land on the same bytes as any other read.
+TEST_P(FilesystemTest, SectorAlignedReadsReturnTheirOwnBytes) {
+  asbase::Rng rng(7);
+  std::vector<uint8_t> data(3 * 4096 + 700);
+  for (auto& byte : data) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  ASSERT_TRUE(fs_->WriteFile("/sectors.bin", data).ok());
+  auto handle = fs_->Open("/sectors.bin", OpenFlags::ReadOnly());
+  ASSERT_TRUE(handle.ok());
+  for (size_t offset : {0u, 512u, 1024u, 3584u, 4096u, 7680u, 8192u}) {
+    for (size_t size : {512u, 1024u, 4096u, 1000u}) {
+      ASSERT_TRUE(
+          fs_->Seek(*handle, static_cast<int64_t>(offset), Whence::kSet).ok());
+      std::vector<uint8_t> out(size);
+      auto n = fs_->Read(*handle, out);
+      ASSERT_TRUE(n.ok());
+      const size_t expect = std::min(size, data.size() - offset);
+      ASSERT_EQ(*n, expect);
+      EXPECT_TRUE(std::equal(out.begin(), out.begin() + expect,
+                             data.begin() + offset))
+          << size << " bytes at " << offset;
+    }
+  }
+  ASSERT_TRUE(fs_->Close(*handle).ok());
+}
+
 INSTANTIATE_TEST_SUITE_P(Impls, FilesystemTest,
                          ::testing::Values(FsKind::kRam, FsKind::kFat),
                          [](const auto& info) {
@@ -394,6 +422,99 @@ TEST(FatVolumeTest, StaleDataDoesNotLeakThroughRecycledClusters) {
   ASSERT_TRUE(data.ok());
   for (size_t i = 0; i < 100; ++i) {
     ASSERT_EQ((*data)[i], 0u) << "stale byte leaked at " << i;
+  }
+}
+
+// A pooled WFD keeps its disk across invocations, so a workflow that
+// rewrites one file must keep reusing the clusters it just freed: on a CoW
+// clone those chunks are already private, and a fresh cluster per rewrite
+// would copy a new chunk each time until the clone holds the whole disk.
+TEST(FatVolumeTest, RewritingAFileOnACloneHoldsConstantMemory) {
+  MemDisk tmpl(16 * 1024);
+  ASSERT_TRUE(FatVolume::Format(&tmpl).ok());
+  auto booted = FatVolume::Mount(&tmpl);
+  ASSERT_TRUE(booted.ok());
+  const FatVolume::MetaImage meta = (*booted)->SnapshotMeta();
+  MemDisk disk(tmpl.SnapshotImage());
+  std::unique_ptr<FatVolume> volume = FatVolume::MountFromMeta(&disk, meta);
+  const uint32_t free_at_start = *volume->CountFreeClusters();
+
+  std::string content(4096, 'r');
+  ASSERT_TRUE(volume->WriteFile("/rewrite.bin", content).ok());
+  const size_t disk_bytes = disk.ResidentBytes();
+  const size_t fat_bytes = volume->PrivateFatBytes();
+  const uint32_t free_with_file = *volume->CountFreeClusters();
+  EXPECT_EQ(free_with_file, free_at_start - 1);
+  for (int i = 1; i < 10'000; ++i) {
+    content[static_cast<size_t>(i) % content.size()] = static_cast<char>(i);
+    ASSERT_TRUE(volume->WriteFile("/rewrite.bin", content).ok()) << i;
+    ASSERT_EQ(disk.ResidentBytes(), disk_bytes) << "rewrite " << i;
+    ASSERT_EQ(volume->PrivateFatBytes(), fat_bytes) << "rewrite " << i;
+  }
+  EXPECT_EQ(*volume->CountFreeClusters(), free_with_file);
+  EXPECT_EQ(AsString(*volume->ReadFile("/rewrite.bin")), content);
+  ASSERT_TRUE(volume->Remove("/rewrite.bin").ok());
+  EXPECT_EQ(*volume->CountFreeClusters(), free_at_start);
+}
+
+// Freed clusters are reused first, so a new file lands on exactly the
+// clusters a deleted file left behind. Every byte the new file reads must
+// be one it wrote or a zero, whichever way it grew into those clusters.
+TEST(FatVolumeTest, RecycledClustersNeverExposeADeletedFile) {
+  MemDisk disk(4 * 1024);
+  ASSERT_TRUE(FatVolume::Format(&disk).ok());
+  auto mounted = FatVolume::Mount(&disk);
+  ASSERT_TRUE(mounted.ok());
+  FatVolume& volume = **mounted;
+  const uint32_t cluster = volume.bytes_per_cluster();
+
+  // A: 6 clusters and a bit of 0xA5, written in unaligned pieces.
+  auto a = volume.Open("/a", OpenFlags::WriteCreate());
+  ASSERT_TRUE(a.ok());
+  const std::vector<uint8_t> old_bytes(777, 0xA5);
+  for (int i = 0; i < 33; ++i) {
+    ASSERT_TRUE(volume.Write(*a, old_bytes).ok());
+  }
+  ASSERT_TRUE(volume.Close(*a).ok());
+  const uint32_t free_before = *volume.CountFreeClusters();
+  ASSERT_TRUE(volume.Remove("/a").ok());
+  ASSERT_GE(*volume.CountFreeClusters(), free_before + 6);
+
+  // B's expected contents: what it wrote, zero everywhere else.
+  std::vector<uint8_t> model;
+  auto b = volume.Open("/b", OpenFlags::ReadWrite());
+  ASSERT_FALSE(b.ok()) << "/b must not exist yet";
+  b = volume.Open("/b", {.read = true, .write = true, .create = true});
+  ASSERT_TRUE(b.ok());
+  auto write_at = [&](uint64_t offset, size_t size, uint8_t value) {
+    ASSERT_TRUE(volume.Seek(*b, static_cast<int64_t>(offset), Whence::kSet)
+                    .ok());
+    const std::vector<uint8_t> bytes(size, value);
+    ASSERT_EQ(*volume.Write(*b, bytes), size);
+    if (model.size() < offset + size) {
+      model.resize(offset + size, 0);
+    }
+    std::fill_n(model.begin() + static_cast<int64_t>(offset), size, value);
+  };
+  // An unaligned tail in the second cluster.
+  write_at(0, cluster + 1000, 1);
+  // An append from that tail.
+  write_at(model.size(), 300, 2);
+  // A seek past EOF that stays inside the last cluster.
+  write_at(model.size() + 500, 10, 3);
+  // Grow to exactly a cluster boundary, then seek past EOF into the next,
+  // not yet allocated, cluster.
+  write_at(model.size(), 2 * cluster - model.size(), 4);
+  write_at(model.size() + 100, 7, 5);
+  // And past EOF across a whole cluster.
+  write_at(model.size() + cluster + 123, 9, 6);
+  ASSERT_TRUE(volume.Close(*b).ok());
+
+  auto read = volume.ReadFile("/b");
+  ASSERT_TRUE(read.ok());
+  ASSERT_EQ(read->size(), model.size());
+  for (size_t i = 0; i < model.size(); ++i) {
+    ASSERT_EQ((*read)[i], model[i]) << "byte " << i << " of /b";
   }
 }
 

@@ -5,17 +5,22 @@
 //     (ALLOY_FLIGHT_RING records of 152 B each) resident;
 //   - registering a workflow costs a small, fixed amount of heap, most of
 //     it the workflow's metric series;
-//   - a workflow's latency series stay bounded however many samples land.
+//   - a workflow's latency series stay bounded however many samples land;
+//   - a parked WFD holds none of the heap pages its last invocation freed.
 
 #include <gtest/gtest.h>
 #include <malloc.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "src/core/asstd/asstd.h"
 #include "src/core/visor/visor_router.h"
 #include "src/obs/metrics.h"
 
@@ -139,6 +144,72 @@ TEST(VisorDensityTest, InvokeSeriesStayBoundedUnderAMillionSamples) {
   auto snapshot = router.LatencyHistogram(names[0]);
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot->count(), 1'000'000u / names.size());
+}
+
+// Four producers hand 256 KiB AsBuffers to one consumer, which frees them:
+// ~1 MiB of WFD heap per invocation, none of it live at the end.
+TEST(VisorDensityTest, ParkedWfdHoldsNoFreedHeapPages) {
+  constexpr size_t kPart = 256 * 1024;
+  constexpr int kProducers = 4;
+  FunctionRegistry::Global().Register(
+      "density.produce", [](FunctionContext& ctx) -> asbase::Status {
+        AS_ASSIGN_OR_RETURN(
+            RawBuffer buffer,
+            ctx.as().AllocBuffer("part-" + std::to_string(ctx.instance()),
+                                 kPart, 11));
+        std::memset(buffer.bytes.data(), 0x40 + ctx.instance(), kPart);
+        return asbase::OkStatus();
+      });
+  FunctionRegistry::Global().Register(
+      "density.consume", [](FunctionContext& ctx) -> asbase::Status {
+        for (int i = 0; i < kProducers; ++i) {
+          AS_ASSIGN_OR_RETURN(
+              RawBuffer buffer,
+              ctx.as().AcquireBuffer("part-" + std::to_string(i), 11));
+          if (buffer.bytes[kPart - 1] != 0x40 + i) {
+            return asbase::DataLoss("part " + std::to_string(i));
+          }
+          AS_RETURN_IF_ERROR(ctx.as().FreeBuffer(buffer));
+        }
+        return asbase::OkStatus();
+      });
+  WorkflowSpec spec;
+  spec.name = "density-parked-heap";
+  spec.stages.push_back(
+      StageSpec{{FunctionSpec{"density.produce", kProducers}}});
+  spec.stages.push_back(StageSpec{{FunctionSpec{"density.consume", 1}}});
+  AsVisor::WorkflowOptions options;
+  options.wfd.heap_bytes = 8u << 20;
+  options.wfd.disk_blocks = 16 * 1024;
+  options.wfd.mpk_backend = asmpk::MpkBackend::kEmulated;
+  options.pool_size = 1;
+
+  AsVisor visor;
+  visor.RegisterWorkflow(spec, options);
+  for (int i = 0; i < 5; ++i) {
+    auto result = visor.Invoke(spec.name, asbase::Json());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    // Measured before reset: the invocation's footprint.
+    EXPECT_GE(result->resident_bytes, kProducers * kPart);
+    EXPECT_EQ(result->warm_start, i > 0);
+  }
+  const int64_t charged =
+      asobs::Registry::Global()
+          .GetGauge("alloy_visor_pool_resident_bytes",
+                    {{"workflow", spec.name}})
+          .value();
+  std::shared_ptr<WfdPool> pool = visor.MigrateOut(spec.name);
+  ASSERT_NE(pool, nullptr);
+  std::vector<std::unique_ptr<Wfd>> parked = pool->TakeWarmForHandoff();
+  pool->Shutdown();
+  ASSERT_EQ(parked.size(), 1u);
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t heap = parked[0]->libos().ResidentHeapBytes();
+  EXPECT_LE(heap, 2 * page) << "the parked WFD holds " << heap
+                            << " B of freed heap";
+  // The pool charged exactly that: this workflow never loads fatfs.
+  EXPECT_EQ(parked[0]->libos().ResidentDiskBytes(), 0u);
+  EXPECT_EQ(charged, static_cast<int64_t>(heap));
 }
 
 }  // namespace
