@@ -4,8 +4,8 @@
 # queue, the pool warmer, the watchdog pipeline, the flight-ring seqlock,
 # and the poller/timer/backpressure paths are the most thread-heavy code in
 # the tree, so they get the race detector even when the full TSan suite
-# would be too slow — and the serving layer, fatfs, obs and the WFD heap
-# allocator once more under ASan.
+# would be too slow — and the serving layer, fatfs, obs, the WFD heap
+# allocator and the workload bindings once more under ASan.
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -49,7 +49,7 @@ ctest --test-dir "${BUILD}-tsan" -L http --output-on-failure
 # WfdPool::Shutdown must take a pool off its warmer before the pool dies.
 # A tick on a freed pool is a use-after-free that TSan would not report as
 # one, so the serving label also runs under AddressSanitizer.
-echo "==> serving + fatfs + obs + alloc tests under AddressSanitizer (${BUILD}-asan)"
+echo "==> serving + fatfs + obs + alloc + workloads tests under AddressSanitizer (${BUILD}-asan)"
 cmake -S . -B "${BUILD}-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DALLOY_SANITIZE=address >/dev/null
 cmake --build "${BUILD}-asan" -j "$(nproc)"
@@ -66,6 +66,11 @@ ctest --test-dir "${BUILD}-asan" -L obs --output-on-failure
 # headers and free-list nodes inside the heap it manages, and releasing free
 # pages must stop short of every one of them.
 ctest --test-dir "${BUILD}-asan" -L alloc --output-on-failure
+# The workloads label is workloads_test: function inputs and AsBuffers live
+# on the WFD heap behind EnvBuffer owners that hold the invocation's AsStd*
+# and free through it, so an owner that outlives its invocation is a
+# use-after-free that only ASan reports.
+ctest --test-dir "${BUILD}-asan" -L workloads --output-on-failure
 
 echo "==> serving + dataplane + sharding + obs-overhead bench smoke (--quick)"
 (cd "${BUILD}" && ./bench/bench_serving --quick >/dev/null)

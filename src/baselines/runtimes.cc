@@ -1,6 +1,7 @@
 #include "src/baselines/runtimes.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -115,24 +116,47 @@ class PhaseTracker {
   PhaseNanos phases_;
 };
 
-std::vector<uint8_t> ReadHostFile(const std::string& path,
-                                  asbase::Status* status) {
+// The ExecEnv::read_input contract: a range that ends past EOF is an error.
+asbase::Status CheckInputRange(const std::string& path, uint64_t offset,
+                               size_t length, uint64_t size) {
+  if (offset > size || length > size - offset) {
+    return asbase::OutOfRange("input range ends past EOF of " + path);
+  }
+  return asbase::OkStatus();
+}
+
+asbase::Result<size_t> HostFileSize(const std::string& path) {
+  struct stat info;
+  if (::stat(path.c_str(), &info) != 0) {
+    return asbase::NotFound("input file " + path + " not found");
+  }
+  return static_cast<size_t>(info.st_size);
+}
+
+// Reads [offset, offset + length) of a host file with pread(2).
+asbase::Result<aswl::EnvBuffer> ReadHostRange(const std::string& path,
+                                              uint64_t offset, size_t length) {
+  AS_ASSIGN_OR_RETURN(size_t size, HostFileSize(path));
+  AS_RETURN_IF_ERROR(CheckInputRange(path, offset, length, size));
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
-    *status = asbase::NotFound("input file " + path + " not found");
-    return {};
+    return asbase::NotFound("input file " + path + " not found");
   }
-  off_t size = ::lseek(fd, 0, SEEK_END);
-  ::lseek(fd, 0, SEEK_SET);
-  std::vector<uint8_t> data(static_cast<size_t>(size));
-  if (!ReadExactFd(fd, data.data(), data.size())) {
-    *status = asbase::DataLoss("short read of " + path);
-    ::close(fd);
-    return {};
+  std::vector<uint8_t> data(length);
+  size_t done = 0;
+  while (done < length) {
+    ssize_t n = ::pread(fd, data.data() + done, length - done,
+                        static_cast<off_t>(offset + done));
+    if (n <= 0) {
+      break;
+    }
+    done += static_cast<size_t>(n);
   }
   ::close(fd);
-  *status = asbase::OkStatus();
-  return data;
+  if (done != length) {
+    return asbase::DataLoss("short read of " + path);
+  }
+  return aswl::EnvBuffer::FromVector(std::move(data));
 }
 
 }  // namespace
@@ -175,28 +199,41 @@ void BaselineRuntime::AddRamInput(const std::string& name,
   ram_inputs_[name] = std::move(bytes);
 }
 
-asbase::Result<std::vector<uint8_t>> BaselineRuntime::ReadInput(
-    const std::string& path) {
+asbase::Result<size_t> BaselineRuntime::InputSize(const std::string& path) {
   if (options_.ramfs_inputs) {
     auto it = ram_inputs_.find(path);
     if (it == ram_inputs_.end()) {
       return asbase::NotFound("no ram input named " + path);
     }
-    return it->second;  // copy, like reading from a ram-backed fs
+    return it->second.size();
   }
-  asbase::Status status = asbase::OkStatus();
-  std::vector<uint8_t> data = ReadHostFile(options_.input_dir + "/" + path,
-                                           &status);
-  if (!status.ok()) {
-    return status;
+  return HostFileSize(options_.input_dir + "/" + path);
+}
+
+asbase::Result<aswl::EnvBuffer> BaselineRuntime::ReadInput(
+    const std::string& path, uint64_t offset, size_t length) {
+  if (options_.ramfs_inputs) {
+    auto it = ram_inputs_.find(path);
+    if (it == ram_inputs_.end()) {
+      return asbase::NotFound("no ram input named " + path);
+    }
+    const std::vector<uint8_t>& bytes = it->second;
+    AS_RETURN_IF_ERROR(CheckInputRange(path, offset, length, bytes.size()));
+    // A copy, like reading from a ram-backed fs.
+    return aswl::EnvBuffer::FromVector(std::vector<uint8_t>(
+        bytes.begin() + static_cast<ptrdiff_t>(offset),
+        bytes.begin() + static_cast<ptrdiff_t>(offset + length)));
   }
+  AS_ASSIGN_OR_RETURN(
+      aswl::EnvBuffer data,
+      ReadHostRange(options_.input_dir + "/" + path, offset, length));
   const bool kata = options_.kind == BaselineKind::kFaastlaneKata ||
                     options_.kind == BaselineKind::kFaastlaneReferKata;
   if (kata) {
     // Guest reads cross virtio-blk.
     asbase::SpinFor(SimCostModel::Global().Scaled(
         SimCostModel::Global().virtio_blk_nanos_per_kib *
-        static_cast<int64_t>(data.size() / 1024)));
+        static_cast<int64_t>(length / 1024)));
   }
   return data;
 }
@@ -290,8 +327,12 @@ asbase::Result<BaselineRunStats> BaselineRuntime::RunThreaded(
             std::lock_guard<std::mutex> lock(stats_mutex);
             result = std::move(value);
           };
-          env.read_input = [this](const std::string& path) {
-            return ReadInput(path);
+          env.input_size = [this](const std::string& path) {
+            return InputSize(path);
+          };
+          env.read_input = [this](const std::string& path, uint64_t offset,
+                                  size_t length) {
+            return ReadInput(path, offset, length);
           };
           env.alloc = [](const std::string&, size_t size) {
             return aswl::EnvBuffer::FromVector(std::vector<uint8_t>(size));
@@ -415,16 +456,18 @@ asbase::Result<BaselineRunStats> BaselineRuntime::RunForked(
           env.instance = instance;
           env.instance_count = function.instances;
           env.params = params;
+          env.input_size = [&](const std::string& path) {
+            intercept(0);
+            return HostFileSize(options_.input_dir + "/" + path);
+          };
           env.read_input =
-              [&](const std::string& path)
-              -> asbase::Result<std::vector<uint8_t>> {
-            asbase::Status status = asbase::OkStatus();
-            std::vector<uint8_t> data =
-                ReadHostFile(options_.input_dir + "/" + path, &status);
-            if (!status.ok()) {
-              return status;
-            }
-            intercept(data.size());
+              [&](const std::string& path, uint64_t offset,
+                  size_t length) -> asbase::Result<aswl::EnvBuffer> {
+            AS_ASSIGN_OR_RETURN(
+                aswl::EnvBuffer data,
+                ReadHostRange(options_.input_dir + "/" + path, offset,
+                              length));
+            intercept(length);
             return data;
           };
           env.alloc = [](const std::string&, size_t size) {

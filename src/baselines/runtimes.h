@@ -87,7 +87,10 @@ class BaselineRuntime {
   asbase::Result<BaselineRunStats> RunForked(
       const aswl::GenericWorkflow& workflow, const asbase::Json& params);
 
-  asbase::Result<std::vector<uint8_t>> ReadInput(const std::string& path);
+  // The ExecEnv input bindings of the thread runtimes.
+  asbase::Result<size_t> InputSize(const std::string& path);
+  asbase::Result<aswl::EnvBuffer> ReadInput(const std::string& path,
+                                            uint64_t offset, size_t length);
 
   Options options_;
   std::unique_ptr<KvServer> kv_;  // openfaas data plane (owned)

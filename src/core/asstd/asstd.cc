@@ -85,21 +85,27 @@ asbase::Status AsStd::WriteWholeFile(const std::string& path,
 asbase::Result<std::vector<uint8_t>> AsStd::ReadWholeFile(
     const std::string& path) {
   AS_ASSIGN_OR_RETURN(asfat::FileInfo info, Stat(path));
-  AS_ASSIGN_OR_RETURN(AsFile file, Open(path, asfat::OpenFlags::ReadOnly()));
   std::vector<uint8_t> data(info.size);
+  AS_ASSIGN_OR_RETURN(size_t n, ReadAt(path, 0, data));
+  data.resize(n);
+  return data;
+}
+
+asbase::Result<size_t> AsStd::ReadAt(const std::string& path, uint64_t offset,
+                                     std::span<uint8_t> out) {
   size_t done = 0;
-  while (done < data.size()) {
+  do {
     AS_RETURN_IF_ERROR(CheckDeadline());
-    AS_ASSIGN_OR_RETURN(size_t n,
-                        file.Read(std::span<uint8_t>(data).subspan(done)));
+    AS_ASSIGN_OR_RETURN(size_t n, Syscall([&] {
+                          return wfd_->libos().ReadAt(path, offset + done,
+                                                      out.subspan(done));
+                        }));
     if (n == 0) {
       break;
     }
     done += n;
-  }
-  data.resize(done);
-  AS_RETURN_IF_ERROR(file.Close());
-  return data;
+  } while (done < out.size());
+  return done;
 }
 
 asbase::Status AsStd::Mkdir(const std::string& path) {
@@ -169,6 +175,15 @@ asbase::Result<RawBuffer> AsStd::AllocBuffer(const std::string& slot,
   AS_ASSIGN_OR_RETURN(void* data, Syscall([&] {
                         return wfd_->libos().AllocBuffer(slot, size, 16,
                                                          fingerprint);
+                      }));
+  return RawBuffer{std::span<uint8_t>(static_cast<uint8_t*>(data), size),
+                   fingerprint};
+}
+
+asbase::Result<RawBuffer> AsStd::AllocScratch(size_t size,
+                                              uint64_t fingerprint) {
+  AS_ASSIGN_OR_RETURN(void* data, Syscall([&] {
+                        return wfd_->libos().HeapAllocate(size, 16);
                       }));
   return RawBuffer{std::span<uint8_t>(static_cast<uint8_t*>(data), size),
                    fingerprint};

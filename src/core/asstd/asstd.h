@@ -67,7 +67,15 @@ class AsStd {
   asbase::Result<AsFile> Open(const std::string& path, asfat::OpenFlags flags);
   asbase::Status WriteWholeFile(const std::string& path,
                                 std::span<const uint8_t> data);
+  // Stat, then ReadAt from 0 into a host vector: two LibOS entries.
   asbase::Result<std::vector<uint8_t>> ReadWholeFile(const std::string& path);
+  // pread on a path: reads up to out.size() bytes of `path` from `offset`
+  // into `out`, one LibOS entry per chunk (open, seek, read and close all
+  // happen inside it). Returns the bytes read, short only at EOF; an offset
+  // past EOF is OutOfRange. A zero-length read still makes one entry, so it
+  // checks the path and the offset too.
+  asbase::Result<size_t> ReadAt(const std::string& path, uint64_t offset,
+                                std::span<uint8_t> out);
   asbase::Status Mkdir(const std::string& path);
   asbase::Status Remove(const std::string& path);
   asbase::Result<asfat::FileInfo> Stat(const std::string& path);
@@ -78,10 +86,11 @@ class AsStd {
 
   // ---- deadlines ----
   // Absolute MonoNanos deadline for the surrounding invocation, stamped by
-  // the orchestrator. Slow paths below (whole-file chunk loops) check it
-  // between chunks, and sockets minted by Bind/Connect inherit it, so a
-  // function stuck in library code still honors the invocation deadline
-  // without the orchestrator preempting its thread. 0 = none.
+  // the orchestrator. Slow paths below (the WriteWholeFile and ReadAt chunk
+  // loops) check it between chunks, and sockets minted by Bind/Connect
+  // inherit it, so a function stuck in library code still honors the
+  // invocation deadline without the orchestrator preempting its thread.
+  // 0 = none.
   void set_deadline_nanos(int64_t deadline) { deadline_nanos_ = deadline; }
   int64_t deadline_nanos() const { return deadline_nanos_; }
   // kDeadlineExceeded once the deadline has passed, OkStatus before.
@@ -108,10 +117,13 @@ class AsStd {
   // Sender side: allocate `size` bytes on the WFD heap under `slot`.
   asbase::Result<RawBuffer> AllocBuffer(const std::string& slot, size_t size,
                                         uint64_t fingerprint);
+  // Function scratch: `size` bytes on the WFD heap under no slot. The
+  // caller owns it: FreeBuffer releases it, ForwardBuffer publishes it.
+  asbase::Result<RawBuffer> AllocScratch(size_t size, uint64_t fingerprint);
   // Receiver side: take ownership of the slot's buffer (slot is removed).
   asbase::Result<RawBuffer> AcquireBuffer(const std::string& slot,
                                           uint64_t fingerprint);
-  // Frees a buffer obtained from AcquireBuffer after consumption.
+  // Frees a buffer obtained from AcquireBuffer or AllocScratch.
   asbase::Status FreeBuffer(RawBuffer buffer);
   // Transfers an owned buffer to a downstream function under a new slot
   // (chain forwarding) without copying.

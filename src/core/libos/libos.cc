@@ -682,6 +682,36 @@ asbase::Result<uint64_t> Libos::Seek(int fd, int64_t offset,
   return fs_->fs->Seek(handle, offset, whence);
 }
 
+asbase::Result<size_t> Libos::ReadAt(const std::string& path, uint64_t offset,
+                                     std::span<uint8_t> out) {
+  // Fault the whole pages of `out` in before the file system takes its
+  // volume lock. The instances of a fan-out stage read in parallel, and on
+  // fresh WFD-heap scratch they would otherwise take their first-touch
+  // faults one reader at a time under that lock. Best effort: a kernel
+  // older than 5.14 rejects the advice, and the read then faults as usual.
+  const uintptr_t page = asalloc::Arena::PageSize();
+  const uintptr_t first = (reinterpret_cast<uintptr_t>(out.data()) + page - 1) &
+                          ~(page - 1);
+  const uintptr_t last =
+      (reinterpret_cast<uintptr_t>(out.data()) + out.size()) & ~(page - 1);
+  if (first < last) {
+    madvise(reinterpret_cast<void*>(first), last - first, MADV_POPULATE_WRITE);
+  }
+  AS_ASSIGN_OR_RETURN(int fd, Open(path, asfat::OpenFlags::ReadOnly()));
+  asbase::Result<size_t> read = [&]() -> asbase::Result<size_t> {
+    AS_ASSIGN_OR_RETURN(uint64_t size, Seek(fd, 0, asfat::Whence::kEnd));
+    if (offset > size) {
+      return asbase::OutOfRange("read offset " + std::to_string(offset) +
+                                " past end of " + path);
+    }
+    AS_RETURN_IF_ERROR(
+        Seek(fd, static_cast<int64_t>(offset), asfat::Whence::kSet).status());
+    return Read(fd, out);
+  }();
+  AS_RETURN_IF_ERROR(CloseFd(fd));
+  return read;
+}
+
 asbase::Result<asfat::FileInfo> Libos::Stat(const std::string& path) {
   AS_ASSIGN_OR_RETURN(FsModule * fs, RequireFs());
   return fs->fs->Stat(path);

@@ -151,6 +151,11 @@ class Libos {
   asbase::Result<size_t> Read(int fd, std::span<uint8_t> out);
   asbase::Result<size_t> Write(int fd, std::span<const uint8_t> data);
   asbase::Result<uint64_t> Seek(int fd, int64_t offset, asfat::Whence whence);
+  // pread on a path, in one LibOS entry: opens `path`, reads up to
+  // out.size() bytes from `offset` and closes it. Returns the bytes read,
+  // short only at EOF. Unlike pread(2), an offset past EOF is OutOfRange.
+  asbase::Result<size_t> ReadAt(const std::string& path, uint64_t offset,
+                                std::span<uint8_t> out);
   asbase::Result<asfat::FileInfo> Stat(const std::string& path);
   asbase::Status Mkdir(const std::string& path);
   asbase::Status Remove(const std::string& path);

@@ -11,7 +11,8 @@ namespace {
 constexpr uint64_t kEnvFingerprint = 0xE27ECB0FFE12ULL;
 
 // Ownership shim for AlloyStack buffers: frees the WFD heap memory when the
-// last reference drops, unless the buffer was forwarded to another slot.
+// last reference drops, unless the buffer was forwarded to another slot. It
+// holds the invocation's AsStd, so it must not outlive the invocation.
 class HeapBufferOwner {
  public:
   HeapBufferOwner(alloy::AsStd* as, alloy::RawBuffer raw, bool registered)
@@ -70,8 +71,26 @@ ExecEnv BindAlloyStackEnv(alloy::FunctionContext& context) {
     context.SetResult(std::move(result));
   };
 
-  env.read_input = [as](const std::string& path) {
-    return as->ReadWholeFile(path);
+  env.input_size = [as](const std::string& path) -> asbase::Result<size_t> {
+    AS_ASSIGN_OR_RETURN(asfat::FileInfo info, as->Stat(path));
+    return static_cast<size_t>(info.size);
+  };
+  // Inputs land in an unregistered WFD-heap block, so reading one costs the
+  // host heap nothing; the owner frees it, or send() forwards it by reference.
+  env.read_input = [as](const std::string& path, uint64_t offset,
+                        size_t length) -> asbase::Result<EnvBuffer> {
+    EnvBuffer buffer;
+    if (length > 0) {
+      AS_ASSIGN_OR_RETURN(alloy::RawBuffer raw,
+                          as->AllocScratch(length, kEnvFingerprint));
+      buffer = EnvBuffer{raw.bytes, std::make_shared<HeapBufferOwner>(
+                                        as, raw, /*registered=*/false)};
+    }
+    AS_ASSIGN_OR_RETURN(size_t n, as->ReadAt(path, offset, buffer.data));
+    if (n != length) {
+      return asbase::OutOfRange("input range ends past EOF of " + path);
+    }
+    return buffer;
   };
 
   if (reference_passing) {

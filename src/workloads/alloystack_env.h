@@ -4,7 +4,8 @@
 //   put/get     -> AsBuffer reference passing (§5) — zero copy; or, when the
 //                  WFD runs with reference_passing=false (the Fig 14
 //                  ablation / AWS-recommended pattern), through fatfs files.
-//   read_input  -> the WFD's LibOS filesystem.
+//   read_input  -> a range of a file in the WFD's LibOS filesystem, read
+//                  into WFD-heap scratch (one pread-style LibOS entry).
 //
 // `RegisterAlloyStackWorkflow` converts a GenericWorkflow into registry
 // functions + a WorkflowSpec runnable by the Orchestrator/AsVisor.

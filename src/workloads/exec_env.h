@@ -46,8 +46,9 @@ struct EnvBuffer {
 enum class EnvPhase { kReadInput, kCompute, kTransfer };
 
 struct ExecEnv {
-  // Allocate an outgoing buffer for `slot`. The producer writes .data in
-  // place, then publishes with send(). (Not registered until send.)
+  // Allocate an outgoing buffer for `slot`, 16-byte aligned. The producer
+  // writes .data in place, then publishes with send(). (Not registered
+  // until send.)
   std::function<asbase::Result<EnvBuffer>(const std::string& slot,
                                           size_t size)>
       alloc;
@@ -57,8 +58,13 @@ struct ExecEnv {
       send;
   // Receive the buffer registered under `slot` (single consumer).
   std::function<asbase::Result<EnvBuffer>(const std::string& slot)> recv;
-  // Read a workflow input file from the runtime's storage.
-  std::function<asbase::Result<std::vector<uint8_t>>(const std::string& path)>
+  // Size in bytes of a workflow input file in the runtime's storage.
+  std::function<asbase::Result<size_t>(const std::string& path)> input_size;
+  // Read [offset, offset + length) of a workflow input file into memory the
+  // runtime owns (the WFD heap on AlloyStack). A range that ends past EOF is
+  // an OutOfRange error, never a short buffer.
+  std::function<asbase::Result<EnvBuffer>(const std::string& path,
+                                          uint64_t offset, size_t length)>
       read_input;
   // Phase marker (may be a no-op).
   std::function<void(EnvPhase)> phase = [](EnvPhase) {};

@@ -204,13 +204,16 @@ GenericWorkflow WordCountWorkflow(int instances) {
       "wc.map",
       [n](ExecEnv& env) -> asbase::Status {
         env.phase(EnvPhase::kReadInput);
-        AS_ASSIGN_OR_RETURN(std::vector<uint8_t> corpus,
-                            env.read_input(env.params["input"].as_string()));
+        // The whole corpus, not a slice: finding word boundaries needs
+        // lookahead past the slice's ends.
+        const std::string& path = env.params["input"].as_string();
+        AS_ASSIGN_OR_RETURN(size_t size, env.input_size(path));
+        AS_ASSIGN_OR_RETURN(EnvBuffer corpus, env.read_input(path, 0, size));
         env.phase(EnvPhase::kCompute);
-        auto [begin, end] = WordSlice(corpus, env.instance, n);
+        auto [begin, end] = WordSlice(corpus.data, env.instance, n);
         std::vector<Counts> partitions(static_cast<size_t>(n));
         ForEachWord(
-            std::span<const uint8_t>(corpus).subspan(begin, end - begin),
+            std::span<const uint8_t>(corpus.data).subspan(begin, end - begin),
             [&](std::string_view word) {
               partitions[HashWord(word) % static_cast<size_t>(n)]
                         [std::string(word)] += 1;
@@ -299,14 +302,19 @@ GenericWorkflow ParallelSortingWorkflow(int instances) {
       "ps.partition",
       [n](ExecEnv& env) -> asbase::Status {
         env.phase(EnvPhase::kReadInput);
-        AS_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
-                            env.read_input(env.params["input"].as_string()));
-        env.phase(EnvPhase::kCompute);
-        const size_t count = raw.size() / 4;
+        // Each instance reads only its own slice of the values.
+        const std::string& path = env.params["input"].as_string();
+        AS_ASSIGN_OR_RETURN(size_t size, env.input_size(path));
+        const size_t count = size / 4;
         const size_t begin =
             count * static_cast<size_t>(env.instance) / static_cast<size_t>(n);
         const size_t end = count * static_cast<size_t>(env.instance + 1) /
                            static_cast<size_t>(n);
+        AS_ASSIGN_OR_RETURN(EnvBuffer slice,
+                            env.read_input(path, begin * 4, (end - begin) * 4));
+        const uint8_t* raw = slice.data.data();
+        const size_t values = end - begin;
+        env.phase(EnvPhase::kCompute);
         auto bucket_of = [n](uint32_t v) {
           return static_cast<size_t>(
               (static_cast<uint64_t>(v) * static_cast<uint64_t>(n)) >> 32);
@@ -314,8 +322,8 @@ GenericWorkflow ParallelSortingWorkflow(int instances) {
         // Pass 1: bucket sizes, so output buffers can be allocated exactly
         // and filled in place (no intermediate vectors).
         std::vector<size_t> sizes(static_cast<size_t>(n), 0);
-        for (size_t k = begin; k < end; ++k) {
-          sizes[bucket_of(ReadU32(raw.data() + k * 4))] += 4;
+        for (size_t k = 0; k < values; ++k) {
+          sizes[bucket_of(ReadU32(raw + k * 4))] += 4;
         }
         env.phase(EnvPhase::kTransfer);
         std::vector<EnvBuffer> buckets;
@@ -331,10 +339,10 @@ GenericWorkflow ParallelSortingWorkflow(int instances) {
         env.phase(EnvPhase::kCompute);
         // Pass 2: scatter values directly into the transfer buffers.
         std::vector<size_t> fill(static_cast<size_t>(n), 0);
-        for (size_t k = begin; k < end; ++k) {
-          const uint32_t v = ReadU32(raw.data() + k * 4);
+        for (size_t k = 0; k < values; ++k) {
+          const uint32_t v = ReadU32(raw + k * 4);
           const size_t j = bucket_of(v);
-          std::memcpy(buckets[j].data.data() + fill[j], raw.data() + k * 4, 4);
+          std::memcpy(buckets[j].data.data() + fill[j], raw + k * 4, 4);
           fill[j] += 4;
         }
         env.phase(EnvPhase::kTransfer);
@@ -373,11 +381,9 @@ GenericWorkflow ParallelSortingWorkflow(int instances) {
           }
         }
         parts.clear();  // release upstream buffers
-        const size_t count = out.data.size() / 4;
-        std::vector<uint32_t> values(count);
-        std::memcpy(values.data(), out.data.data(), count * 4);
-        std::sort(values.begin(), values.end());
-        std::memcpy(out.data.data(), values.data(), count * 4);
+        // In place: alloc() memory is 16-byte aligned, so it holds uint32s.
+        uint32_t* values = reinterpret_cast<uint32_t*>(out.data.data());
+        std::sort(values, values + out.data.size() / 4);
         env.phase(EnvPhase::kTransfer);
         return env.send("psres-" + std::to_string(env.instance),
                         std::move(out));

@@ -6,7 +6,9 @@
 //   - registering a workflow costs a small, fixed amount of heap, most of
 //     it the workflow's metric series;
 //   - a workflow's latency series stay bounded however many samples land;
-//   - a parked WFD holds none of the heap pages its last invocation freed.
+//   - a parked WFD holds none of the heap pages its last invocation freed;
+//   - a sort invocation keeps its input and scratch on the WFD heap, so it
+//     does not grow the host's malloc arenas.
 
 #include <gtest/gtest.h>
 #include <malloc.h>
@@ -23,6 +25,9 @@
 #include "src/core/asstd/asstd.h"
 #include "src/core/visor/visor_router.h"
 #include "src/obs/metrics.h"
+#include "src/workloads/alloystack_env.h"
+#include "src/workloads/generic_apps.h"
+#include "src/workloads/inputs.h"
 
 namespace alloy {
 namespace {
@@ -210,6 +215,74 @@ TEST(VisorDensityTest, ParkedWfdHoldsNoFreedHeapPages) {
   // The pool charged exactly that: this workflow never loads fatfs.
   EXPECT_EQ(parked[0]->libos().ResidentDiskBytes(), 0u);
   EXPECT_EQ(charged, static_cast<int64_t>(heap));
+}
+
+// Bytes glibc malloc holds from the kernel, summed over all arenas, plus
+// its mmapped chunks.
+size_t MallocHeldBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.arena + info.hblkhd;
+}
+
+// ParallelSorting(4) over 256 KiB, behind a stage that writes the input,
+// as bench/serve's sort_fanout runs it. Each partition reads its slice of
+// the input into the WFD heap and each sorter sorts its AsBuffer in place,
+// so the malloc arenas of the stage workers hold only bookkeeping. When
+// every partition read the whole input into a host vector and every sorter
+// copied its part through one, a 256 KiB invocation grew them by ~1 MiB
+// that they kept.
+TEST(VisorDensityTest, SortInvocationKeepsItsDataOffTheHostHeap) {
+  static const std::vector<uint8_t> kInput =
+      aswl::MakeIntegerInput(256 * 1024, 29);
+  static const std::vector<uint8_t> kWarmupInput =
+      aswl::MakeIntegerInput(4 * 1024, 31);
+  // Writes both inputs on every invocation, so the WFD's disk has grown to
+  // hold them before the measured one; params["input"] picks the sorted one.
+  FunctionRegistry::Global().Register(
+      "density.sort_gen", [](FunctionContext& ctx) -> asbase::Status {
+        AS_RETURN_IF_ERROR(ctx.as().WriteWholeFile("/warmup.bin", kWarmupInput));
+        return ctx.as().WriteWholeFile("/input.bin", kInput);
+      });
+  WorkflowSpec spec =
+      aswl::RegisterAlloyStackWorkflow(aswl::ParallelSortingWorkflow(4));
+  spec.name = "density-sort";
+  spec.stages.insert(spec.stages.begin(),
+                     StageSpec{{FunctionSpec{"density.sort_gen", 1}}});
+  AsVisor::WorkflowOptions options;
+  options.wfd.heap_bytes = 8u << 20;
+  options.wfd.disk_blocks = 16 * 1024;
+  options.wfd.mpk_backend = asmpk::MpkBackend::kEmulated;
+  options.pool_size = 1;
+
+  // glibc raises its mmap threshold to the size of each mmapped chunk that
+  // is freed, and its trim threshold to twice that. A serving process did
+  // so long ago (sort_fanout's input generator frees a 256 KiB vector per
+  // request), so chunks this size come from the arenas, which then keep
+  // them. Free one here to measure that steady state.
+  { const std::vector<uint8_t> freed = aswl::MakeIntegerInput(256 * 1024, 1); }
+
+  AsVisor visor;
+  visor.RegisterWorkflow(spec, options);
+  // A small sort first: it boots the WFD, loads its modules and starts the
+  // stage workers, each of which gets its malloc arena.
+  asbase::Json params;
+  params.Set("input", "/warmup.bin");
+  auto warmup = visor.Invoke(spec.name, params);
+  ASSERT_TRUE(warmup.ok()) << warmup.status().ToString();
+  ASSERT_EQ(warmup->run.result, aswl::ExpectedSortingResult(kWarmupInput));
+
+  params.Set("input", "/input.bin");
+  const size_t before = MallocHeldBytes();
+  auto result = visor.Invoke(spec.name, params);
+  const size_t after = MallocHeldBytes();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->warm_start);
+  EXPECT_EQ(result->run.result, aswl::ExpectedSortingResult(kInput));
+  const int64_t growth = static_cast<int64_t>(after) -
+                         static_cast<int64_t>(before);
+  EXPECT_LT(growth, 128 * 1024)
+      << "one 256 KiB sort invocation grew the malloc arenas by " << growth
+      << " B";
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/asstd/wasi.h"
 #include "src/core/visor/visor.h"
+#include "src/obs/metrics.h"
 #include "src/workloads/alloystack_env.h"
 #include "src/workloads/generic_apps.h"
 #include "src/workloads/inputs.h"
@@ -99,7 +102,107 @@ TEST_P(AlloySortTest, ParallelSortingMatchesReference) {
   EXPECT_EQ(stats->result, ExpectedSortingResult(input)) << instances;
 }
 
+// Each partition reads only its slice, so together they read the input
+// from fatfs exactly once, whatever the fan-out.
+TEST_P(AlloySortTest, PartitionsReadTheInputExactlyOnce) {
+  const int instances = GetParam();
+  auto input = MakeIntegerInput(200'000, 13);
+  asbase::Json params;
+  params.Set("input", "/input.bin");
+  asobs::Counter& read_bytes = asobs::Registry::Global().GetCounter(
+      "alloy_fs_read_bytes_total", {{"fs", "fat"}});
+  const uint64_t before = read_bytes.value();
+  auto stats =
+      RunOnAlloyStack(ParallelSortingWorkflow(instances), params, input);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->result, ExpectedSortingResult(input));
+  EXPECT_EQ(read_bytes.value() - before, input.size()) << instances;
+}
+
 INSTANTIATE_TEST_SUITE_P(Widths, AlloySortTest, ::testing::Values(1, 3, 5));
+
+TEST(AlloySortEdgeTest, FewerValuesThanInstances) {
+  // Two values over five instances: three partitions read empty slices.
+  auto input = MakeIntegerInput(8, 41);
+  asbase::Json params;
+  params.Set("input", "/input.bin");
+  auto stats = RunOnAlloyStack(ParallelSortingWorkflow(5), params, input);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->result, ExpectedSortingResult(input));
+  EXPECT_EQ(stats->result.rfind("count=2 ", 0), 0u) << stats->result;
+}
+
+TEST(AlloySortEdgeTest, InputSizeNotAMultipleOfTheSliceWidth) {
+  // 1003 values and 3 trailing bytes over 5 instances: slices differ in
+  // length and the partial value at the end is not sorted.
+  auto input = MakeIntegerInput(4 * 1003, 43);
+  input.insert(input.end(), {0xff, 0xff, 0xff});
+  asbase::Json params;
+  params.Set("input", "/input.bin");
+  auto stats = RunOnAlloyStack(ParallelSortingWorkflow(5), params, input);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->result, ExpectedSortingResult(input));
+  EXPECT_EQ(stats->result.rfind("count=1003 ", 0), 0u) << stats->result;
+}
+
+// Runs `probe` as the one function of a one-stage workflow over `input`
+// (written to /input.bin) and returns the result it set.
+asbase::Result<std::string> RunInputProbe(const std::string& name,
+                                          const std::vector<uint8_t>& input,
+                                          GenericFn probe) {
+  GenericWorkflow workflow;
+  workflow.name = name;
+  workflow.stages.push_back(
+      GenericStage{{GenericFunction{"probe", std::move(probe), 1}}});
+  AS_ASSIGN_OR_RETURN(alloy::RunStats stats,
+                      RunOnAlloyStack(workflow, asbase::Json(), input));
+  return stats.result;
+}
+
+TEST(AlloyInputTest, RangeStraddlingClusterBoundariesReadsExactBytes) {
+  constexpr size_t kCluster = 4096;  // fatfs default: 8 sectors per cluster
+  const std::vector<uint8_t> input = MakePayload(3 * kCluster + 100, 23);
+  const uint64_t offset = kCluster - 7;
+  const size_t length = kCluster + 14;  // ends 7 bytes into the 3rd cluster
+  auto result = RunInputProbe(
+      "input-straddle", input, [&](ExecEnv& env) -> asbase::Status {
+        AS_ASSIGN_OR_RETURN(size_t size, env.input_size("/input.bin"));
+        AS_ASSIGN_OR_RETURN(EnvBuffer range,
+                            env.read_input("/input.bin", offset, length));
+        const bool same = std::equal(range.data.begin(), range.data.end(),
+                                     input.begin() + offset);
+        env.set_result("size=" + std::to_string(size) +
+                       " read=" + std::to_string(range.data.size()) +
+                       (same ? " same" : " differs"));
+        return asbase::OkStatus();
+      });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, "size=" + std::to_string(input.size()) +
+                         " read=" + std::to_string(length) + " same");
+}
+
+TEST(AlloyInputTest, RangePastEofIsAnErrorNotAShortBuffer) {
+  const std::vector<uint8_t> input = MakePayload(1000, 29);
+  auto result = RunInputProbe(
+      "input-past-eof", input, [](ExecEnv& env) -> asbase::Status {
+        std::string outcome;
+        auto describe = [&](uint64_t offset, size_t length) {
+          auto range = env.read_input("/input.bin", offset, length);
+          outcome += range.ok() ? std::to_string(range->data.size())
+                                : std::string(asbase::ErrorCodeName(range.status().code()));
+          outcome += " ";
+        };
+        describe(996, 4);   // the last value
+        describe(1000, 0);  // empty, at EOF
+        describe(996, 8);   // straddles EOF
+        describe(1004, 0);  // empty, past EOF
+        describe(2000, 16);
+        env.set_result(outcome);
+        return asbase::OkStatus();
+      });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, "4 0 OUT_OF_RANGE OUT_OF_RANGE OUT_OF_RANGE ");
+}
 
 class AlloyChainTest : public ::testing::TestWithParam<int> {};
 
