@@ -6,10 +6,10 @@
 // Wasmer process, Virtines, Unikraft, gVisor, Kata, Faasm-Py worker.
 //
 // A second section (DESIGN.md §14, `--quick` runs only this part) measures
-// snapshot-fork clone boot against a full boot and a replay-warmed boot for
-// an IO+heap workflow, proves the visor actually clones via the
-// alloy_visor_snapshot_* counter deltas, and sweeps per-idle-clone resident
-// bytes at increasing density. Emits BENCH_snapshot.json.
+// snapshot-fork clone boot against a full boot for an IO+heap workflow,
+// proves the visor actually clones via the alloy_visor_snapshot_* counter
+// deltas, and sweeps per-idle-clone resident bytes at increasing density.
+// Emits BENCH_snapshot.json.
 
 #include <sys/stat.h>
 
@@ -174,7 +174,7 @@ std::unique_ptr<alloy::Wfd> BootAndTouch(int64_t* boot_nanos) {
 
 void SnapshotSection(bool quick) {
   PrintHeader("snapshot clone boot",
-              "full boot vs replay-warmed vs CoW clone (DESIGN.md §14)");
+              "full boot vs CoW clone (DESIGN.md §14)");
   RegisterSnapshotFunctions();
   const int iterations = quick ? 5 : 40;
 
@@ -197,7 +197,6 @@ void SnapshotSection(bool quick) {
                  snapshot.status().ToString().c_str());
     return;
   }
-  const std::vector<alloy::ModuleKind> modules = tmpl->libos().LoadedModules();
 
   // (a) Full boot: WFD create + on-demand module loads during the run.
   asbase::Histogram full_boot;
@@ -208,22 +207,7 @@ void SnapshotSection(bool quick) {
     }
   }
 
-  // (b) Replay-warmed boot: what the pool warmer's fallback path pays —
-  // WFD create + EnsureLoaded replay of the learned module set.
-  asbase::Histogram replay_boot;
-  for (int i = 0; i < iterations; ++i) {
-    auto wfd = alloy::Wfd::Create(SnapWfd());
-    if (!wfd.ok()) {
-      continue;
-    }
-    for (alloy::ModuleKind kind : modules) {
-      (void)(*wfd)->libos().EnsureLoaded(kind);
-    }
-    replay_boot.Record((*wfd)->creation_nanos() +
-                       (*wfd)->libos().TotalLoadNanos());
-  }
-
-  // (c) Clone boot from the frozen template.
+  // (b) Clone boot from the frozen template.
   asbase::Histogram clone_boot;
   for (int i = 0; i < iterations; ++i) {
     auto clone = alloy::Wfd::CloneFromSnapshot(SnapWfd(), *snapshot);
@@ -252,14 +236,12 @@ void SnapshotSection(bool quick) {
                 Ms(hist.Percentile(0.99)).c_str(), Ms(hist.min()).c_str());
   };
   boot_row("full boot", full_boot);
-  boot_row("replay-warmed boot", replay_boot);
   boot_row("snapshot clone boot", clone_boot);
   const double speedup =
       static_cast<double>(full_boot.Percentile(0.5)) /
       static_cast<double>(std::max<int64_t>(clone_boot.Percentile(0.5), 1));
   std::printf("full/clone p50 speedup: %.0fx\n", speedup);
   series.Set("full_boot", full_boot.ToJson());
-  series.Set("replay_boot", replay_boot.ToJson());
   series.Set("clone_boot", clone_boot.ToJson());
   doc.Set("full_clone_p50_speedup", speedup);
 

@@ -40,9 +40,10 @@ ctest --test-dir "${BUILD}-tsan" -L core --output-on-failure
 # seqlock test — the torn-read protocol is only proven if TSan sees it.
 ctest --test-dir "${BUILD}-tsan" -L obs --output-on-failure
 ctest --test-dir "${BUILD}-tsan" -L netstack --output-on-failure
-# The http label is the epoll edge reactor: reactor threads vs the handler
-# worker pool vs Stop()'s settle protocol — keep-alive, pipelining, the
-# connection cap, and idle reaping all run under the race detector.
+# The http label is the epoll edge reactor: reactor threads vs responders
+# answering from other threads (through the reactor inbox) vs Stop()'s
+# settle protocol — keep-alive, pipelining, the connection cap, and idle
+# reaping all run under the race detector.
 ctest --test-dir "${BUILD}-tsan" -L http --output-on-failure
 
 # Each shard's pool warmer holds raw pointers to the shard's pools, and

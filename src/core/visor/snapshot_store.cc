@@ -1,34 +1,14 @@
 #include "src/core/visor/snapshot_store.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 
+#include "src/common/env.h"
 #include "src/common/logging.h"
 
 namespace alloy {
 namespace {
 
 uint32_t Bit(ModuleKind kind) { return 1u << static_cast<unsigned>(kind); }
-
-bool EnabledFromEnv() {
-  const char* env = std::getenv("ALLOY_SNAPSHOT");
-  if (env == nullptr || *env == '\0') {
-    return true;
-  }
-  const std::string value(env);
-  return value != "0" && value != "off" && value != "false";
-}
-
-size_t MaxBytesFromEnv() {
-  const char* env = std::getenv("ALLOY_SNAPSHOT_MAX_BYTES");
-  if (env == nullptr || *env == '\0') {
-    return 0;
-  }
-  char* end = nullptr;
-  const long long value = std::strtoll(env, &end, 10);
-  return end == env || value < 0 ? 0 : static_cast<size_t>(value);
-}
 
 }  // namespace
 
@@ -91,11 +71,12 @@ bool SnapshotStore::Slot::Invalidate() {
 }
 
 SnapshotStore::SnapshotStore()
-    : enabled_(EnabledFromEnv()), max_image_bytes_(MaxBytesFromEnv()) {}
+    : max_image_bytes_(static_cast<size_t>(
+          asbase::EnvInt64("ALLOY_SNAPSHOT_MAX_BYTES", 0))) {}
 
 std::shared_ptr<SnapshotStore::Slot> SnapshotStore::SlotFor(
     const WfdOptions& options) {
-  if (!enabled_ || options.use_ramfs || options.disk != nullptr) {
+  if (options.use_ramfs || options.disk != nullptr) {
     return nullptr;
   }
   std::lock_guard<std::mutex> lock(mutex_);

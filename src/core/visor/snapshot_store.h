@@ -60,19 +60,17 @@ class SnapshotStore {
     std::atomic<uint32_t> modules_{0};
   };
 
-  // Reads ALLOY_SNAPSHOT ("0"/"off"/"false" disables clone boot) and
-  // ALLOY_SNAPSHOT_MAX_BYTES (0 = no cap), once.
+  // Reads ALLOY_SNAPSHOT_MAX_BYTES (0 = no cap), once.
   SnapshotStore();
 
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
 
-  // The slot for `options`' geometry; null when clone boot is disabled or
-  // the WFD cannot clone-boot (ramfs, external disk).
+  // The slot for `options`' geometry; null when the WFD cannot clone-boot
+  // (ramfs, external disk).
   std::shared_ptr<Slot> SlotFor(const WfdOptions& options);
 
  private:
-  const bool enabled_;
   const size_t max_image_bytes_;
   std::mutex mutex_;
   std::map<std::tuple<size_t, uint64_t, bool>, std::shared_ptr<Slot>>

@@ -9,6 +9,7 @@
 #include <string_view>
 
 #include "src/common/clock.h"
+#include "src/common/env.h"
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
 #include "src/obs/rebalance.h"
@@ -23,48 +24,11 @@ constexpr double kServiceAlpha = 0.2;
 // Flight-ring capacity when ALLOY_FLIGHT_RING is unset.
 constexpr size_t kDefaultFlightRing = 1024;
 
-// Non-negative integer env override, `fallback` when unset or unparseable.
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const long long value = std::strtoll(env, &end, 10);
-  if (end == env || value < 0) {
-    return fallback;
-  }
-  return static_cast<int64_t>(value);
-}
-
 // Burn rates export through int64 gauges; scale to milli-units (burn 1.0 →
 // gauge 1000) so fractional burns stay visible. Documented in docs/metrics.md.
 int64_t BurnMilli(double burn) {
   return static_cast<int64_t>(std::llround(
       std::min(burn, 1e12) * 1000.0));
-}
-
-// Query-string value for `key` in an HTTP target ("/trace?workflow=x").
-std::string QueryParam(const std::string& target, const std::string& key) {
-  const size_t question = target.find('?');
-  if (question == std::string::npos) {
-    return "";
-  }
-  std::string query = target.substr(question + 1);
-  size_t pos = 0;
-  while (pos < query.size()) {
-    size_t amp = query.find('&', pos);
-    if (amp == std::string::npos) {
-      amp = query.size();
-    }
-    const std::string pair = query.substr(pos, amp - pos);
-    const size_t eq = pair.find('=');
-    if (eq != std::string::npos && pair.substr(0, eq) == key) {
-      return pair.substr(eq + 1);
-    }
-    pos = amp + 1;
-  }
-  return "";
 }
 
 ashttp::HttpResponse ErrorResponse(int status, const std::string& reason,
@@ -138,10 +102,10 @@ AsVisor::AsVisor(ShardIdentity shard, std::shared_ptr<SnapshotStore> snapshots)
           "alloy_visor_inflight", ShardLabels())),
       warmer_(ShardLabels(), shard_.cpus) {
   flight_ = std::make_unique<asobs::FlightRecorder>(static_cast<size_t>(
-      EnvInt64("ALLOY_FLIGHT_RING", kDefaultFlightRing)));
+      asbase::EnvInt64("ALLOY_FLIGHT_RING", kDefaultFlightRing)));
   trace_ring_ = static_cast<size_t>(
-      EnvInt64("ALLOY_TRACE_RING", static_cast<int64_t>(kTraceRing)));
-  trace_threshold_ms_ = EnvInt64("ALLOY_TRACE_THRESHOLD_MS", 0);
+      asbase::EnvInt64("ALLOY_TRACE_RING", static_cast<int64_t>(kTraceRing)));
+  trace_threshold_ms_ = asbase::EnvInt64("ALLOY_TRACE_THRESHOLD_MS", 0);
   const char* blackbox_dir = std::getenv("ALLOY_BLACKBOX_DIR");
   blackbox_dir_ = blackbox_dir != nullptr && *blackbox_dir != '\0'
                       ? blackbox_dir
@@ -182,6 +146,50 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec) {
   RegisterWorkflow(spec, WorkflowOptions{});
 }
 
+struct AsVisor::BootRecipe {
+  // The workflow's WFD options; each boot sets its own trace.
+  WfdOptions wfd;
+  // Orchestrator::StageWorkersNeeded of the workflow.
+  size_t stage_workers = 0;
+  // The clone template of this workflow's WFD geometry (DESIGN.md §14),
+  // shared with every workflow of that geometry: offered each successful
+  // run, dropped on reset failure. Null when the WFD cannot clone-boot
+  // (ramfs, external disk).
+  std::shared_ptr<SnapshotStore::Slot> snapshot;
+  // Registry-owned (immortal) series, safe to use from a factory that
+  // outlives the registration.
+  asobs::Counter* clones = nullptr;
+  asobs::Counter* fallbacks = nullptr;
+  asobs::LatencyHistogram* clone_hist = nullptr;
+};
+
+struct AsVisor::Registration {
+  WorkflowSpec spec;
+  WorkflowOptions options;
+  std::shared_ptr<WfdPool> pool;
+  std::shared_ptr<const BootRecipe> boot;
+  // Cached registry series (registry-owned, immortal) so the invoke and
+  // admission hot paths never take the global registry mutex — with N
+  // shards that mutex would be the one lock every shard still shares.
+  asobs::Counter* invocations = nullptr;
+  asobs::Counter* failures = nullptr;
+  asobs::Counter* timeouts = nullptr;
+  asobs::Counter* rejections = nullptr;
+  asobs::Gauge* queued_gauge = nullptr;
+  asobs::LatencyHistogram* invoke_hist = nullptr;
+  asobs::LatencyHistogram* queue_wait_hist = nullptr;
+  asobs::Counter* snapshot_creates = nullptr;
+  asobs::Counter* snapshot_invalidations = nullptr;
+  // Flight-recorder workflow id, interned at registration so the emit
+  // path never touches the intern mutex.
+  uint32_t flight_id = 0;
+  // SLO tracker + milli-scaled burn gauges (alloy_slo_burn_rate{window}),
+  // used under mutex_. Null when the registration declared no SLO.
+  std::shared_ptr<asobs::SloTracker> slo;
+  asobs::Gauge* burn_fast = nullptr;
+  asobs::Gauge* burn_slow = nullptr;
+};
+
 void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
                                WorkflowOptions options) {
   if (!(options.weight >= 1e-6)) {  // also catches NaN
@@ -192,48 +200,54 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
   if (options.wfd.cpu_affinity.empty() && !shard_.cpus.empty()) {
     options.wfd.cpu_affinity = shard_.cpus;
   }
-  Entry entry;
-  entry.spec = spec;
-  entry.warmup = std::make_shared<WarmupProfile>();
-  entry.snapshot = snapshots_->SlotFor(options.wfd);
-  {
-    asobs::Registry& registry = asobs::Registry::Global();
-    const asobs::Labels labels = WorkflowLabels(spec.name);
-    entry.invocations =
-        &registry.GetCounter("alloy_visor_invocations_total", labels);
-    entry.failures =
-        &registry.GetCounter("alloy_visor_invocation_failures_total", labels);
-    entry.timeouts = &registry.GetCounter("alloy_visor_timeouts_total", labels);
-    entry.rejections =
-        &registry.GetCounter("alloy_visor_rejections_total", labels);
-    entry.queued_gauge = &registry.GetGauge("alloy_visor_queued", labels);
-    entry.invoke_hist =
-        &registry.GetHistogram("alloy_visor_invoke_nanos", labels);
-    entry.queue_wait_hist =
-        &registry.GetHistogram("alloy_visor_queue_wait_nanos", labels);
-    entry.flight_id = flight_->InternWorkflow(spec.name);
-    if (options.slo_objective > 0) {
-      asobs::SloOptions slo_options;
-      slo_options.objective = std::min(options.slo_objective, 1.0);
-      slo_options.latency_objective_ms = options.slo_latency_ms;
-      entry.slo = std::make_shared<asobs::SloTracker>(slo_options);
-      asobs::Labels fast_labels = labels;
-      fast_labels.push_back({"window", "fast"});
-      asobs::Labels slow_labels = labels;
-      slow_labels.push_back({"window", "slow"});
-      entry.burn_fast = &registry.GetGauge("alloy_slo_burn_rate", fast_labels);
-      entry.burn_slow = &registry.GetGauge("alloy_slo_burn_rate", slow_labels);
-    }
-    entry.snapshot_creates =
-        &registry.GetCounter("alloy_visor_snapshot_creates_total", labels);
-    entry.snapshot_clones =
-        &registry.GetCounter("alloy_visor_snapshot_clones_total", labels);
-    entry.snapshot_invalidations = &registry.GetCounter(
-        "alloy_visor_snapshot_invalidations_total", labels);
-    entry.snapshot_fallbacks = &registry.GetCounter(
-        "alloy_visor_snapshot_fallback_boots_total", labels);
-    entry.snapshot_clone_hist =
-        &registry.GetHistogram("alloy_visor_snapshot_clone_nanos", labels);
+  asobs::Registry& registry = asobs::Registry::Global();
+  const asobs::Labels labels = WorkflowLabels(spec.name);
+  auto boot = std::make_shared<BootRecipe>();
+  boot->wfd = options.wfd;
+  boot->wfd.trace = nullptr;
+  boot->wfd.trace_parent = 0;
+  boot->stage_workers = Orchestrator::StageWorkersNeeded(spec);
+  boot->snapshot = snapshots_->SlotFor(options.wfd);
+  boot->clones =
+      &registry.GetCounter("alloy_visor_snapshot_clones_total", labels);
+  boot->fallbacks =
+      &registry.GetCounter("alloy_visor_snapshot_fallback_boots_total", labels);
+  boot->clone_hist =
+      &registry.GetHistogram("alloy_visor_snapshot_clone_nanos", labels);
+
+  auto registration = std::make_shared<Registration>();
+  registration->spec = spec;
+  registration->invocations =
+      &registry.GetCounter("alloy_visor_invocations_total", labels);
+  registration->failures =
+      &registry.GetCounter("alloy_visor_invocation_failures_total", labels);
+  registration->timeouts =
+      &registry.GetCounter("alloy_visor_timeouts_total", labels);
+  registration->rejections =
+      &registry.GetCounter("alloy_visor_rejections_total", labels);
+  registration->queued_gauge = &registry.GetGauge("alloy_visor_queued", labels);
+  registration->invoke_hist =
+      &registry.GetHistogram("alloy_visor_invoke_nanos", labels);
+  registration->queue_wait_hist =
+      &registry.GetHistogram("alloy_visor_queue_wait_nanos", labels);
+  registration->snapshot_creates =
+      &registry.GetCounter("alloy_visor_snapshot_creates_total", labels);
+  registration->snapshot_invalidations = &registry.GetCounter(
+      "alloy_visor_snapshot_invalidations_total", labels);
+  registration->flight_id = flight_->InternWorkflow(spec.name);
+  if (options.slo_objective > 0) {
+    asobs::SloOptions slo_options;
+    slo_options.objective = std::min(options.slo_objective, 1.0);
+    slo_options.latency_objective_ms = options.slo_latency_ms;
+    registration->slo = std::make_shared<asobs::SloTracker>(slo_options);
+    asobs::Labels fast_labels = labels;
+    fast_labels.push_back({"window", "fast"});
+    asobs::Labels slow_labels = labels;
+    slow_labels.push_back({"window", "slow"});
+    registration->burn_fast =
+        &registry.GetGauge("alloy_slo_burn_rate", fast_labels);
+    registration->burn_slow =
+        &registry.GetGauge("alloy_slo_burn_rate", slow_labels);
   }
   WfdPoolOptions pool_options;
   pool_options.capacity = options.pool_size;
@@ -244,74 +258,29 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
   pool_options.warmer = &warmer_;
   if (pool_options.capacity > 0 &&
       (pool_options.min_warm > 0 || pool_options.idle_ttl_ms > 0)) {
-    // The warmer cold-starts WFDs itself; those boots carry no invocation
-    // trace (there is none yet) and count as prewarms, not misses. Captures
-    // the WarmupProfile and the template slot (not `this`): a warmer tick
-    // in flight may outlive the registration, and both have their own locks.
-    WfdOptions wfd_options = options.wfd;
-    wfd_options.trace = nullptr;
-    wfd_options.trace_parent = 0;
-    pool_options.factory =
-        [wfd_options, warmup = entry.warmup, slot = entry.snapshot,
-         stage_workers = Orchestrator::StageWorkersNeeded(spec),
-         clones = entry.snapshot_clones, fallbacks = entry.snapshot_fallbacks,
-         clone_hist = entry.snapshot_clone_hist]()
-        -> asbase::Result<std::unique_ptr<Wfd>> {
-      // Primary path (DESIGN.md §14): clone-boot from the geometry's
-      // template when one exists — O(µs) instead of a full boot + module
-      // replay. Counter pointers are registry-owned (immortal), safe to
-      // hold in a closure that outlives the Entry.
-      std::unique_ptr<Wfd> wfd;
-      if (std::shared_ptr<const WfdSnapshot> snap =
-              slot != nullptr ? slot->Get() : nullptr) {
-        auto clone_or = Wfd::CloneFromSnapshot(wfd_options, std::move(snap));
-        if (clone_or.ok()) {
-          clones->Add(1);
-          clone_hist->Record((*clone_or)->creation_nanos());
-          wfd = std::move(*clone_or);
-        } else {
-          AS_LOG(kWarn) << "snapshot clone-boot failed ("
-                        << clone_or.status().ToString()
-                        << "); falling back to full boot";
-        }
-      }
-      if (wfd == nullptr) {
-        fallbacks->Add(1);
-        AS_ASSIGN_OR_RETURN(wfd, Wfd::Create(wfd_options));
-      }
-      std::vector<ModuleKind> modules;
-      {
-        std::lock_guard<std::mutex> lock(warmup->mutex);
-        modules = warmup->modules;
-      }
-      // Replay what real runs touched so the pre-warmed WFD is hot, not
-      // just booted (a clone has the template's modules already).
-      // Best-effort: a module that fails to load here will be retried (and
-      // properly surfaced) by the invocation that needs it.
-      for (ModuleKind kind : modules) {
-        asbase::Status loaded = wfd->libos().EnsureLoaded(kind);
-        if (!loaded.ok()) {
-          AS_LOG(kWarn) << "pre-warm module load failed ("
-                        << loaded.ToString() << ")";
-        }
-      }
-      wfd->EnsureStageWorkers(stage_workers);
-      return wfd;
-    };
+    // The warmer boots WFDs itself; those boots carry no invocation trace
+    // (there is none yet) and count as prewarms, not misses. Captures the
+    // recipe, not `this`: a warmer tick in flight may outlive the
+    // registration.
+    pool_options.factory = [boot] { return Boot(*boot, nullptr, 0, nullptr); };
   }
-  entry.pool = std::make_shared<WfdPool>(spec.name, std::move(pool_options));
-  entry.options = std::move(options);
+  registration->pool =
+      std::make_shared<WfdPool>(spec.name, std::move(pool_options));
+  registration->boot = std::move(boot);
+  registration->options = std::move(options);
+  Entry entry;
+  entry.registration = std::move(registration);
   std::shared_ptr<WfdPool> old_pool;
   std::vector<Ticket> orphans;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     // Overwrite drops the previous entry — including its pool, whose warm
     // WFDs were built from the old WfdOptions and must not serve the new
-    // registration. In-flight invocations keep the old pool alive via
-    // shared_ptr until they finish.
+    // registration. In-flight invocations keep the old registration (and
+    // its pool) alive until they finish.
     auto it = workflows_.find(spec.name);
     if (it != workflows_.end()) {
-      old_pool = it->second.pool;
+      old_pool = it->second.registration->pool;
       orphans = TakeWaitersLocked(it->second);
     }
     workflows_[spec.name] = std::move(entry);
@@ -343,7 +312,7 @@ bool AsVisor::UnregisterWorkflow(const std::string& workflow_name) {
     if (it == workflows_.end()) {
       return false;
     }
-    old_pool = it->second.pool;
+    old_pool = it->second.registration->pool;
     orphans = TakeWaitersLocked(it->second);
     workflows_.erase(it);
   }
@@ -352,25 +321,26 @@ bool AsVisor::UnregisterWorkflow(const std::string& workflow_name) {
            asbase::NotFound("workflow '" + workflow_name +
                             "' unregistered while queued"));
   }
-  if (old_pool != nullptr) {
-    old_pool->Shutdown();
-  }
+  old_pool->Shutdown();
   return true;
 }
 
 // ---------------------------------------------- live migration (DESIGN §12)
 
-asbase::Result<AsVisor::WorkflowRegistration> AsVisor::GetRegistration(
-    const std::string& workflow_name) const {
+asbase::Result<std::shared_ptr<const AsVisor::Registration>>
+AsVisor::FindRegistration(const std::string& workflow_name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = workflows_.find(workflow_name);
   if (it == workflows_.end()) {
     return asbase::NotFound("no workflow named '" + workflow_name + "'");
   }
-  WorkflowRegistration registration;
-  registration.spec = it->second.spec;
-  registration.options = it->second.options;
-  return registration;
+  return it->second.registration;
+}
+
+asbase::Result<AsVisor::WorkflowRegistration> AsVisor::GetRegistration(
+    const std::string& workflow_name) const {
+  AS_ASSIGN_OR_RETURN(auto registration, FindRegistration(workflow_name));
+  return WorkflowRegistration{registration->spec, registration->options};
 }
 
 std::shared_ptr<WfdPool> AsVisor::MigrateOut(const std::string& workflow_name) {
@@ -382,7 +352,7 @@ std::shared_ptr<WfdPool> AsVisor::MigrateOut(const std::string& workflow_name) {
     if (it == workflows_.end()) {
       return nullptr;
     }
-    old_pool = it->second.pool;
+    old_pool = it->second.registration->pool;
     movers = TakeWaitersLocked(it->second);
     workflows_.erase(it);
     const int64_t now = asbase::MonoNanos();
@@ -410,20 +380,13 @@ std::shared_ptr<WfdPool> AsVisor::MigrateOut(const std::string& workflow_name) {
 
 void AsVisor::AdoptWarmWfds(const std::string& workflow_name,
                             std::vector<std::unique_ptr<Wfd>> wfds) {
-  std::shared_ptr<WfdPool> pool;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = workflows_.find(workflow_name);
-    if (it != workflows_.end()) {
-      pool = it->second.pool;
-    }
-  }
-  if (pool == nullptr) {
+  auto registration = FindRegistration(workflow_name);
+  if (!registration.ok()) {
     // Raced with an unregister: the WFDs die here (vector destructor).
     return;
   }
   for (std::unique_ptr<Wfd>& wfd : wfds) {
-    pool->AdoptWarm(std::move(wfd));
+    (*registration)->pool->AdoptWarm(std::move(wfd));
   }
 }
 
@@ -439,7 +402,7 @@ AsVisor::ShardLoad AsVisor::LoadSnapshot() const {
     row.inflight = entry.inflight;
     row.queued = entry.waiters.size();
     row.service_ewma_nanos = entry.service_ewma_nanos;
-    row.pinned = entry.options.pin_shard >= 0;
+    row.pinned = entry.registration->options.pin_shard >= 0;
     load.queued += row.queued;
     load.workflows.push_back(std::move(row));
   }
@@ -548,273 +511,266 @@ asbase::Result<InvokeResult> AsVisor::Invoke(const std::string& workflow_name,
   return Invoke(workflow_name, params, InvokeOptions{});
 }
 
+struct AsVisor::Invocation {
+  Invocation(const std::string& workflow_in,
+             std::shared_ptr<const Registration> registration_in, int shard,
+             int64_t queue_wait_nanos)
+      : workflow(workflow_in),
+        registration(std::move(registration_in)),
+        received_at(asbase::MonoNanos()),
+        trace(std::make_shared<asobs::Trace>(workflow)),
+        root(trace->StartSpan("invoke", "visor")) {
+    registration->invocations->Add(1);
+    root.SetArg("workflow", workflow);
+    if (queue_wait_nanos > 0) {
+      // The admission wait happened before this trace existed; backfill it
+      // as a completed span ending where the invoke span starts.
+      trace->RecordSpan("queue_wait", "visor", root.id(),
+                        received_at - queue_wait_nanos, queue_wait_nanos);
+    }
+    flight.shard = shard;
+    flight.start_nanos = received_at;
+    flight.queue_wait_nanos = queue_wait_nanos;
+  }
+
+  Invocation(const Invocation&) = delete;
+  Invocation& operator=(const Invocation&) = delete;
+
+  // A WFD still held here was never parked (failed run or reset, pooling
+  // off): it dies first, then its lease ends.
+  ~Invocation() {
+    wfd.reset();
+    if (lease_open) {
+      registration->pool->AbandonLease();
+    }
+  }
+
+  const std::string& workflow;
+  const std::shared_ptr<const Registration> registration;
+  const int64_t received_at;
+  // Outlives the WFD (which holds a raw pointer to it) and may then be
+  // retained (tail-based, see AccountOutcome) for /trace.
+  const std::shared_ptr<asobs::Trace> trace;
+  asobs::Span root;
+  // Stamped as phases complete and deposited on every exit path, failures
+  // included: that is where a black box matters most.
+  asobs::FlightRecord flight;
+  InvokeResult result;
+  // The WFD's module load time before this run (a warm WFD's earlier loads
+  // are not this run's cold start).
+  int64_t loads_before = 0;
+  // Lease took a pool lease that no Park has ended yet.
+  bool lease_open = false;
+  std::unique_ptr<Wfd> wfd;
+};
+
+asbase::Result<std::unique_ptr<Wfd>> AsVisor::Boot(const BootRecipe& recipe,
+                                                   asobs::Trace* trace,
+                                                   uint32_t trace_parent,
+                                                   bool* cloned) {
+  WfdOptions options = recipe.wfd;
+  options.trace = trace;
+  options.trace_parent = trace_parent;
+  auto span = [&](const char* name) {
+    return trace != nullptr ? trace->StartSpan(name, "visor", trace_parent)
+                            : asobs::Span();
+  };
+  std::unique_ptr<Wfd> wfd;
+  if (std::shared_ptr<const WfdSnapshot> snap =
+          recipe.snapshot != nullptr ? recipe.snapshot->Get() : nullptr) {
+    asobs::Span clone_span = span("wfd_clone");
+    auto clone_or = Wfd::CloneFromSnapshot(options, std::move(snap));
+    clone_span.End();
+    if (clone_or.ok()) {
+      wfd = std::move(*clone_or);
+      recipe.clones->Add(1);
+      recipe.clone_hist->Record(wfd->creation_nanos());
+    } else {
+      AS_LOG(kWarn) << "snapshot clone-boot failed ("
+                    << clone_or.status().ToString()
+                    << "); falling back to full boot";
+    }
+  }
+  if (cloned != nullptr) {
+    *cloned = wfd != nullptr;
+  }
+  if (wfd == nullptr) {
+    asobs::Span create_span = span("wfd_create");
+    AS_ASSIGN_OR_RETURN(wfd, Wfd::Create(std::move(options)));
+    create_span.End();
+    recipe.fallbacks->Add(1);
+  }
+  // Sized here, not by the first run, so a pre-warmed WFD's first
+  // invocation spawns nothing. Same counter as the orchestrator's growth.
+  static asobs::Counter& spawns =
+      asobs::Registry::Global().GetCounter("alloy_orch_thread_spawns_total");
+  spawns.Add(wfd->EnsureStageWorkers(recipe.stage_workers));
+  return wfd;
+}
+
 asbase::Result<InvokeResult> AsVisor::Invoke(
     const std::string& workflow_name, const asbase::Json& params,
     const InvokeOptions& invoke_options) {
-  WorkflowSpec spec;
-  WfdOptions wfd_options;
-  std::shared_ptr<WfdPool> pool;
-  int64_t timeout_ms = 0;
-  asobs::Counter* invocations = nullptr;
-  asobs::Counter* failures = nullptr;
-  asobs::Counter* timeouts = nullptr;
-  asobs::LatencyHistogram* invoke_hist = nullptr;
-  uint32_t flight_id = 0;
-  std::shared_ptr<SnapshotStore::Slot> snapshot;
-  asobs::Counter* snapshot_creates = nullptr;
-  asobs::Counter* snapshot_clones = nullptr;
-  asobs::Counter* snapshot_invalidations = nullptr;
-  asobs::Counter* snapshot_fallbacks = nullptr;
-  asobs::LatencyHistogram* snapshot_clone_hist = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = workflows_.find(workflow_name);
-    if (it == workflows_.end()) {
-      return asbase::NotFound("no workflow named '" + workflow_name + "'");
-    }
-    spec = it->second.spec;
-    wfd_options = it->second.options.wfd;
-    pool = it->second.pool;
-    timeout_ms = it->second.options.timeout_ms;
-    // Registry series cached at registration (see Entry): the hot path must
-    // not take the process-global registry mutex, which every shard shares.
-    invocations = it->second.invocations;
-    failures = it->second.failures;
-    timeouts = it->second.timeouts;
-    invoke_hist = it->second.invoke_hist;
-    flight_id = it->second.flight_id;
-    snapshot = it->second.snapshot;
-    snapshot_creates = it->second.snapshot_creates;
-    snapshot_clones = it->second.snapshot_clones;
-    snapshot_invalidations = it->second.snapshot_invalidations;
-    snapshot_fallbacks = it->second.snapshot_fallbacks;
-    snapshot_clone_hist = it->second.snapshot_clone_hist;
-  }
-
+  AS_ASSIGN_OR_RETURN(auto registration, FindRegistration(workflow_name));
   // Everything logged while this invocation runs on this thread carries its
   // shard + workflow.
   asbase::ScopedLogContext log_context(shard_.index, workflow_name);
-
-  const int64_t received_at = asbase::MonoNanos();
-  const int64_t deadline_nanos =
-      timeout_ms > 0 ? received_at + timeout_ms * 1'000'000 : 0;
-  InvokeResult result;
-
-  invocations->Add(1);
-
-  // The trace outlives the WFD (which holds a raw pointer to it) and may
-  // then be retained (tail-based, see AccountOutcome) for /trace.
-  auto trace = std::make_shared<asobs::Trace>(workflow_name);
-  asobs::Span root = trace->StartSpan("invoke", "visor");
-  root.SetArg("workflow", workflow_name);
-  if (invoke_options.queue_wait_nanos > 0) {
-    // The admission wait happened before this trace existed; backfill it as
-    // a completed span ending where the invoke span starts.
-    trace->RecordSpan("queue_wait", "visor", root.id(),
-                      received_at - invoke_options.queue_wait_nanos,
-                      invoke_options.queue_wait_nanos);
+  Invocation call(workflow_name, std::move(registration), shard_.index,
+                  invoke_options.queue_wait_nanos);
+  asbase::Status status = Lease(call);
+  if (status.ok()) {
+    status = Run(call, params);
   }
+  if (!status.ok()) {
+    return Fail(call, std::move(status));
+  }
+  Reclaim(call);
+  // A fast success is usually NOT retained (threshold > 0); the trace still
+  // rides along in the result for the caller.
+  InvokeResult& result = call.result;
+  result.trace = call.trace;
+  result.end_to_end_nanos = Finish(call, asobs::FlightOutcome::kOk);
+  call.registration->invoke_hist->Record(result.end_to_end_nanos);
+  return std::move(result);
+}
 
-  // The invocation's flight record, stamped as phases complete and
-  // deposited on every exit path — including failures, which is where a
-  // black box matters most.
-  asobs::FlightRecord flight;
-  flight.shard = shard_.index;
-  flight.start_nanos = received_at;
-  flight.queue_wait_nanos = invoke_options.queue_wait_nanos;
-
-  auto fail = [&](asbase::Status status) {
-    failures->Add(1);
-    asobs::FlightOutcome outcome = asobs::FlightOutcome::kError;
-    if (status.code() == asbase::ErrorCode::kDeadlineExceeded) {
-      timeouts->Add(1);
-      outcome = asobs::FlightOutcome::kTimeout;
-    }
-    // Close the span tree so the retained trace is complete.
-    root.SetArg("outcome", asobs::FlightOutcomeName(outcome));
-    root.End();
-    flight.outcome = outcome;
-    flight.end_nanos = asbase::MonoNanos();
-    flight.total_nanos = flight.end_nanos - received_at;
-    EmitFlight(flight_id, flight);
-    AccountOutcome(workflow_name, trace, outcome, flight.total_nanos);
-    return status;
-  };
-
-  // Step 1 (Fig 4): lease a warm WFD or instantiate one for this
-  // invocation. On a warm hit cold start is skipped entirely; module loads
-  // are accounted as a delta so only *new* loads count against this run.
+asbase::Status AsVisor::Lease(Invocation& call) {
+  // Fig 4 step 1: a warm WFD from the pool, else one booted for this
+  // invocation. A warm hit skips cold start entirely; module loads are
+  // accounted as a delta so only *new* loads count against this run.
   const int64_t lease_start = asbase::MonoNanos();
-  std::unique_ptr<Wfd> wfd = pool->TryAcquireWarm();
-  // The lease counts toward the pool's warm target until it ends: Park ends
-  // it on the success path, this guard covers every path that destroys the
-  // WFD instead (create/run/reset failure, pooling disabled).
-  struct LeaseEnd {
-    WfdPool* pool;
-    bool armed = true;
-    ~LeaseEnd() {
-      if (armed) {
-        pool->AbandonLease();
-      }
-    }
-  } lease_end{pool.get()};
-  result.warm_start = wfd != nullptr;
-  int64_t loads_before = 0;
-  if (result.warm_start) {
-    wfd->SetTrace(trace.get(), root.id());
-    loads_before = wfd->libos().TotalLoadNanos();
-    root.SetArg("start", "warm");
-    flight.start = asobs::FlightStart::kHit;
+  WfdPool& pool = *call.registration->pool;
+  call.wfd = pool.TryAcquireWarm();
+  // The lease counts toward the pool's warm target until Park (Reclaim) or
+  // AbandonLease (~Invocation) ends it.
+  call.lease_open = true;
+  asbase::Status status;
+  if (call.wfd != nullptr) {
+    call.wfd->SetTrace(call.trace.get(), call.root.id());
+    call.loads_before = call.wfd->libos().TotalLoadNanos();
+    call.result.warm_start = true;
+    call.root.SetArg("start", "warm");
+    call.flight.start = asobs::FlightStart::kHit;
   } else {
-    wfd_options.trace = trace.get();
-    wfd_options.trace_parent = root.id();
-    // Miss path, primary: clone-boot from the geometry's template
-    // (DESIGN.md §14) — O(µs) where a full boot is ~ms. Falls through to
-    // Create on any clone failure or when no template exists yet. Run then
-    // sizes the clone's stage workers to the workflow's fan-out.
-    std::shared_ptr<const WfdSnapshot> snap =
-        snapshot != nullptr ? snapshot->Get() : nullptr;
-    if (snap != nullptr) {
-      asobs::Span clone_span =
-          trace->StartSpan("wfd_clone", "visor", root.id());
-      auto clone_or = Wfd::CloneFromSnapshot(wfd_options, std::move(snap));
-      clone_span.End();
-      if (clone_or.ok()) {
-        wfd = std::move(*clone_or);
-        result.wfd_create_nanos = wfd->creation_nanos();
-        result.clone_start = true;
-        snapshot_clones->Add(1);
-        snapshot_clone_hist->Record(result.wfd_create_nanos);
-        root.SetArg("start", "clone");
-        flight.start = asobs::FlightStart::kClone;
-      } else {
-        AS_LOG(kWarn) << "snapshot clone-boot failed ("
-                      << clone_or.status().ToString()
-                      << "); falling back to full boot";
-      }
-    }
-    if (wfd == nullptr) {
-      asobs::Span create_span =
-          trace->StartSpan("wfd_create", "visor", root.id());
-      auto wfd_or = Wfd::Create(wfd_options);
-      create_span.End();
-      if (!wfd_or.ok()) {
-        flight.lease_nanos = asbase::MonoNanos() - lease_start;
-        return fail(wfd_or.status());
-      }
-      wfd = std::move(*wfd_or);
-      result.wfd_create_nanos = wfd->creation_nanos();
-      snapshot_fallbacks->Add(1);
-      root.SetArg("start", "cold");
-      flight.start = asobs::FlightStart::kFull;
+    bool cloned = false;
+    auto wfd_or = Boot(*call.registration->boot, call.trace.get(),
+                       call.root.id(), &cloned);
+    if (wfd_or.ok()) {
+      call.wfd = std::move(*wfd_or);
+      call.result.wfd_create_nanos = call.wfd->creation_nanos();
+      call.result.clone_start = cloned;
+      call.root.SetArg("start", cloned ? "clone" : "cold");
+      call.flight.start =
+          cloned ? asobs::FlightStart::kClone : asobs::FlightStart::kFull;
+    } else {
+      status = wfd_or.status();
     }
   }
-  // Lease phase: warm pop, or the cold start the miss forced.
-  flight.lease_nanos = asbase::MonoNanos() - lease_start;
-  pool->RecordLease(flight.lease_nanos);
+  call.flight.lease_nanos = asbase::MonoNanos() - lease_start;
+  if (status.ok()) {
+    pool.RecordLease(call.flight.lease_nanos);
+  }
+  return status;
+}
 
-  // Steps 2-6: run the workflow; modules load on demand inside. The
+asbase::Status AsVisor::Run(Invocation& call, const asbase::Json& params) {
+  // Fig 4 steps 2-6: run the workflow; modules load on demand inside. The
   // deadline is enforced cooperatively at stage barriers.
-  Orchestrator orchestrator(wfd.get());
+  const Registration& registration = *call.registration;
   Orchestrator::RunOptions run_options;
-  run_options.deadline_nanos = deadline_nanos;
+  if (registration.options.timeout_ms > 0) {
+    run_options.deadline_nanos =
+        call.received_at + registration.options.timeout_ms * 1'000'000;
+  }
+  Orchestrator orchestrator(call.wfd.get());
   const int64_t exec_start = asbase::MonoNanos();
-  auto run_or = orchestrator.Run(spec, params, run_options);
-  flight.exec_nanos = asbase::MonoNanos() - exec_start;
-  flight.module_load_nanos = wfd->libos().TotalLoadNanos() - loads_before;
+  auto run_or = orchestrator.Run(registration.spec, params, run_options);
+  call.flight.exec_nanos = asbase::MonoNanos() - exec_start;
+  Libos& libos = call.wfd->libos();
+  const int64_t module_load_nanos = libos.TotalLoadNanos() - call.loads_before;
+  call.flight.module_load_nanos = module_load_nanos;
   if (!run_or.ok()) {
-    // A failed (or timed-out) run leaves the WFD in an unknown state:
-    // destroy it — never re-pool — so the next invocation cold-starts
-    // clean. `wfd` going out of scope does the reclaim.
-    return fail(run_or.status());
+    // A failed (or timed-out) run leaves the WFD in an unknown state: it is
+    // destroyed with the Invocation, never re-pooled, so the next
+    // invocation starts clean.
+    return run_or.status();
   }
+  InvokeResult& result = call.result;
   result.run = std::move(*run_or);
-  flight.net_nanos = result.run.phases.transfer_nanos;
-  flight.stages = static_cast<uint32_t>(std::min(
+  call.flight.net_nanos = result.run.phases.transfer_nanos;
+  call.flight.stages = static_cast<uint32_t>(std::min(
       result.run.stage_nanos.size(), asobs::FlightRecord::kMaxStages));
-  for (uint32_t i = 0; i < flight.stages; ++i) {
-    flight.stage_nanos[i] = result.run.stage_nanos[i];
+  for (uint32_t i = 0; i < call.flight.stages; ++i) {
+    call.flight.stage_nanos[i] = result.run.stage_nanos[i];
   }
-
-  result.module_load_nanos = wfd->libos().TotalLoadNanos() - loads_before;
-  result.cold_start_nanos = result.wfd_create_nanos + result.module_load_nanos;
-  result.modules_loaded = wfd->libos().LoadedModules();
-  result.resident_bytes = wfd->ResidentBytes();
+  result.module_load_nanos = module_load_nanos;
+  result.cold_start_nanos = result.wfd_create_nanos + module_load_nanos;
+  result.modules_loaded = libos.LoadedModules();
+  result.resident_bytes = call.wfd->ResidentBytes();
 
   // A run that paid for a module its geometry's template lacks (the first
   // full boot, or a clone that loaded more on demand) grows the template.
   // One atomic load otherwise.
-  if (snapshot != nullptr && snapshot->Offer(*wfd)) {
-    snapshot_creates->Add(1);
+  const std::shared_ptr<SnapshotStore::Slot>& slot =
+      registration.boot->snapshot;
+  if (slot != nullptr && slot->Offer(*call.wfd)) {
+    registration.snapshot_creates->Add(1);
   }
+  return asbase::OkStatus();
+}
 
-  // Step 7: return the WFD to the pool (reset + park) or destroy it and
-  // reclaim resources. Explicit here so the root span (and
-  // end_to_end_nanos) covers reclaim, and so no code touches the trace
-  // through the WFD's pointer after the span set is finalized.
+void AsVisor::Reclaim(Invocation& call) {
+  // Fig 4 step 7: return the WFD to the pool (reset + park) or destroy it.
+  // Runs before the root span closes, so end_to_end_nanos covers it and no
+  // code touches the trace through the WFD's pointer afterwards.
   const int64_t reset_start = asbase::MonoNanos();
-  if (pool->capacity() > 0) {
-    asobs::Span reset_span = trace->StartSpan("pool_reset", "visor", root.id());
-    asbase::Status reset = wfd->Reset();
+  WfdPool& pool = *call.registration->pool;
+  if (pool.capacity() > 0) {
+    asobs::Span reset_span =
+        call.trace->StartSpan("pool_reset", "visor", call.root.id());
+    asbase::Status reset = call.wfd->Reset();
     reset_span.End();
     if (reset.ok()) {
-      wfd->SetTrace(nullptr, 0);
-      pool->Park(std::move(wfd));
-      lease_end.armed = false;
+      call.wfd->SetTrace(nullptr, 0);
+      pool.Park(std::move(call.wfd));
+      call.lease_open = false;
     } else {
-      AS_LOG(kWarn) << "WFD reset for '" << workflow_name
-                    << "' failed (" << reset.ToString() << "); destroying";
+      AS_LOG(kWarn) << "WFD reset for '" << call.workflow << "' failed ("
+                    << reset.ToString() << "); destroying";
       // A WFD that cannot reset throws doubt on the template its modules
       // came from: drop it so the next miss boots from scratch.
-      if (snapshot != nullptr && snapshot->Invalidate()) {
-        snapshot_invalidations->Add(1);
-      }
-      wfd.reset();
-    }
-  } else {
-    wfd.reset();
-  }
-  flight.reset_nanos = asbase::MonoNanos() - reset_start;
-  result.end_to_end_nanos = asbase::MonoNanos() - received_at;
-  root.End();
-
-  invoke_hist->Record(result.end_to_end_nanos);
-  result.trace = trace;
-
-  flight.outcome = asobs::FlightOutcome::kOk;
-  flight.end_nanos = received_at + result.end_to_end_nanos;
-  flight.total_nanos = result.end_to_end_nanos;
-  EmitFlight(flight_id, flight);
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = workflows_.find(workflow_name);
-    if (it != workflows_.end()) {
-      // Service time feeding the admission predictor: execution only (the
-      // queue wait is the quantity being predicted, not part of service).
-      const double sample = static_cast<double>(result.end_to_end_nanos);
-      Entry& entry = it->second;
-      entry.service_ewma_nanos =
-          entry.service_ewma_nanos == 0
-              ? sample
-              : kServiceAlpha * sample +
-                    (1.0 - kServiceAlpha) * entry.service_ewma_nanos;
-      if (it->second.warmup != nullptr) {
-        // Teach the pool warmer what this workflow actually loads, so the
-        // next pre-warmed WFD arrives with these modules already up.
-        // (Lock order: mutex_ then the profile lock; the factory takes only
-        // the profile lock, so there is no inversion.)
-        std::lock_guard<std::mutex> warmup_lock(it->second.warmup->mutex);
-        it->second.warmup->modules = result.modules_loaded;
+      const std::shared_ptr<SnapshotStore::Slot>& slot =
+          call.registration->boot->snapshot;
+      if (slot != nullptr && slot->Invalidate()) {
+        call.registration->snapshot_invalidations->Add(1);
       }
     }
   }
-  // Tail-based retention + SLO accounting. A fast success is usually NOT
-  // retained (threshold > 0); the trace still rode along in `result` for
-  // the caller.
-  AccountOutcome(workflow_name, trace, asobs::FlightOutcome::kOk,
-                 result.end_to_end_nanos);
-  return result;
+  call.wfd.reset();
+  call.flight.reset_nanos = asbase::MonoNanos() - reset_start;
+}
+
+asbase::Status AsVisor::Fail(Invocation& call, asbase::Status status) {
+  call.registration->failures->Add(1);
+  asobs::FlightOutcome outcome = asobs::FlightOutcome::kError;
+  if (status.code() == asbase::ErrorCode::kDeadlineExceeded) {
+    call.registration->timeouts->Add(1);
+    outcome = asobs::FlightOutcome::kTimeout;
+  }
+  call.root.SetArg("outcome", asobs::FlightOutcomeName(outcome));
+  Finish(call, outcome);
+  return status;
+}
+
+int64_t AsVisor::Finish(Invocation& call, asobs::FlightOutcome outcome) {
+  // Closed first, so a retained trace is complete.
+  call.root.End();
+  call.flight.outcome = outcome;
+  call.flight.end_nanos = asbase::MonoNanos();
+  call.flight.total_nanos = call.flight.end_nanos - call.received_at;
+  EmitFlight(call.registration->flight_id, call.flight);
+  AccountOutcome(call.workflow, call.trace, outcome, call.flight.total_nanos);
+  return call.flight.total_nanos;
 }
 
 asbase::Result<InvokeResult> AsVisor::InvokeFromConfig(
@@ -851,6 +807,18 @@ void AsVisor::AccountOutcome(const std::string& workflow_name,
       return;  // unregistered while the invocation ran
     }
     Entry& entry = it->second;
+    const Registration& registration = *entry.registration;
+
+    if (outcome == asobs::FlightOutcome::kOk) {
+      // Service time feeding the admission predictor: Invoke wall time only
+      // (the queue wait is the quantity being predicted, not service).
+      const double sample = static_cast<double>(total_nanos);
+      entry.service_ewma_nanos =
+          entry.service_ewma_nanos == 0
+              ? sample
+              : kServiceAlpha * sample +
+                    (1.0 - kServiceAlpha) * entry.service_ewma_nanos;
+    }
 
     // Tail-based trace retention: keep the full span tree only for
     // invocations worth debugging — failures, timeouts, or runs over the
@@ -870,16 +838,17 @@ void AsVisor::AccountOutcome(const std::string& workflow_name,
 
     // SLO accounting + burn gauges; on a trigger, collect the queue/pool
     // snapshot under the lock and write the black box after it drops.
-    if (entry.slo != nullptr) {
-      const int64_t latency_ms = entry.slo->options().latency_objective_ms;
+    if (registration.slo != nullptr) {
+      const int64_t latency_ms =
+          registration.slo->options().latency_objective_ms;
       const bool good =
           outcome == asobs::FlightOutcome::kOk &&
           (latency_ms == 0 || total_nanos <= latency_ms * 1'000'000);
       const bool timeout = outcome == asobs::FlightOutcome::kTimeout;
       const asobs::SloTracker::Verdict verdict =
-          entry.slo->Record(good, timeout, now);
-      entry.burn_fast->Set(BurnMilli(verdict.fast_burn));
-      entry.burn_slow->Set(BurnMilli(verdict.slow_burn));
+          registration.slo->Record(good, timeout, now);
+      registration.burn_fast->Set(BurnMilli(verdict.fast_burn));
+      registration.burn_slow->Set(BurnMilli(verdict.slow_burn));
       if (verdict.trigger) {
         BlackBoxRequest request;
         request.reason = verdict.reason;
@@ -894,14 +863,12 @@ void AsVisor::AccountOutcome(const std::string& workflow_name,
           row.Set("queued", static_cast<int64_t>(other.waiters.size()));
           row.Set("service_ewma_nanos",
                   static_cast<int64_t>(other.service_ewma_nanos));
-          if (other.pool != nullptr) {
-            // Lock order: mutex_ then the pool mutex — the pool never
-            // calls back into the visor.
-            row.Set("warm_wfds",
-                    static_cast<int64_t>(other.pool->warm_count()));
-            row.Set("pool_target_warm",
-                    static_cast<int64_t>(other.pool->target_warm()));
-          }
+          // Lock order: mutex_ then the pool mutex — the pool never calls
+          // back into the visor.
+          const WfdPool& pool = *other.registration->pool;
+          row.Set("warm_wfds", static_cast<int64_t>(pool.warm_count()));
+          row.Set("pool_target_warm",
+                  static_cast<int64_t>(pool.target_warm()));
           queues.Append(std::move(row));
         }
         request.queues = std::move(queues);
@@ -973,51 +940,50 @@ int64_t AsVisor::PredictedWaitNanosLocked(const Entry& entry) const {
   // A new arrival runs after everyone already queued; with max_concurrency
   // servers draining the queue, expected wait ≈ position × service / c.
   const double position = static_cast<double>(entry.waiters.size()) + 1.0;
-  const double concurrency =
-      static_cast<double>(std::max(entry.options.max_concurrency, 1));
+  const double concurrency = static_cast<double>(
+      std::max(entry.registration->options.max_concurrency, 1));
   return static_cast<int64_t>(position * entry.service_ewma_nanos /
                               concurrency);
 }
 
-namespace {
-
-bool EligibleWaiter(const AsVisor::WorkflowOptions& options, int inflight,
-                    bool has_waiters) {
-  return has_waiters && inflight < options.max_concurrency;
+bool AsVisor::HasRunnableHead(const Entry& entry) {
+  return !entry.waiters.empty() &&
+         entry.inflight < entry.registration->options.max_concurrency;
 }
 
-}  // namespace
-
-std::string AsVisor::NextWeightedWorkflowLocked() const {
-  // Pass 1: the minimum number of whole DRR rounds until some eligible
-  // workflow's deficit reaches 1 (0 when someone already has credit).
+double AsVisor::MinDrrRoundsLocked() const {
   double min_rounds = -1;
   for (const auto& [name, entry] : workflows_) {
-    if (!EligibleWaiter(entry.options, entry.inflight,
-                        !entry.waiters.empty())) {
+    if (!HasRunnableHead(entry)) {
       continue;
     }
     const double rounds =
         entry.deficit >= 1.0
             ? 0.0
-            : std::ceil((1.0 - entry.deficit) / entry.options.weight);
+            : std::ceil((1.0 - entry.deficit) /
+                        entry.registration->options.weight);
     if (min_rounds < 0 || rounds < min_rounds) {
       min_rounds = rounds;
     }
   }
+  return min_rounds;
+}
+
+std::string AsVisor::NextWeightedWorkflowLocked() const {
+  const double min_rounds = MinDrrRoundsLocked();
   if (min_rounds < 0) {
     return "";  // nobody eligible is queued
   }
-  // Pass 2: after advancing everyone by min_rounds, the highest deficit
-  // wins; ties go to the smallest name (map order + strict >).
+  // After advancing everyone by min_rounds, the highest deficit wins; ties
+  // go to the smallest name (map order + strict >).
   std::string winner;
   double best = 0;
   for (const auto& [name, entry] : workflows_) {
-    if (!EligibleWaiter(entry.options, entry.inflight,
-                        !entry.waiters.empty())) {
+    if (!HasRunnableHead(entry)) {
       continue;
     }
-    const double credited = entry.deficit + min_rounds * entry.options.weight;
+    const double credited =
+        entry.deficit + min_rounds * entry.registration->options.weight;
     if (credited >= 1.0 - 1e-9 && (winner.empty() || credited > best)) {
       winner = name;
       best = credited;
@@ -1027,29 +993,15 @@ std::string AsVisor::NextWeightedWorkflowLocked() const {
 }
 
 void AsVisor::ChargeGrantLocked(const std::string& winner) {
-  double min_rounds = -1;
-  for (const auto& [name, entry] : workflows_) {
-    if (!EligibleWaiter(entry.options, entry.inflight,
-                        !entry.waiters.empty())) {
-      continue;
-    }
-    const double rounds =
-        entry.deficit >= 1.0
-            ? 0.0
-            : std::ceil((1.0 - entry.deficit) / entry.options.weight);
-    if (min_rounds < 0 || rounds < min_rounds) {
-      min_rounds = rounds;
-    }
-  }
+  const double min_rounds = MinDrrRoundsLocked();
   if (min_rounds < 0) {
     return;
   }
   for (auto& [name, entry] : workflows_) {
-    if (!EligibleWaiter(entry.options, entry.inflight,
-                        !entry.waiters.empty())) {
+    if (!HasRunnableHead(entry)) {
       continue;
     }
-    const double weight = entry.options.weight;
+    const double weight = entry.registration->options.weight;
     // Cap banked credit so a long-uncontested workflow cannot starve
     // everyone for many grants once contention returns.
     entry.deficit = std::min(entry.deficit + min_rounds * weight,
@@ -1088,7 +1040,8 @@ AsVisor::Admission AsVisor::Admit(const std::string& workflow_name,
         asbase::NotFound("no workflow named '" + workflow_name + "'"));
   }
   Entry& entry = it->second;
-  const bool slot_free = entry.inflight < entry.options.max_concurrency &&
+  const WorkflowOptions& options = entry.registration->options;
+  const bool slot_free = entry.inflight < options.max_concurrency &&
                          inflight_global_ < serving_.max_inflight;
   // Fast path: admit only when no other workflow has a runnable waiter —
   // a fresh arrival must not leapfrog a co-tenant already queued for a
@@ -1104,20 +1057,19 @@ AsVisor::Admission AsVisor::Admit(const std::string& workflow_name,
   // fits the budget; otherwise reject and report the prediction so the
   // caller can compute Retry-After.
   admission.predicted_wait_nanos = PredictedWaitNanosLocked(entry);
-  if (entry.options.queue_capacity == 0) {
+  if (options.queue_capacity == 0) {
     return reject(asbase::ResourceExhausted(
         "workflow '" + workflow_name + "' at max_concurrency (" +
-        std::to_string(entry.options.max_concurrency) + ")"));
+        std::to_string(options.max_concurrency) + ")"));
   }
-  if (entry.waiters.size() >= entry.options.queue_capacity) {
+  if (entry.waiters.size() >= options.queue_capacity) {
     return reject(asbase::ResourceExhausted(
         "workflow '" + workflow_name + "' admission queue full (" +
-        std::to_string(entry.options.queue_capacity) + ")"));
+        std::to_string(options.queue_capacity) + ")"));
   }
   // Clamped, so the nanosecond product cannot overflow.
   const int64_t budget_ms = std::min(
-      budget_ms_override >= 0 ? budget_ms_override
-                              : entry.options.queueing_budget_ms,
+      budget_ms_override >= 0 ? budget_ms_override : options.queueing_budget_ms,
       kMaxQueueBudgetMs);
   if (admission.predicted_wait_nanos > budget_ms * 1'000'000) {
     return reject(asbase::ResourceExhausted(
@@ -1134,7 +1086,7 @@ AsVisor::Admission AsVisor::Admit(const std::string& workflow_name,
   // waits for ReleaseAdmission or SetMaxInflight to grant it.
   ticket.enqueued_at = asbase::MonoNanos();
   entry.waiters.push_back(std::move(ticket));
-  entry.queued_gauge->Add(1);
+  entry.registration->queued_gauge->Add(1);
   admission.outcome = AdmitOutcome::kQueued;
   return admission;
 }
@@ -1157,9 +1109,9 @@ void AsVisor::GrantQueuedLocked(std::vector<Grant>* grants) {
       // from scratch next time.
       entry.deficit = 0;
     }
-    entry.queued_gauge->Add(-1);
+    entry.registration->queued_gauge->Add(-1);
     grant.queue_wait_nanos = now - grant.ticket.enqueued_at;
-    entry.queue_wait_hist->Record(grant.queue_wait_nanos);
+    entry.registration->queue_wait_hist->Record(grant.queue_wait_nanos);
     ++inflight_global_;
     ++entry.inflight;
     inflight_gauge_->Add(1);
@@ -1179,7 +1131,7 @@ std::vector<AsVisor::Ticket> AsVisor::TakeWaitersLocked(Entry& entry) {
                             std::make_move_iterator(entry.waiters.end()));
   entry.waiters.clear();
   entry.deficit = 0;
-  entry.queued_gauge->Add(-static_cast<int64_t>(taken.size()));
+  entry.registration->queued_gauge->Add(-static_cast<int64_t>(taken.size()));
   return taken;
 }
 
@@ -1242,9 +1194,7 @@ void AsVisor::ShutdownPools() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [name, entry] : workflows_) {
-      if (entry.pool != nullptr) {
-        pools.push_back(entry.pool);
-      }
+      pools.push_back(entry.registration->pool);
     }
   }
   for (const auto& pool : pools) {
@@ -1464,8 +1414,8 @@ void AsVisor::Refuse(const std::string& workflow_name, const Ticket& ticket,
     retry_after_fallback = serving_.retry_after_seconds;
     auto it = workflows_.find(workflow_name);
     if (it != workflows_.end()) {
-      flight_id = it->second.flight_id;
-      rejections = it->second.rejections;
+      flight_id = it->second.registration->flight_id;
+      rejections = it->second.registration->rejections;
     }
   }
   if (rejections != nullptr) {
@@ -1510,7 +1460,7 @@ ashttp::HttpResponse AsVisor::ServeMetrics() const {
 
 ashttp::HttpResponse AsVisor::ServeTrace(const std::string& target) const {
   ashttp::HttpResponse response;
-  const std::string workflow = QueryParam(target, "workflow");
+  const std::string workflow = ashttp::QueryParam(target, "workflow");
   std::list<std::shared_ptr<const asobs::Trace>> traces;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -1549,8 +1499,8 @@ ashttp::HttpResponse AsVisor::ServeTrace(const std::string& target) const {
 
 ashttp::HttpResponse AsVisor::ServeFlight(const std::string& target) const {
   ashttp::HttpResponse response;
-  const std::string workflow = QueryParam(target, "workflow");
-  const std::string since = QueryParam(target, "since");
+  const std::string workflow = ashttp::QueryParam(target, "workflow");
+  const std::string since = ashttp::QueryParam(target, "since");
   const int64_t since_nanos = since.empty() ? 0 : std::atoll(since.c_str());
   asbase::Json doc =
       asobs::FlightReportJson(flight_->Snapshot(workflow, since_nanos));
@@ -1567,7 +1517,7 @@ ashttp::HttpResponse AsVisor::ServeFlight(const std::string& target) const {
 
 ashttp::HttpResponse AsVisor::ServeLatency(const std::string& target) const {
   ashttp::HttpResponse response;
-  const std::string workflow = QueryParam(target, "workflow");
+  const std::string workflow = ashttp::QueryParam(target, "workflow");
   asbase::Json doc =
       asobs::LatencyAttributionJson(flight_->Snapshot(workflow));
   if (!workflow.empty()) {
@@ -1614,30 +1564,14 @@ void AsVisor::StopWatchdog() {
 
 asbase::Result<asbase::Histogram> AsVisor::LatencyHistogram(
     const std::string& workflow_name) const {
-  asobs::LatencyHistogram* invoke_hist = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = workflows_.find(workflow_name);
-    if (it == workflows_.end()) {
-      return asbase::NotFound("no workflow named '" + workflow_name + "'");
-    }
-    invoke_hist = it->second.invoke_hist;
-  }
-  return invoke_hist->Snapshot();
+  AS_ASSIGN_OR_RETURN(auto registration, FindRegistration(workflow_name));
+  return registration->invoke_hist->Snapshot();
 }
 
 asbase::Result<size_t> AsVisor::WarmWfdCount(
     const std::string& workflow_name) const {
-  std::shared_ptr<WfdPool> pool;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = workflows_.find(workflow_name);
-    if (it == workflows_.end()) {
-      return asbase::NotFound("no workflow named '" + workflow_name + "'");
-    }
-    pool = it->second.pool;
-  }
-  return pool->warm_count();
+  AS_ASSIGN_OR_RETURN(auto registration, FindRegistration(workflow_name));
+  return registration->pool->warm_count();
 }
 
 }  // namespace alloy

@@ -335,17 +335,6 @@ class AsVisor {
   static constexpr int64_t kMaxQueueBudgetMs = 3'600'000;
 
  private:
-  // What this workflow's runs actually warm up: the LibOS modules its last
-  // completed invocation had loaded. The pool warmer's factory replays them
-  // on every WFD it boots, so a pre-warmed WFD is hot (fdtab/fatfs
-  // constructed), not just booted. Shared with the factory closure and
-  // guarded by its own mutex so the warmer never touches visor state (a
-  // draining pool may outlive the registration).
-  struct WarmupProfile {
-    std::mutex mutex;
-    std::vector<ModuleKind> modules;
-  };
-
   // A request parked in an admission queue: it holds the request and its
   // responder, never a thread.
   struct Ticket {
@@ -356,19 +345,23 @@ class AsVisor {
     int64_t carried_wait_nanos = 0;
   };
 
+  // What RegisterWorkflow fixed for good (spec, options, pool, boot recipe,
+  // cached series): one immutable record, so Invoke copies a single pointer
+  // under mutex_, and a re-registration swaps in a fresh record while
+  // in-flight invocations finish on the old one.
+  struct Registration;
+  // Everything Boot reads. The pool factory holds the recipe, never the
+  // Registration: that owns the pool, which owns the factory.
+  struct BootRecipe;
+  // One invocation's state as it passes through Lease, Run and Reclaim.
+  struct Invocation;
+
+  // The workflow's record (one mutex_ hold), or kNotFound.
+  asbase::Result<std::shared_ptr<const Registration>> FindRegistration(
+      const std::string& workflow_name) const;
+
   struct Entry {
-    WorkflowSpec spec;
-    WorkflowOptions options;
-    // Shared so Invoke can use the pool outside mutex_ while a concurrent
-    // re-registration swaps in a fresh one.
-    std::shared_ptr<WfdPool> pool;
-    // Warm-up recording for the pool factory (see WarmupProfile).
-    std::shared_ptr<WarmupProfile> warmup;
-    // The clone template of this workflow's WFD geometry (DESIGN.md §14),
-    // shared with every workflow of that geometry: offered each successful
-    // run, read by the factory and the invoke miss path, dropped on reset
-    // failure. Null when the WFD cannot clone-boot or ALLOY_SNAPSHOT is off.
-    std::shared_ptr<SnapshotStore::Slot> snapshot;
+    std::shared_ptr<const Registration> registration;
     // Watchdog invocations currently running this workflow (admission).
     int inflight = 0;
     // FIFO admission queue: tickets of requests waiting for a concurrency
@@ -386,32 +379,34 @@ class AsVisor {
     double service_ewma_nanos = 0;
     // Last kTraceRing invocation traces, oldest first.
     std::list<std::shared_ptr<const asobs::Trace>> traces;
-    // Cached registry series (registry-owned, immortal) so the invoke and
-    // admission hot paths never take the global registry mutex — with N
-    // shards that mutex would be the one lock every shard still shares.
-    asobs::Counter* invocations = nullptr;
-    asobs::Counter* failures = nullptr;
-    asobs::Counter* timeouts = nullptr;
-    asobs::Counter* rejections = nullptr;
-    asobs::Gauge* queued_gauge = nullptr;
-    asobs::LatencyHistogram* invoke_hist = nullptr;
-    asobs::LatencyHistogram* queue_wait_hist = nullptr;
-    // Flight-recorder workflow id, interned at registration so the emit
-    // path never touches the intern mutex.
-    uint32_t flight_id = 0;
-    // SLO tracker + milli-scaled burn gauges (alloy_slo_burn_rate{window}).
-    // Null when the registration declared no SLO.
-    std::shared_ptr<asobs::SloTracker> slo;
-    asobs::Gauge* burn_fast = nullptr;
-    asobs::Gauge* burn_slow = nullptr;
-    // Snapshot lifecycle counters + clone-boot latency, cached like the
-    // series above (registry-owned, immortal).
-    asobs::Counter* snapshot_creates = nullptr;
-    asobs::Counter* snapshot_clones = nullptr;
-    asobs::Counter* snapshot_invalidations = nullptr;
-    asobs::Counter* snapshot_fallbacks = nullptr;
-    asobs::LatencyHistogram* snapshot_clone_hist = nullptr;
   };
+
+  // The visor's one WFD boot step (DESIGN.md §14), behind both the pool
+  // factory and Lease's miss path: a clone from the geometry's template
+  // when one exists, else (also when the clone fails) a full Wfd::Create.
+  // Sizes the stage workers to the workflow's fan-out and counts the
+  // snapshot clone / fallback boots. With a `trace`, the boot is a
+  // wfd_clone or wfd_create span under `trace_parent`. `cloned` (optional)
+  // reports which path ran.
+  static asbase::Result<std::unique_ptr<Wfd>> Boot(const BootRecipe& recipe,
+                                                   asobs::Trace* trace,
+                                                   uint32_t trace_parent,
+                                                   bool* cloned);
+
+  // Invoke's three steps (Fig 4), each stamping one flight phase. Lease
+  // pops a warm WFD or boots one (lease_nanos); Run executes the workflow
+  // on it (exec_nanos); Reclaim resets and parks it, or destroys it
+  // (reset_nanos).
+  asbase::Status Lease(Invocation& call);
+  asbase::Status Run(Invocation& call, const asbase::Json& params);
+  void Reclaim(Invocation& call);
+  // Counts a failed invocation and finishes it; returns `status`. The WFD
+  // dies with the Invocation, never re-pooled.
+  asbase::Status Fail(Invocation& call, asbase::Status status);
+  // Every exit's last step: closes the span tree, deposits the flight
+  // record and accounts the outcome (service-time EWMA, trace retention,
+  // SLO). Returns the invocation's total time.
+  int64_t Finish(Invocation& call, asobs::FlightOutcome outcome);
 
   // Frees an invocation's slot and grants whatever queued tickets that
   // lets run.
@@ -478,6 +473,12 @@ class AsVisor {
   // applies the mutation once per actual grant.
   // Empty when nobody eligible is queued.
   std::string NextWeightedWorkflowLocked() const;
+  // The pass both DRR steps share: the fewest whole rounds until some
+  // eligible workflow's deficit reaches 1 (0 when one already has credit);
+  // -1 when nobody eligible is queued.
+  double MinDrrRoundsLocked() const;
+  // Eligible for a grant: a queued ticket its concurrency cap lets run.
+  static bool HasRunnableHead(const Entry& entry);
   // Applies the DRR bookkeeping for granting `winner` a slot. Must run
   // while the winner's ticket is still queued (so the eligible set matches
   // what NextWeightedWorkflowLocked saw).
@@ -517,8 +518,8 @@ class AsVisor {
 
   const ShardIdentity shard_;
   const std::shared_ptr<SnapshotStore> snapshots_;
-  // Cached like Entry's series: the inflight gauge moves on every admission
-  // and release.
+  // Cached like a Registration's series: the inflight gauge moves on every
+  // admission and release.
   asobs::Gauge* inflight_gauge_ = nullptr;
   // Drives every pool of this shard (idle eviction, pre-warm) from one
   // thread pinned to shard_.cpus, started with the first pool that needs

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "src/common/clock.h"
+#include "src/common/env.h"
 #include "src/common/logging.h"
 #include "src/core/visor/visor_router.h"
 #include "src/obs/rebalance.h"
@@ -14,18 +15,7 @@
 namespace alloy {
 namespace {
 
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const long long value = std::strtoll(env, &end, 10);
-  if (end == env || value < 0) {
-    return fallback;
-  }
-  return static_cast<int64_t>(value);
-}
+using asbase::EnvInt64;
 
 bool EnvFlag(const char* name, bool fallback) {
   const char* env = std::getenv(name);

@@ -75,29 +75,6 @@ std::vector<int> ShardCpus(size_t shard, size_t shard_count) {
   return cpus;
 }
 
-// Query-string value for `key` in an HTTP target ("/trace?workflow=x").
-std::string QueryParam(const std::string& target, const std::string& key) {
-  const size_t question = target.find('?');
-  if (question == std::string::npos) {
-    return "";
-  }
-  std::string query = target.substr(question + 1);
-  size_t pos = 0;
-  while (pos < query.size()) {
-    size_t amp = query.find('&', pos);
-    if (amp == std::string::npos) {
-      amp = query.size();
-    }
-    const std::string pair = query.substr(pos, amp - pos);
-    const size_t eq = pair.find('=');
-    if (eq != std::string::npos && pair.substr(0, eq) == key) {
-      return pair.substr(eq + 1);
-    }
-    pos = amp + 1;
-  }
-  return "";
-}
-
 // total budget -> shard `i`'s slice: even division, remainder to the lowest
 // shards, never below 1.
 size_t ShardSlice(size_t total, size_t shard, size_t shard_count) {
@@ -501,7 +478,7 @@ ashttp::HttpResponse AsVisorRouter::ServeData(const std::string& target) const {
 
 ashttp::HttpResponse AsVisorRouter::ServeTrace(
     const std::string& target) const {
-  const std::string workflow = QueryParam(target, "workflow");
+  const std::string workflow = ashttp::QueryParam(target, "workflow");
   if (workflow.empty()) {
     ashttp::HttpResponse response;
     response.status = 400;
@@ -561,12 +538,12 @@ std::vector<asobs::FlightRecord> AsVisorRouter::MergedFlight(
 
 ashttp::HttpResponse AsVisorRouter::ServeFlight(
     const std::string& target) const {
-  const std::string workflow = QueryParam(target, "workflow");
+  const std::string workflow = ashttp::QueryParam(target, "workflow");
   if (!workflow.empty()) {
     // The workflow lives on exactly one shard; its ring has every record.
     return ResolveShard(workflow)->ServeFlight(target);
   }
-  const std::string since = QueryParam(target, "since");
+  const std::string since = ashttp::QueryParam(target, "since");
   const int64_t since_nanos = since.empty() ? 0 : std::atoll(since.c_str());
   asbase::Json doc = asobs::FlightReportJson(MergedFlight(since_nanos));
   uint64_t recorded = 0;
@@ -591,7 +568,7 @@ ashttp::HttpResponse AsVisorRouter::ServeFlight(
 
 ashttp::HttpResponse AsVisorRouter::ServeLatency(
     const std::string& target) const {
-  const std::string workflow = QueryParam(target, "workflow");
+  const std::string workflow = ashttp::QueryParam(target, "workflow");
   if (!workflow.empty()) {
     return ResolveShard(workflow)->ServeLatency(target);
   }

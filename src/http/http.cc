@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 
 #include "src/common/logging.h"
 #include "src/http/parser.h"
@@ -172,6 +173,27 @@ std::string Serialize(const HttpResponse& response) {
   out += "\r\n";
   out += response.body;
   return out;
+}
+
+std::string QueryParam(const std::string& target, const std::string& key) {
+  const size_t question = target.find('?');
+  if (question == std::string::npos) {
+    return "";
+  }
+  std::string_view rest = std::string_view(target).substr(question + 1);
+  while (!rest.empty()) {
+    const size_t amp = rest.find('&');
+    const std::string_view pair = rest.substr(0, amp);
+    const size_t eq = pair.find('=');
+    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
+      return std::string(pair.substr(eq + 1));
+    }
+    if (amp == std::string_view::npos) {
+      break;
+    }
+    rest.remove_prefix(amp + 1);
+  }
+  return "";
 }
 
 // ------------------------------------------------------------- responder

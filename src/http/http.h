@@ -86,6 +86,11 @@ struct HttpResponse {
 std::string Serialize(const HttpRequest& request);
 std::string Serialize(const HttpResponse& response);
 
+// Query-string value for `key` in a request target ("/trace?workflow=x"),
+// as sent (no percent-decoding). The first `key=value` pair wins; "" when
+// the target has no query, no such pair, or only a bare `key` with no '='.
+std::string QueryParam(const std::string& target, const std::string& key);
+
 // Reads one message from the stream (blocking). Request parsing shares the
 // reactor's hardened incremental parser; bodies on this path are bounded at
 // 64 MiB.

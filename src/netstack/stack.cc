@@ -1044,10 +1044,17 @@ void NetStack::TcpRelease(uint64_t id) {
   // Give the teardown a moment to finish cleanly, then drop the tcb. The
   // retransmission machinery keeps running while we wait.
   Tcb& tcb = *it->second;
-  cv_.wait_for(lock, std::chrono::milliseconds(200), [&] {
-    return tcb.state == TcpState::kClosed ||
-           (tcb.fin_sent && tcb.snd_una == tcb.snd_nxt);
-  });
+  const bool finished =
+      cv_.wait_for(lock, std::chrono::milliseconds(200), [&] {
+        return tcb.state == TcpState::kClosed ||
+               (tcb.fin_sent && tcb.snd_una == tcb.snd_nxt);
+      });
+  if (!finished || tcb.aborted) {
+    // Whatever the peer has not acknowledged dies with the tcb: reset it,
+    // or its reader waits forever for bytes nobody will retransmit.
+    SendRst(tcb.remote_ip, tcb.remote_port, tcb.local_port, tcb.snd_nxt,
+            tcb.rcv_nxt);
+  }
   DestroyTcbLocked(id);
 }
 

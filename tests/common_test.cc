@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <set>
 #include <thread>
 
 #include "src/common/clock.h"
+#include "src/common/env.h"
 #include "src/common/histogram.h"
 #include "src/common/json.h"
 #include "src/common/queue.h"
@@ -401,6 +403,21 @@ TEST(SimCostModelTest, ScalingApplies) {
   EXPECT_EQ(model.Scaled(1000), 500);
   model.scale = 1.0;
   EXPECT_EQ(model.Scaled(1000), 1000);
+}
+
+// ------------------------------------------------------------------- Env
+
+TEST(EnvTest, EnvInt64ReadsANonNegativeLeadingNumber) {
+  const char* name = "ASBASE_TEST_ENV_INT64";
+  ::unsetenv(name);
+  EXPECT_EQ(EnvInt64(name, 7), 7);
+  const std::pair<const char*, int64_t> cases[] = {
+      {"", 7}, {"42", 42}, {"0", 0}, {"12ms", 12}, {"-3", 7}, {"abc", 7}};
+  for (const auto& [value, expected] : cases) {
+    ::setenv(name, value, 1);
+    EXPECT_EQ(EnvInt64(name, 7), expected) << "'" << value << "'";
+  }
+  ::unsetenv(name);
 }
 
 }  // namespace

@@ -197,6 +197,22 @@ TEST(HttpParseTest, ParserLimitsMapToHttpStatuses) {
   }
 }
 
+TEST(HttpParseTest, QueryParamMatchesWholeKeysFirstWins) {
+  EXPECT_EQ(QueryParam("/trace", "workflow"), "");
+  EXPECT_EQ(QueryParam("/trace?", "workflow"), "");
+  EXPECT_EQ(QueryParam("/trace?workflow=wf", "workflow"), "wf");
+  // A bare key carries no value; a later pair with '=' still matches.
+  EXPECT_EQ(QueryParam("/trace?workflow", "workflow"), "");
+  EXPECT_EQ(QueryParam("/trace?workflow&workflow=wf", "workflow"), "wf");
+  // Keys match whole, never as a prefix of a longer or shorter key.
+  EXPECT_EQ(QueryParam("/trace?workflows=a&workflow=b", "workflow"), "b");
+  EXPECT_EQ(QueryParam("/trace?workflow=b", "work"), "");
+  // A repeated key: the first pair wins, an empty value included.
+  EXPECT_EQ(QueryParam("/flight?since=5&since=9", "since"), "5");
+  EXPECT_EQ(QueryParam("/flight?since=&since=9", "since"), "");
+  EXPECT_EQ(QueryParam("/flight?a=1&&since=7&", "since"), "7");
+}
+
 // ------------------------------------------------------------ reactor edge
 
 uint64_t EdgeCounter(const std::string& name) {

@@ -752,5 +752,27 @@ TEST_F(TcpTest, WindowFullDropsAreCountedAndRecovered) {
       << "overflow segments must be dropped under reason=window_full";
 }
 
+TEST_F(TcpTest, ReleasingAConnectionWithUndeliveredDataResetsThePeer) {
+  // The sender drops its connection while its tail still waits behind the
+  // peer's full receive buffer: nobody will retransmit that tail, so the
+  // peer's reader must see a reset, not wait for bytes that never come.
+  constexpr size_t kSize = NetStack::kRecvBufferCap + 128 * 1024;
+  const std::vector<uint8_t> data(kSize, 0x5a);
+  auto listener = server_stack_.Listen(8080);
+  ASSERT_TRUE(listener.ok());
+  auto client = client_stack_.Connect(server_stack_.addr(), 8080);
+  ASSERT_TRUE(client.ok());
+  auto server = (*listener)->Accept();
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*client)->Send(data).ok());
+  (*client)->Close();
+  client->reset();
+
+  (*server)->set_deadline_nanos(asbase::MonoNanos() + 5'000'000'000);
+  std::vector<uint8_t> got(kSize);
+  EXPECT_EQ((*server)->RecvAll(got).status().code(),
+            asbase::ErrorCode::kUnavailable);
+}
+
 }  // namespace
 }  // namespace asnet

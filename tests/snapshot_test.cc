@@ -668,31 +668,6 @@ TEST(VisorSnapshotTest, CaptureCloneAndInvalidateWithCounters) {
       << "a clone that loaded nothing new publishes nothing";
 }
 
-TEST(VisorSnapshotTest, EnvKnobDisablesCapture) {
-  RegisterFileWriter();
-  const std::string wf = "snapoffwf";
-  const uint64_t creates0 =
-      CounterValue("alloy_visor_snapshot_creates_total", wf);
-  const uint64_t clones0 =
-      CounterValue("alloy_visor_snapshot_clones_total", wf);
-  // The store reads the knob once, when the visor builds it.
-  setenv("ALLOY_SNAPSHOT", "off", 1);
-  AsVisor visor;
-  unsetenv("ALLOY_SNAPSHOT");
-  AsVisor::WorkflowOptions options;
-  options.wfd = SmallWfd();
-  options.pool_size = 0;
-  visor.RegisterWorkflow(OneStage(wf, "snap.write_file"), options);
-  for (int i = 0; i < 2; ++i) {
-    auto result = visor.Invoke(wf, asbase::Json{});
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_FALSE(result->clone_start);
-  }
-  EXPECT_EQ(CounterValue("alloy_visor_snapshot_creates_total", wf), creates0)
-      << "ALLOY_SNAPSHOT=off must disable capture";
-  EXPECT_EQ(CounterValue("alloy_visor_snapshot_clones_total", wf), clones0);
-}
-
 TEST(VisorSnapshotTest, PoolLessWorkflowStillCapturesAndClones) {
   // pool_size == 0 cold-starts every invocation — the configuration with
   // the most to gain from clone boot. The first invoke must still publish

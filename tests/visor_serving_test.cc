@@ -53,6 +53,19 @@ uint64_t CounterValue(const std::string& name, const std::string& workflow) {
       .value();
 }
 
+// Polls (up to 10 s) until `workflow` has `count` warm WFDs; returns the
+// last count seen.
+size_t WaitForWarm(const AsVisor& visor, const std::string& workflow,
+                   size_t count) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (visor.WarmWfdCount(workflow).value_or(0) < count &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return visor.WarmWfdCount(workflow).value_or(0);
+}
+
 // ------------------------------------------------------------- WfdPool
 
 TEST(WfdPoolTest, LeaseParkEvictLifecycle) {
@@ -744,13 +757,7 @@ TEST(VisorServingTest, RegisterWorkflowPrewarmsToFloorWithoutInvocation) {
   visor.RegisterWorkflow(spec, options);
 
   // No invocation: the pool warmer alone fills the floor.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(10);
-  while (visor.WarmWfdCount("prewarmwf").value_or(0) < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(visor.WarmWfdCount("prewarmwf").value_or(0), 2u);
+  ASSERT_EQ(WaitForWarm(visor, "prewarmwf", 2), 2u);
   EXPECT_GE(CounterValue("alloy_visor_prewarms_total", "prewarmwf"), 2u);
 
   // A pre-warmed WFD serves the first invocation warm — the spike pays no
@@ -761,7 +768,7 @@ TEST(VisorServingTest, RegisterWorkflowPrewarmsToFloorWithoutInvocation) {
   EXPECT_EQ(first->wfd_create_nanos, 0);
 }
 
-TEST(VisorServingTest, PrewarmedWfdsReplayLearnedModuleSet) {
+TEST(VisorServingTest, PrewarmedReplacementIsACloneThatLoadsNoModules) {
   FunctionRegistry::Global().Register(
       "serving.warmod", [](FunctionContext& ctx) -> asbase::Status {
         AS_RETURN_IF_ERROR(ctx.as().WriteWholeFile("/warm.txt", Bytes("w")));
@@ -771,47 +778,84 @@ TEST(VisorServingTest, PrewarmedWfdsReplayLearnedModuleSet) {
         ctx.SetResult("ok");
         return asbase::OkStatus();
       });
+  const std::string wf = "warmodwf";
   AsVisor visor;
   WorkflowSpec spec;
-  spec.name = "warmodwf";
+  spec.name = wf;
   spec.stages.push_back(StageSpec{{FunctionSpec{"serving.warmod", 1}}});
   AsVisor::WorkflowOptions options;
   options.wfd = SmallWfd();
   options.pool_size = 1;
   options.min_warm = 1;
   visor.RegisterWorkflow(spec, options);
+  ASSERT_EQ(WaitForWarm(visor, wf, 1), 1u);
 
-  auto wait_for_warm = [&] {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (visor.WarmWfdCount("warmodwf").value_or(0) < 1 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    return visor.WarmWfdCount("warmodwf").value_or(0);
-  };
-  ASSERT_EQ(wait_for_warm(), 1u);
-
-  // The first run lands on an unprofiled pre-warmed WFD: it pays the module
-  // loads itself and teaches the warmer what this workflow touches.
-  auto first = visor.Invoke("warmodwf", asbase::Json());
+  // No template existed for the pre-warmed WFD: the first run pays the
+  // module loads itself and publishes the template.
+  auto first = visor.Invoke(wf, asbase::Json());
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_TRUE(first->warm_start);
   EXPECT_GT(first->module_load_nanos, 0);
 
   // A failed invocation destroys its WFD, draining the pool; the warmer
-  // boots a replacement through the factory — now with the learned profile.
+  // boots the replacement as a clone of that template.
+  const uint64_t clones0 =
+      CounterValue("alloy_visor_snapshot_clones_total", wf);
+  const uint64_t fallbacks0 =
+      CounterValue("alloy_visor_snapshot_fallback_boots_total", wf);
   asbase::Json fail_params;
   fail_params.Set("fail", true);
-  EXPECT_FALSE(visor.Invoke("warmodwf", fail_params).ok());
-  ASSERT_EQ(wait_for_warm(), 1u);
+  EXPECT_FALSE(visor.Invoke(wf, fail_params).ok());
+  ASSERT_EQ(WaitForWarm(visor, wf, 1), 1u);
+  EXPECT_EQ(CounterValue("alloy_visor_snapshot_clones_total", wf),
+            clones0 + 1);
+  EXPECT_EQ(CounterValue("alloy_visor_snapshot_fallback_boots_total", wf),
+            fallbacks0);
 
-  // The replacement arrives hot: the same run now loads zero modules.
-  auto replayed = visor.Invoke("warmodwf", asbase::Json());
-  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-  EXPECT_TRUE(replayed->warm_start);
-  EXPECT_EQ(replayed->module_load_nanos, 0)
-      << "the pre-warm factory must replay the recorded module set";
+  // The clone holds the template's modules: the same run loads none.
+  auto replacement = visor.Invoke(wf, asbase::Json());
+  ASSERT_TRUE(replacement.ok()) << replacement.status().ToString();
+  EXPECT_TRUE(replacement->warm_start);
+  EXPECT_EQ(replacement->module_load_nanos, 0);
+}
+
+TEST(VisorServingTest, PrewarmedRamfsWfdFullBootsAndLoadsOnFirstRun) {
+  FunctionRegistry::Global().Register(
+      "serving.ramfs_write", [](FunctionContext& ctx) -> asbase::Status {
+        AS_RETURN_IF_ERROR(ctx.as().WriteWholeFile("/ram.txt", Bytes("r")));
+        ctx.SetResult("ok");
+        return asbase::OkStatus();
+      });
+  const std::string wf = "ramfswarmwf";
+  const uint64_t clones0 =
+      CounterValue("alloy_visor_snapshot_clones_total", wf);
+  const uint64_t fallbacks0 =
+      CounterValue("alloy_visor_snapshot_fallback_boots_total", wf);
+  AsVisor visor;
+  WorkflowSpec spec;
+  spec.name = wf;
+  spec.stages.push_back(StageSpec{{FunctionSpec{"serving.ramfs_write", 1}}});
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.wfd.use_ramfs = true;
+  options.pool_size = 1;
+  options.min_warm = 1;
+  visor.RegisterWorkflow(spec, options);
+  ASSERT_EQ(WaitForWarm(visor, wf, 1), 1u);
+  // A ramfs WFD has no template to clone: the factory full-boots it.
+  EXPECT_EQ(CounterValue("alloy_visor_snapshot_fallback_boots_total", wf),
+            fallbacks0 + 1);
+  EXPECT_EQ(CounterValue("alloy_visor_snapshot_clones_total", wf), clones0);
+
+  // The booted WFD holds no module yet: its first run loads them on demand.
+  auto first = visor.Invoke(wf, asbase::Json());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(first->warm_start);
+  EXPECT_EQ(first->run.result, "ok");
+  EXPECT_GT(first->module_load_nanos, 0);
+  EXPECT_NE(std::find(first->modules_loaded.begin(),
+                      first->modules_loaded.end(), ModuleKind::kRamfs),
+            first->modules_loaded.end());
 }
 
 // --------------------------------------------- cross-workflow queue fairness
