@@ -5,7 +5,8 @@
 # and the poller/timer/backpressure paths are the most thread-heavy code in
 # the tree, so they get the race detector even when the full TSan suite
 # would be too slow — and the serving layer, fatfs, obs, the WFD heap
-# allocator and the workload bindings once more under ASan.
+# allocator and the workload bindings once more under ASan, and fatfs under
+# UBSan.
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -55,9 +56,10 @@ cmake -S . -B "${BUILD}-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DALLOY_SANITIZE=address >/dev/null
 cmake --build "${BUILD}-asan" -j "$(nproc)"
 ALLOY_VISOR_SHARDS=4 ctest --test-dir "${BUILD}-asan" -L serving --output-on-failure
-# The fatfs label is fatfs_test: the in-memory FAT is an array of 512-byte
-# sector pages indexed by cluster / 128, so an off-by-one in cluster bounds
-# is an out-of-bounds read that only ASan reports.
+# The fatfs label is fatfs_test: FAT entries and directory entries are read
+# and patched in place inside cached 512-byte metadata sectors, found by
+# sector arithmetic (cluster / 128, entry index * 32 / 512), so an
+# off-by-one there is an out-of-bounds access that only ASan reports.
 ctest --test-dir "${BUILD}-asan" -L fatfs --output-on-failure
 # The obs label covers the metrics registry: a latency series grows its
 # bucket array over the index range it has used, so an off-by-one in a
@@ -72,6 +74,17 @@ ctest --test-dir "${BUILD}-asan" -L alloc --output-on-failure
 # and free through it, so an owner that outlives its invocation is a
 # use-after-free that only ASan reports.
 ctest --test-dir "${BUILD}-asan" -L workloads --output-on-failure
+
+# The same metadata sectors are decoded little-endian byte by byte and
+# indexed with 32-bit LBA and cluster arithmetic: shifts and overflows that
+# UBSan reports and ASan does not.
+echo "==> fatfs tests under UndefinedBehaviorSanitizer (${BUILD}-ubsan)"
+cmake -S . -B "${BUILD}-ubsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DALLOY_SANITIZE=undefined >/dev/null
+cmake --build "${BUILD}-ubsan" -j "$(nproc)" --target fatfs_test
+# UBSan reports and carries on by default; halt so a report fails the pass.
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ctest --test-dir "${BUILD}-ubsan" -L fatfs --output-on-failure
 
 echo "==> serving + dataplane + sharding + obs-overhead bench smoke (--quick)"
 (cd "${BUILD}" && ./bench/bench_serving --quick >/dev/null)

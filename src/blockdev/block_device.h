@@ -82,9 +82,9 @@ struct MemDiskImage {
 // track touched blocks, not configured disk size), and a disk cloned from a
 // MemDiskImage shares the template's chunks copy-on-write — the first write
 // to a shared chunk copies that chunk privately. A chunk is one 4 KiB page,
-// the FAT cluster size, so a clone's small file write copies only the pages
-// it touches (FAT sector, directory entry, data cluster), not their
-// neighbours.
+// the FAT cluster size, so a clone's small file write copies only the data
+// clusters it touches, not their neighbours (fatfs keeps FAT and directory
+// sectors in memory until a Sync).
 class MemDisk : public BlockDevice {
  public:
   static constexpr size_t kChunkBytes = 4u << 10;  // 8 blocks

@@ -90,6 +90,8 @@ Libos::Libos(Options options, const WfdSnapshot& snapshot)
       module->owned_disk = std::move(mem_disk);
       auto volume = asfat::FatVolume::MountFromMeta(module->owned_disk.get(),
                                                     snapshot.fat);
+      // The disk dies with the volume: nothing would read a write-back.
+      volume->set_flush_on_unmount(false);
       module->volume = volume.get();
       module->fs = std::move(volume);
       module->pristine_disk = snapshot.disk;
@@ -321,11 +323,14 @@ asbase::Status Libos::BuildLocked(ModuleKind kind) {
         }
       }
       if (module->mem_disk != nullptr) {
-        // Freeze the freshly formatted disk (chunk pointers, no copy) before
-        // any function writes: the pristine half of a clone template.
+        // Capture the volume's metadata, then freeze the freshly formatted
+        // disk (chunk pointers, no copy) before any function writes: the
+        // pristine halves of a clone template. The disk dies with the
+        // volume, so its dirty metadata is never written back.
+        AS_ASSIGN_OR_RETURN(module->pristine_fat, (*mounted)->SnapshotMeta());
         module->pristine_disk = module->mem_disk->SnapshotImage();
-        module->pristine_fat = (*mounted)->SnapshotMeta();
         module->volume = mounted->get();
+        module->volume->set_flush_on_unmount(false);
       }
       module->fs = std::move(*mounted);
       fs_ = std::move(module);
@@ -575,7 +580,7 @@ size_t Libos::ResidentHeapBytes() const {
 size_t Libos::ResidentDiskBytes() const {
   return fs_ == nullptr || fs_->mem_disk == nullptr
              ? 0
-             : fs_->mem_disk->ResidentBytes() + fs_->volume->PrivateFatBytes();
+             : fs_->mem_disk->ResidentBytes() + fs_->volume->PrivateMetaBytes();
 }
 
 // ------------------------------------------------------------------ files

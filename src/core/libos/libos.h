@@ -193,9 +193,9 @@ class Libos {
   size_t ResidentHeapBytes() const;
 
   // Bytes of disk chunks privately materialized by this WFD's owned
-  // MemDisk plus the FAT sectors its volume holds privately (0 for external
-  // disks, ramfs, or an unloaded fs module). CoW-aware like
-  // ResidentHeapBytes.
+  // MemDisk plus the metadata sectors (FAT and directories) its volume
+  // holds privately (0 for external disks, ramfs, or an unloaded fs
+  // module). CoW-aware like ResidentHeapBytes.
   size_t ResidentDiskBytes() const;
 
  private:

@@ -32,6 +32,7 @@ IoCounters& FatIoCounters() {
 }
 
 constexpr size_t kSector = asblk::BlockDevice::kBlockSize;
+constexpr uint32_t kEntriesPerSector = kSector / 4;  // FAT entries
 // Source of every zero-fill write: one 4 KiB cluster's worth, never a
 // per-call allocation.
 constexpr uint8_t kZeroBlock[4096] = {};
@@ -242,32 +243,57 @@ asbase::Status FatVolume::LoadGeometry() {
     return asbase::DataLoss("corrupt BPB: no data region");
   }
   cluster_count_ = (total_sectors - data_start_sector_) / sectors_per_cluster_;
-  return asbase::OkStatus();
-}
-
-asbase::Status FatVolume::LoadFat() {
-  const uint32_t entries_needed = cluster_count_ + 2;
-  const uint32_t sectors =
-      (entries_needed + kEntriesPerSector - 1) / kEntriesPerSector;
-  fat_.reserve(sectors);
-  uint8_t sector[kSector];
-  for (uint32_t s = 0; s < sectors; ++s) {
-    AS_RETURN_IF_ERROR(device_->Read(reserved_sectors_ + s, sector));
-    auto page = std::make_shared<FatSector>();
-    const uint32_t base = s * kEntriesPerSector;
-    // Entries past the last cluster stay zero, as the write-through
-    // stores them.
-    for (uint32_t i = 0; i < kEntriesPerSector && base + i < entries_needed;
-         ++i) {
-      (*page)[i] = GetLe32(&sector[i * 4]) & kFatMask;
-    }
-    fat_.push_back(std::move(page));
+  if (root_cluster_ < 2 || root_cluster_ >= cluster_count_ + 2) {
+    return asbase::DataLoss("corrupt BPB: root cluster out of range");
   }
   return asbase::OkStatus();
 }
 
-FatVolume::MetaImage FatVolume::SnapshotMeta() {
+asbase::Status FatVolume::LoadFat() {
+  const uint32_t sectors =
+      (cluster_count_ + 2 + kEntriesPerSector - 1) / kEntriesPerSector;
+  for (uint32_t s = 0; s < sectors; ++s) {
+    AS_RETURN_IF_ERROR(MetaSector(reserved_sectors_ + s).status());
+  }
+  return asbase::OkStatus();
+}
+
+FatVolume::~FatVolume() {
+  if (!flush_on_unmount_) {
+    return;
+  }
+  const asbase::Status status = Sync();
+  if (!status.ok()) {
+    AS_LOG(kWarn) << "fatfs unmount: metadata write-back failed: "
+                  << status.ToString();
+  }
+}
+
+asbase::Result<FatVolume::MetaImage> FatVolume::SnapshotMeta() {
   std::lock_guard<std::mutex> lock(mutex_);
+  AS_RETURN_IF_ERROR(WriteBackLocked());
+  // The root directory travels with the image, so a clone's path lookups
+  // never read the device.
+  uint32_t cluster = root_cluster_;
+  for (uint32_t guard = 0; cluster >= 2 && cluster < kEndOfChain; ++guard) {
+    if (guard > cluster_count_ + 2) {
+      return asbase::DataLoss("directory chain cycle");
+    }
+    for (uint32_t s = 0; s < sectors_per_cluster_; ++s) {
+      AS_RETURN_IF_ERROR(MetaSector(ClusterFirstSector(cluster) + s).status());
+    }
+    cluster = FatEntry(cluster);
+  }
+  // Every cached sector is now shared with the image: the next write to
+  // any of them copies it first.
+  auto pages = base_ == nullptr ? std::make_shared<MetaPages>()
+                                : std::make_shared<MetaPages>(*base_);
+  for (const auto& [lba, page] : own_) {
+    (*pages)[lba] = page.bytes;
+  }
+  own_.clear();
+  base_ = std::move(pages);
+
   MetaImage meta;
   meta.sectors_per_cluster = sectors_per_cluster_;
   meta.bytes_per_cluster = bytes_per_cluster_;
@@ -276,10 +302,7 @@ FatVolume::MetaImage FatVolume::SnapshotMeta() {
   meta.data_start_sector = data_start_sector_;
   meta.cluster_count = cluster_count_;
   meta.root_cluster = root_cluster_;
-  // Every sector is now shared with the image: the next update of any of
-  // them copies it first.
-  base_ = std::make_shared<const FatPages>(fat_);
-  meta.fat = base_;
+  meta.pages = base_;
   meta.next_free_hint = next_free_hint_;
   return meta;
 }
@@ -294,33 +317,97 @@ std::unique_ptr<FatVolume> FatVolume::MountFromMeta(asblk::BlockDevice* device,
   volume->data_start_sector_ = meta.data_start_sector;
   volume->cluster_count_ = meta.cluster_count;
   volume->root_cluster_ = meta.root_cluster;
-  volume->fat_ = *meta.fat;
-  volume->base_ = meta.fat;
+  volume->base_ = meta.pages;
   volume->next_free_hint_ = meta.next_free_hint;
   return volume;
+}
+
+// ---------------------------------------------------------- metadata cache
+
+const uint8_t* FatVolume::CachedSector(uint64_t lba) const {
+  if (auto it = own_.find(lba); it != own_.end()) {
+    return it->second.bytes.data();
+  }
+  if (base_ != nullptr) {
+    if (auto it = base_->find(lba); it != base_->end()) {
+      return it->second.data();
+    }
+  }
+  return nullptr;
+}
+
+asbase::Result<const uint8_t*> FatVolume::MetaSector(uint64_t lba) {
+  if (const uint8_t* cached = CachedSector(lba)) {
+    return cached;
+  }
+  auto [it, inserted] = own_.try_emplace(lba);
+  const asbase::Status status = device_->Read(lba, it->second.bytes);
+  if (!status.ok()) {
+    own_.erase(it);
+    return status;
+  }
+  return static_cast<const uint8_t*>(it->second.bytes.data());
+}
+
+asbase::Result<uint8_t*> FatVolume::MutableMetaSector(uint64_t lba) {
+  AS_ASSIGN_OR_RETURN(const uint8_t* current, MetaSector(lba));
+  auto [it, copied] = own_.try_emplace(lba);
+  if (copied) {  // `current` is base_'s
+    std::memcpy(it->second.bytes.data(), current, kSector);
+  }
+  it->second.dirty = true;
+  return it->second.bytes.data();
+}
+
+void FatVolume::ZeroMetaCluster(uint32_t cluster) {
+  const uint64_t first = ClusterFirstSector(cluster);
+  for (uint32_t s = 0; s < sectors_per_cluster_; ++s) {
+    OwnedSector& page = own_[first + s];
+    page.bytes.fill(0);
+    page.dirty = true;
+  }
+}
+
+void FatVolume::DropMetaCluster(uint32_t cluster) {
+  const uint64_t first = ClusterFirstSector(cluster);
+  for (uint32_t s = 0; s < sectors_per_cluster_; ++s) {
+    own_.erase(first + s);
+  }
+}
+
+asbase::Status FatVolume::WriteBackLocked() {
+  std::vector<uint64_t> dirty;
+  for (const auto& [lba, page] : own_) {
+    if (page.dirty) {
+      dirty.push_back(lba);
+    }
+  }
+  std::sort(dirty.begin(), dirty.end());
+  for (uint64_t lba : dirty) {
+    OwnedSector& page = own_.at(lba);
+    AS_RETURN_IF_ERROR(device_->Write(lba, page.bytes));
+    page.dirty = false;
+  }
+  return asbase::OkStatus();
 }
 
 // ----------------------------------------------------------------- FAT ops
 
 uint32_t FatVolume::FatEntry(uint32_t cluster) const {
   AS_CHECK(cluster < cluster_count_ + 2) << "FAT index out of range";
-  return (*fat_[cluster / kEntriesPerSector])[cluster % kEntriesPerSector];
+  const uint8_t* sector =
+      CachedSector(reserved_sectors_ + cluster / kEntriesPerSector);
+  AS_CHECK(sector != nullptr) << "FAT sector not cached";
+  return GetLe32(sector + (cluster % kEntriesPerSector) * 4) & kFatMask;
 }
 
 asbase::Status FatVolume::SetFatEntry(uint32_t cluster, uint32_t value) {
   AS_CHECK(cluster < cluster_count_ + 2) << "FAT index out of range";
-  const uint32_t sector_index = cluster / kEntriesPerSector;
-  std::shared_ptr<FatSector>& page = fat_[sector_index];
-  if (base_ != nullptr && page == (*base_)[sector_index]) {
-    page = std::make_shared<FatSector>(*page);
-  }
-  (*page)[cluster % kEntriesPerSector] = value & kFatMask;
-  // Write-through of the same sector.
-  uint8_t sector[kSector];
-  for (uint32_t i = 0; i < kEntriesPerSector; ++i) {
-    PutLe32(&sector[i * 4], (*page)[i]);
-  }
-  return device_->Write(reserved_sectors_ + sector_index, sector);
+  AS_ASSIGN_OR_RETURN(
+      uint8_t* sector,
+      MutableMetaSector(reserved_sectors_ + cluster / kEntriesPerSector));
+  PutLe32(sector + (cluster % kEntriesPerSector) * 4, value & kFatMask);
+  return asbase::OkStatus();
 }
 
 asbase::Result<uint32_t> FatVolume::AllocateCluster(uint32_t prev_cluster) {
@@ -339,7 +426,7 @@ asbase::Result<uint32_t> FatVolume::AllocateCluster(uint32_t prev_cluster) {
   return asbase::ResourceExhausted("filesystem full: no free clusters");
 }
 
-asbase::Status FatVolume::FreeChain(uint32_t first_cluster) {
+asbase::Status FatVolume::FreeChain(uint32_t first_cluster, bool directory) {
   uint32_t cluster = first_cluster;
   uint32_t guard = 0;
   while (cluster >= 2 && cluster < kEndOfChain) {
@@ -348,6 +435,9 @@ asbase::Status FatVolume::FreeChain(uint32_t first_cluster) {
     }
     const uint32_t next = FatEntry(cluster);
     AS_RETURN_IF_ERROR(SetFatEntry(cluster, 0));
+    if (directory) {
+      DropMetaCluster(cluster);
+    }
     // Reuse freed clusters first: on a CoW disk their chunks are already
     // private, so a rewritten file costs no new chunk.
     next_free_hint_ = std::min(next_free_hint_, cluster);
@@ -409,12 +499,9 @@ asbase::Status FatVolume::ZeroCluster(uint32_t cluster) {
   return asbase::OkStatus();
 }
 
-asbase::Result<uint32_t> FatVolume::ClusterForOffset(uint32_t first_cluster,
-                                                     uint64_t offset,
-                                                     bool extend) {
-  AS_CHECK(first_cluster >= 2);
-  uint32_t cluster = first_cluster;
-  uint64_t hops = offset / bytes_per_cluster_;
+asbase::Result<uint32_t> FatVolume::ChainCluster(uint32_t cluster,
+                                                 uint64_t hops, Extend extend) {
+  AS_CHECK(cluster >= 2);
   uint32_t guard = 0;
   while (hops > 0) {
     if (++guard > cluster_count_ + 2) {
@@ -422,10 +509,13 @@ asbase::Result<uint32_t> FatVolume::ClusterForOffset(uint32_t first_cluster,
     }
     uint32_t next = FatEntry(cluster);
     if (next >= kEndOfChain) {
-      if (!extend) {
+      if (extend == Extend::kNo) {
         return asbase::OutOfRange("offset beyond end of chain");
       }
       AS_ASSIGN_OR_RETURN(next, AllocateCluster(cluster));
+      if (extend == Extend::kDirectory) {
+        ZeroMetaCluster(next);
+      }
     }
     cluster = next;
     --hops;
@@ -433,36 +523,52 @@ asbase::Result<uint32_t> FatVolume::ClusterForOffset(uint32_t first_cluster,
   return cluster;
 }
 
-// ----------------------------------------------------------------- dir ops
-
-asbase::Status FatVolume::ReadRawEntry(uint32_t dir_cluster, uint32_t index,
-                                       std::span<uint8_t> out32) {
-  const uint32_t entries_per_cluster = bytes_per_cluster_ / kEntrySize;
-  auto cluster = ClusterForOffset(
-      dir_cluster, static_cast<uint64_t>(index) * kEntrySize, false);
-  if (!cluster.ok()) {
-    return cluster.status();
-  }
-  return ReadInCluster(*cluster, (index % entries_per_cluster) * kEntrySize,
-                       out32);
-}
-
-asbase::Status FatVolume::WriteRawEntry(uint32_t dir_cluster, uint32_t index,
-                                        std::span<const uint8_t> entry32) {
-  const uint32_t entries_per_cluster = bytes_per_cluster_ / kEntrySize;
+asbase::Result<uint32_t> FatVolume::FileCluster(OpenFile& file,
+                                                uint64_t offset, bool extend) {
+  const uint64_t index = offset / bytes_per_cluster_;
+  const bool from_cursor =
+      file.cursor_cluster != 0 && file.cursor_index <= index;
   AS_ASSIGN_OR_RETURN(
       uint32_t cluster,
-      ClusterForOffset(dir_cluster, static_cast<uint64_t>(index) * kEntrySize,
-                       true));
-  return WriteInCluster(cluster, (index % entries_per_cluster) * kEntrySize,
-                        entry32);
+      ChainCluster(from_cursor ? file.cursor_cluster : file.first_cluster,
+                   index - (from_cursor ? file.cursor_index : 0),
+                   extend ? Extend::kFile : Extend::kNo));
+  file.cursor_cluster = cluster;
+  file.cursor_index = index;
+  return cluster;
+}
+
+// ----------------------------------------------------------------- dir ops
+
+asbase::Result<const uint8_t*> FatVolume::EntryAt(uint32_t dir_cluster,
+                                                  uint32_t index) {
+  const uint32_t entries_per_cluster = bytes_per_cluster_ / kEntrySize;
+  AS_ASSIGN_OR_RETURN(uint32_t cluster,
+                      ChainCluster(dir_cluster, index / entries_per_cluster,
+                                   Extend::kNo));
+  const uint32_t offset = (index % entries_per_cluster) * kEntrySize;
+  AS_ASSIGN_OR_RETURN(const uint8_t* sector,
+                      MetaSector(ClusterFirstSector(cluster) + offset / kSector));
+  return sector + offset % kSector;
+}
+
+asbase::Result<uint8_t*> FatVolume::MutableEntryAt(uint32_t dir_cluster,
+                                                   uint32_t index) {
+  const uint32_t entries_per_cluster = bytes_per_cluster_ / kEntrySize;
+  AS_ASSIGN_OR_RETURN(uint32_t cluster,
+                      ChainCluster(dir_cluster, index / entries_per_cluster,
+                                   Extend::kDirectory));
+  const uint32_t offset = (index % entries_per_cluster) * kEntrySize;
+  AS_ASSIGN_OR_RETURN(
+      uint8_t* sector,
+      MutableMetaSector(ClusterFirstSector(cluster) + offset / kSector));
+  return sector + offset % kSector;
 }
 
 asbase::Result<std::vector<FatVolume::DirEntry>> FatVolume::ParseDir(
     uint32_t dir_cluster) {
   std::vector<DirEntry> entries;
-  const uint32_t entries_per_cluster = bytes_per_cluster_ / kEntrySize;
-  std::vector<uint8_t> cluster_data(bytes_per_cluster_);
+  constexpr uint32_t kEntriesPerDirSector = kSector / kEntrySize;
 
   // LFN accumulation state.
   std::u16string lfn_chars;
@@ -477,73 +583,78 @@ asbase::Result<std::vector<FatVolume::DirEntry>> FatVolume::ParseDir(
     if (++guard > cluster_count_ + 2) {
       return asbase::DataLoss("directory chain cycle");
     }
-    AS_RETURN_IF_ERROR(ReadInCluster(cluster, 0, cluster_data));
-    for (uint32_t i = 0; i < entries_per_cluster; ++i, ++index) {
-      const uint8_t* e = &cluster_data[i * kEntrySize];
-      if (e[0] == 0x00) {
-        return entries;  // end of directory
-      }
-      if (e[0] == kDeletedMarker) {
+    for (uint32_t s = 0; s < sectors_per_cluster_; ++s) {
+      AS_ASSIGN_OR_RETURN(const uint8_t* sector,
+                          MetaSector(ClusterFirstSector(cluster) + s));
+      for (uint32_t i = 0; i < kEntriesPerDirSector; ++i, ++index) {
+        const uint8_t* e = sector + i * kEntrySize;
+        if (e[0] == 0x00) {
+          return entries;  // end of directory
+        }
+        if (e[0] == kDeletedMarker) {
+          lfn_active = false;
+          continue;
+        }
+        if ((e[11] & 0x3F) == kAttrLfn) {
+          const uint8_t ord = e[0];
+          if (ord & 0x40) {  // last (highest) LFN entry comes first on disk
+            lfn_chars.assign(static_cast<size_t>(ord & 0x3F) * 13,
+                             char16_t{0xFFFF});
+            lfn_checksum = e[13];
+            lfn_start = index;
+            lfn_active = true;
+          }
+          if (lfn_active) {
+            const uint32_t seq = (ord & 0x3F);
+            if (seq == 0 || seq * 13 > lfn_chars.size() ||
+                e[13] != lfn_checksum) {
+              lfn_active = false;
+              continue;
+            }
+            for (int k = 0; k < 13; ++k) {
+              lfn_chars[(seq - 1) * 13 + static_cast<size_t>(k)] =
+                  static_cast<char16_t>(GetLe16(&e[kLfnOffsets[k]]));
+            }
+          }
+          continue;
+        }
+        if (e[11] & 0x08) {  // volume label
+          lfn_active = false;
+          continue;
+        }
+        DirEntry entry;
+        entry.attr = e[11];
+        entry.first_cluster = (static_cast<uint32_t>(GetLe16(&e[20])) << 16) |
+                              GetLe16(&e[26]);
+        entry.size = GetLe32(&e[28]);
+        entry.location = EntryLocation{dir_cluster, index};
+        entry.lfn_start_index = index;
+        if (lfn_active && ShortNameChecksum(e) == lfn_checksum) {
+          std::string name;
+          for (char16_t c : lfn_chars) {
+            if (c == 0 || c == char16_t{0xFFFF}) {
+              break;
+            }
+            // UCS-2 -> UTF-8 (ASCII fast path; our names are ASCII).
+            if (c < 0x80) {
+              name.push_back(static_cast<char>(c));
+            } else if (c < 0x800) {
+              name.push_back(static_cast<char>(0xC0 | (c >> 6)));
+              name.push_back(static_cast<char>(0x80 | (c & 0x3F)));
+            } else {
+              name.push_back(static_cast<char>(0xE0 | (c >> 12)));
+              name.push_back(static_cast<char>(0x80 | ((c >> 6) & 0x3F)));
+              name.push_back(static_cast<char>(0x80 | (c & 0x3F)));
+            }
+          }
+          entry.name = std::move(name);
+          entry.lfn_start_index = lfn_start;
+        } else {
+          entry.name = UnpackShortName(e);
+        }
         lfn_active = false;
-        continue;
+        entries.push_back(std::move(entry));
       }
-      if ((e[11] & 0x3F) == kAttrLfn) {
-        const uint8_t ord = e[0];
-        if (ord & 0x40) {  // last (highest) LFN entry comes first on disk
-          lfn_chars.assign(static_cast<size_t>(ord & 0x3F) * 13, char16_t{0xFFFF});
-          lfn_checksum = e[13];
-          lfn_start = index;
-          lfn_active = true;
-        }
-        if (lfn_active) {
-          const uint32_t seq = (ord & 0x3F);
-          if (seq == 0 || seq * 13 > lfn_chars.size() || e[13] != lfn_checksum) {
-            lfn_active = false;
-            continue;
-          }
-          for (int k = 0; k < 13; ++k) {
-            lfn_chars[(seq - 1) * 13 + static_cast<size_t>(k)] =
-                static_cast<char16_t>(GetLe16(&e[kLfnOffsets[k]]));
-          }
-        }
-        continue;
-      }
-      if (e[11] & 0x08) {  // volume label
-        lfn_active = false;
-        continue;
-      }
-      DirEntry entry;
-      entry.attr = e[11];
-      entry.first_cluster = (static_cast<uint32_t>(GetLe16(&e[20])) << 16) |
-                            GetLe16(&e[26]);
-      entry.size = GetLe32(&e[28]);
-      entry.location = EntryLocation{dir_cluster, index};
-      entry.lfn_start_index = index;
-      if (lfn_active && ShortNameChecksum(e) == lfn_checksum) {
-        std::string name;
-        for (char16_t c : lfn_chars) {
-          if (c == 0 || c == char16_t{0xFFFF}) {
-            break;
-          }
-          // UCS-2 -> UTF-8 (ASCII fast path; our names are ASCII).
-          if (c < 0x80) {
-            name.push_back(static_cast<char>(c));
-          } else if (c < 0x800) {
-            name.push_back(static_cast<char>(0xC0 | (c >> 6)));
-            name.push_back(static_cast<char>(0x80 | (c & 0x3F)));
-          } else {
-            name.push_back(static_cast<char>(0xE0 | (c >> 12)));
-            name.push_back(static_cast<char>(0x80 | ((c >> 6) & 0x3F)));
-            name.push_back(static_cast<char>(0x80 | (c & 0x3F)));
-          }
-        }
-        entry.name = std::move(name);
-        entry.lfn_start_index = lfn_start;
-      } else {
-        entry.name = UnpackShortName(e);
-      }
-      lfn_active = false;
-      entries.push_back(std::move(entry));
     }
     cluster = FatEntry(cluster);
   }
@@ -631,50 +742,38 @@ asbase::Result<FatVolume::DirEntry> FatVolume::CreateEntry(
   // Find a contiguous run of free slots (deleted or virgin entries).
   uint32_t run_start = 0;
   uint32_t run_len = 0;
-  uint32_t index = 0;
-  bool found = false;
-  uint8_t raw[kEntrySize];
-  while (!found) {
-    asbase::Status status = ReadRawEntry(dir_cluster, index, raw);
-    bool is_free;
-    if (status.ok()) {
-      if (raw[0] == 0x00) {
-        // Virgin territory: everything from here on is free.
-        if (run_len == 0) {
-          run_start = index;
-        }
-        found = true;
-        break;
-      }
-      is_free = raw[0] == kDeletedMarker;
-    } else {
-      // Past the allocated chain: treat as free, WriteRawEntry will extend.
+  for (uint32_t index = 0;; ++index) {
+    auto raw = EntryAt(dir_cluster, index);
+    if (!raw.ok() && raw.status().code() != asbase::ErrorCode::kOutOfRange) {
+      return raw.status();
+    }
+    // Virgin territory, or past the allocated chain (MutableEntryAt extends
+    // it): everything from here on is free.
+    if (!raw.ok() || (*raw)[0] == 0x00) {
       if (run_len == 0) {
         run_start = index;
       }
-      found = true;
       break;
     }
-    if (is_free) {
-      if (run_len == 0) {
-        run_start = index;
-      }
-      if (++run_len == slots_needed) {
-        found = true;
-        break;
-      }
-    } else {
+    if ((*raw)[0] != kDeletedMarker) {
       run_len = 0;
+      continue;
     }
-    ++index;
+    if (run_len == 0) {
+      run_start = index;
+    }
+    if (++run_len == slots_needed) {
+      break;
+    }
   }
 
   // Write LFN entries (descending order) then the 8.3 entry.
   const uint8_t checksum = ShortNameChecksum(short_name);
   for (uint32_t i = 0; i < lfn_count; ++i) {
     const uint32_t seq = lfn_count - i;  // on-disk order: highest first
-    uint8_t entry[kEntrySize];
-    std::memset(entry, 0, sizeof(entry));
+    AS_ASSIGN_OR_RETURN(uint8_t* entry,
+                        MutableEntryAt(dir_cluster, run_start + i));
+    std::memset(entry, 0, kEntrySize);
     entry[0] = static_cast<uint8_t>(seq | (seq == lfn_count ? 0x40 : 0));
     entry[11] = kAttrLfn;
     entry[13] = checksum;
@@ -690,17 +789,16 @@ asbase::Result<FatVolume::DirEntry> FatVolume::CreateEntry(
       }
       PutLe16(&entry[kLfnOffsets[k]], c);
     }
-    AS_RETURN_IF_ERROR(WriteRawEntry(dir_cluster, run_start + i, entry));
   }
 
-  uint8_t entry[kEntrySize];
-  std::memset(entry, 0, sizeof(entry));
+  AS_ASSIGN_OR_RETURN(uint8_t* entry,
+                      MutableEntryAt(dir_cluster, run_start + lfn_count));
+  std::memset(entry, 0, kEntrySize);
   std::memcpy(entry, short_name, 11);
   entry[11] = attr;
   PutLe16(&entry[20], static_cast<uint16_t>(first_cluster >> 16));
   PutLe16(&entry[26], static_cast<uint16_t>(first_cluster & 0xFFFF));
   PutLe32(&entry[28], size);
-  AS_RETURN_IF_ERROR(WriteRawEntry(dir_cluster, run_start + lfn_count, entry));
 
   DirEntry result;
   result.name = name;
@@ -713,24 +811,23 @@ asbase::Result<FatVolume::DirEntry> FatVolume::CreateEntry(
 }
 
 asbase::Status FatVolume::DeleteEntry(const DirEntry& entry) {
-  uint8_t raw[kEntrySize];
   for (uint32_t index = entry.lfn_start_index; index <= entry.location.index;
        ++index) {
-    AS_RETURN_IF_ERROR(ReadRawEntry(entry.location.dir_cluster, index, raw));
+    AS_ASSIGN_OR_RETURN(uint8_t* raw,
+                        MutableEntryAt(entry.location.dir_cluster, index));
     raw[0] = kDeletedMarker;
-    AS_RETURN_IF_ERROR(WriteRawEntry(entry.location.dir_cluster, index, raw));
   }
   return asbase::OkStatus();
 }
 
 asbase::Status FatVolume::UpdateEntry(const EntryLocation& location,
                                       uint32_t first_cluster, uint32_t size) {
-  uint8_t raw[kEntrySize];
-  AS_RETURN_IF_ERROR(ReadRawEntry(location.dir_cluster, location.index, raw));
+  AS_ASSIGN_OR_RETURN(uint8_t* raw,
+                      MutableEntryAt(location.dir_cluster, location.index));
   PutLe16(&raw[20], static_cast<uint16_t>(first_cluster >> 16));
   PutLe16(&raw[26], static_cast<uint16_t>(first_cluster & 0xFFFF));
   PutLe32(&raw[28], size);
-  return WriteRawEntry(location.dir_cluster, location.index, raw);
+  return asbase::OkStatus();
 }
 
 // ------------------------------------------------------------- path lookup
@@ -772,7 +869,7 @@ asbase::Result<int> FatVolume::Open(const std::string& path, OpenFlags flags) {
       return asbase::InvalidArgument(path + " is a directory");
     }
     if (flags.truncate && entry.first_cluster != 0) {
-      AS_RETURN_IF_ERROR(FreeChain(entry.first_cluster));
+      AS_RETURN_IF_ERROR(FreeChain(entry.first_cluster, /*directory=*/false));
       entry.first_cluster = 0;
       entry.size = 0;
       AS_RETURN_IF_ERROR(UpdateEntry(entry.location, 0, 0));
@@ -836,7 +933,7 @@ asbase::Result<size_t> FatVolume::Read(int handle, std::span<uint8_t> out) {
   while (done < total) {
     AS_ASSIGN_OR_RETURN(
         uint32_t cluster,
-        ClusterForOffset(file.first_cluster, file.offset, false));
+        FileCluster(file, file.offset, /*extend=*/false));
     const uint32_t in_cluster =
         static_cast<uint32_t>(file.offset % bytes_per_cluster_);
     const size_t chunk =
@@ -886,8 +983,7 @@ asbase::Result<size_t> FatVolume::Write(int handle,
          index <= file.offset / bytes_per_cluster_; ++index) {
       AS_ASSIGN_OR_RETURN(
           uint32_t cluster,
-          ClusterForOffset(file.first_cluster, index * bytes_per_cluster_,
-                           true));
+          FileCluster(file, index * bytes_per_cluster_, /*extend=*/true));
       AS_RETURN_IF_ERROR(ZeroCluster(cluster));
     }
     // Zero the gap bytes inside the last cluster before the old EOF's
@@ -897,8 +993,7 @@ asbase::Result<size_t> FatVolume::Write(int handle,
         static_cast<uint32_t>(file.size % bytes_per_cluster_);
     if (eof_in_cluster != 0) {
       AS_ASSIGN_OR_RETURN(uint32_t cluster,
-                          ClusterForOffset(file.first_cluster, file.size,
-                                           false));
+                          FileCluster(file, file.size, /*extend=*/false));
       std::vector<uint8_t> zeros(bytes_per_cluster_ - eof_in_cluster, 0);
       AS_RETURN_IF_ERROR(WriteInCluster(cluster, eof_in_cluster, zeros));
     }
@@ -906,7 +1001,7 @@ asbase::Result<size_t> FatVolume::Write(int handle,
 
   size_t done = 0;
   while (done < data.size()) {
-    auto cluster = ClusterForOffset(file.first_cluster, file.offset, true);
+    auto cluster = FileCluster(file, file.offset, /*extend=*/true);
     if (!cluster.ok()) {
       break;  // filesystem full; report the partial write
     }
@@ -986,7 +1081,7 @@ asbase::Status FatVolume::Mkdir(const std::string& path) {
     return asbase::AlreadyExists(path + " exists");
   }
   AS_ASSIGN_OR_RETURN(uint32_t cluster, AllocateCluster(0));
-  AS_RETURN_IF_ERROR(ZeroCluster(cluster));
+  ZeroMetaCluster(cluster);
   AS_RETURN_IF_ERROR(CreateEntry(parent.dir_cluster, parent.leaf,
                                  kAttrDirectory, cluster, 0)
                          .status());
@@ -1010,7 +1105,8 @@ asbase::Status FatVolume::Remove(const std::string& path) {
     }
   }
   if (entry.first_cluster != 0) {
-    AS_RETURN_IF_ERROR(FreeChain(entry.first_cluster));
+    AS_RETURN_IF_ERROR(
+        FreeChain(entry.first_cluster, entry.is_directory()));
   }
   return DeleteEntry(entry);
 }
@@ -1043,7 +1139,7 @@ asbase::Status FatVolume::Sync() {
   for (auto& [handle, file] : open_files_) {
     AS_RETURN_IF_ERROR(FlushFile(file));
   }
-  return asbase::OkStatus();
+  return WriteBackLocked();
 }
 
 asbase::Result<uint32_t> FatVolume::CountFreeClusters() {
@@ -1057,13 +1153,9 @@ asbase::Result<uint32_t> FatVolume::CountFreeClusters() {
   return free;
 }
 
-size_t FatVolume::PrivateFatBytes() const {
+size_t FatVolume::PrivateMetaBytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  size_t owned = 0;
-  for (size_t s = 0; s < fat_.size(); ++s) {
-    owned += base_ == nullptr || fat_[s] != (*base_)[s] ? 1 : 0;
-  }
-  return owned * sizeof(FatSector);
+  return own_.size() * kSector;
 }
 
 }  // namespace asfat

@@ -349,7 +349,9 @@ TEST(FatVolumeTest, DataRegionStartsOnAClusterBoundary) {
     ASSERT_TRUE(FatVolume::Format(&disk).ok()) << blocks;
     auto volume = FatVolume::Mount(&disk);
     ASSERT_TRUE(volume.ok()) << blocks;
-    const FatVolume::MetaImage meta = (*volume)->SnapshotMeta();
+    auto snapshot = (*volume)->SnapshotMeta();
+    ASSERT_TRUE(snapshot.ok()) << blocks;
+    const FatVolume::MetaImage& meta = *snapshot;
     EXPECT_EQ(meta.data_start_sector % meta.sectors_per_cluster, 0u)
         << blocks << " blocks: data region at sector "
         << meta.data_start_sector;
@@ -434,22 +436,23 @@ TEST(FatVolumeTest, RewritingAFileOnACloneHoldsConstantMemory) {
   ASSERT_TRUE(FatVolume::Format(&tmpl).ok());
   auto booted = FatVolume::Mount(&tmpl);
   ASSERT_TRUE(booted.ok());
-  const FatVolume::MetaImage meta = (*booted)->SnapshotMeta();
+  auto meta = (*booted)->SnapshotMeta();
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
   MemDisk disk(tmpl.SnapshotImage());
-  std::unique_ptr<FatVolume> volume = FatVolume::MountFromMeta(&disk, meta);
+  std::unique_ptr<FatVolume> volume = FatVolume::MountFromMeta(&disk, *meta);
   const uint32_t free_at_start = *volume->CountFreeClusters();
 
   std::string content(4096, 'r');
   ASSERT_TRUE(volume->WriteFile("/rewrite.bin", content).ok());
   const size_t disk_bytes = disk.ResidentBytes();
-  const size_t fat_bytes = volume->PrivateFatBytes();
+  const size_t meta_bytes = volume->PrivateMetaBytes();
   const uint32_t free_with_file = *volume->CountFreeClusters();
   EXPECT_EQ(free_with_file, free_at_start - 1);
   for (int i = 1; i < 10'000; ++i) {
     content[static_cast<size_t>(i) % content.size()] = static_cast<char>(i);
     ASSERT_TRUE(volume->WriteFile("/rewrite.bin", content).ok()) << i;
     ASSERT_EQ(disk.ResidentBytes(), disk_bytes) << "rewrite " << i;
-    ASSERT_EQ(volume->PrivateFatBytes(), fat_bytes) << "rewrite " << i;
+    ASSERT_EQ(volume->PrivateMetaBytes(), meta_bytes) << "rewrite " << i;
   }
   EXPECT_EQ(*volume->CountFreeClusters(), free_with_file);
   EXPECT_EQ(AsString(*volume->ReadFile("/rewrite.bin")), content);
@@ -632,6 +635,317 @@ TEST_P(FatPropertyTest, MatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FatPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21));
+
+// ---------------------------------------------------------- write-back
+//
+// FAT and directory sectors stay in memory until Sync(), SnapshotMeta() or
+// unmount. Whatever reaches the device at those points must be a complete,
+// consistent volume; nothing else may reach it.
+
+// Every directory and file under `dir` of `fat` matches `ram`: the same
+// listings, sizes and bytes.
+void ExpectSameTree(Filesystem& fat, Filesystem& ram, const std::string& dir) {
+  auto fat_list = fat.ReadDir(dir.empty() ? "/" : dir);
+  auto ram_list = ram.ReadDir(dir.empty() ? "/" : dir);
+  ASSERT_TRUE(fat_list.ok()) << dir << ": " << fat_list.status().ToString();
+  ASSERT_TRUE(ram_list.ok()) << dir;
+  auto by_name = [](const FileInfo& a, const FileInfo& b) {
+    return a.name < b.name;
+  };
+  std::sort(fat_list->begin(), fat_list->end(), by_name);
+  std::sort(ram_list->begin(), ram_list->end(), by_name);
+  ASSERT_EQ(fat_list->size(), ram_list->size()) << dir;
+  for (size_t i = 0; i < fat_list->size(); ++i) {
+    const FileInfo& got = (*fat_list)[i];
+    const FileInfo& want = (*ram_list)[i];
+    const std::string path = dir + "/" + want.name;
+    ASSERT_EQ(got.name, want.name) << dir;
+    ASSERT_EQ(got.is_directory, want.is_directory) << path;
+    if (want.is_directory) {
+      ASSERT_NO_FATAL_FAILURE(ExpectSameTree(fat, ram, path));
+      continue;
+    }
+    ASSERT_EQ(got.size, want.size) << path;
+    auto fat_data = fat.ReadFile(path);
+    ASSERT_TRUE(fat_data.ok()) << path << ": " << fat_data.status().ToString();
+    ASSERT_TRUE(*fat_data == *ram.ReadFile(path)) << path;
+  }
+}
+
+// A FAT volume on a fresh MemDisk: mounted from the disk, or a CoW clone of
+// a formatted template mounted from its metadata image.
+enum class VolumeKind { kMounted, kClone };
+
+struct WriteBackVolume {
+  std::unique_ptr<MemDisk> template_disk;
+  std::unique_ptr<MemDisk> disk;
+  std::unique_ptr<FatVolume> volume;
+};
+
+void MakeWriteBackVolume(VolumeKind kind, uint64_t blocks,
+                         WriteBackVolume* out) {
+  if (kind == VolumeKind::kMounted) {
+    out->disk = std::make_unique<MemDisk>(blocks);
+    ASSERT_TRUE(FatVolume::Format(out->disk.get()).ok());
+    auto volume = FatVolume::Mount(out->disk.get());
+    ASSERT_TRUE(volume.ok()) << volume.status().ToString();
+    out->volume = std::move(*volume);
+    return;
+  }
+  out->template_disk = std::make_unique<MemDisk>(blocks);
+  ASSERT_TRUE(FatVolume::Format(out->template_disk.get()).ok());
+  auto booted = FatVolume::Mount(out->template_disk.get());
+  ASSERT_TRUE(booted.ok()) << booted.status().ToString();
+  auto meta = (*booted)->SnapshotMeta();
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  out->disk = std::make_unique<MemDisk>(out->template_disk->SnapshotImage());
+  out->volume = FatVolume::MountFromMeta(out->disk.get(), *meta);
+}
+
+std::string VolumeKindName(const ::testing::TestParamInfo<VolumeKind>& info) {
+  return info.param == VolumeKind::kMounted ? "mounted" : "clone";
+}
+
+class FatWriteBackTest : public ::testing::TestWithParam<VolumeKind> {};
+
+// A freed directory cluster is the first one a new file gets. If the
+// directory's dirty sectors outlived its chain, Sync would write them over
+// the file.
+TEST_P(FatWriteBackTest, FreedDirectoryClusterReusedForFileDataSurvivesSync) {
+  WriteBackVolume fs;
+  ASSERT_NO_FATAL_FAILURE(MakeWriteBackVolume(GetParam(), 4 * 1024, &fs));
+  FatVolume& volume = *fs.volume;
+  ASSERT_TRUE(volume.Mkdir("/sub").ok());
+  ASSERT_TRUE(volume.WriteFile("/sub/a_long_file_name.txt", "entry").ok());
+  ASSERT_TRUE(volume.Remove("/sub/a_long_file_name.txt").ok());
+  ASSERT_TRUE(volume.Remove("/sub").ok());
+  const uint32_t free_before = *volume.CountFreeClusters();
+  const std::string data(2 * volume.bytes_per_cluster(), '\xD7');
+  ASSERT_TRUE(volume.WriteFile("/data.bin", data).ok());
+  ASSERT_EQ(*volume.CountFreeClusters(), free_before - 2);
+  ASSERT_TRUE(volume.Sync().ok());
+
+  auto mounted = FatVolume::Mount(fs.disk.get());
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  EXPECT_EQ(AsString(*(*mounted)->ReadFile("/data.bin")), data);
+  EXPECT_FALSE((*mounted)->Stat("/sub").ok());
+  EXPECT_EQ(AsString(*volume.ReadFile("/data.bin")), data);
+}
+
+// And the other way round: a file's cluster that becomes a directory reads
+// as an empty directory after a remount, not as the file's bytes.
+TEST_P(FatWriteBackTest, FileClusterReusedForADirectoryRemountsEmpty) {
+  WriteBackVolume fs;
+  ASSERT_NO_FATAL_FAILURE(MakeWriteBackVolume(GetParam(), 4 * 1024, &fs));
+  ASSERT_TRUE(
+      fs.volume->WriteFile("/junk", std::string(4096, '\x41')).ok());
+  ASSERT_TRUE(fs.volume->Sync().ok());
+  ASSERT_TRUE(fs.volume->Remove("/junk").ok());
+  ASSERT_TRUE(fs.volume->Mkdir("/dir").ok());
+  fs.volume.reset();  // unmount
+
+  auto mounted = FatVolume::Mount(fs.disk.get());
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  auto listing = (*mounted)->ReadDir("/dir");
+  ASSERT_TRUE(listing.ok()) << listing.status().ToString();
+  EXPECT_TRUE(listing->empty());
+  EXPECT_FALSE((*mounted)->Stat("/junk").ok());
+}
+
+// A directory that outgrows its cluster takes a recycled one; the new
+// cluster's unused entries must read as free, not as the old file's bytes.
+TEST_P(FatWriteBackTest, DirectoryGrowsOntoARecycledCluster) {
+  WriteBackVolume fs;
+  ASSERT_NO_FATAL_FAILURE(MakeWriteBackVolume(GetParam(), 4 * 1024, &fs));
+  FatVolume& volume = *fs.volume;
+  ASSERT_TRUE(volume.WriteFile("/junk", std::string(4 * 4096, 'A')).ok());
+  ASSERT_TRUE(volume.Sync().ok());
+  ASSERT_TRUE(volume.Remove("/junk").ok());
+  ASSERT_TRUE(volume.Mkdir("/d").ok());
+  // 8.3 names take one 32-byte entry each: 130 overflow a 4 KiB cluster.
+  constexpr int kFiles = 130;
+  for (int i = 0; i < kFiles; ++i) {
+    char name[16];
+    std::snprintf(name, sizeof(name), "/d/F%03d", i);
+    auto handle = volume.Open(name, OpenFlags::WriteCreate());
+    ASSERT_TRUE(handle.ok()) << name;
+    ASSERT_TRUE(volume.Close(*handle).ok());
+  }
+  EXPECT_EQ(volume.ReadDir("/d")->size(), size_t{kFiles});
+  fs.volume.reset();
+
+  auto mounted = FatVolume::Mount(fs.disk.get());
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  EXPECT_EQ((*mounted)->ReadDir("/d")->size(), size_t{kFiles});
+}
+
+// Metadata reaches the device only at a flush point; unmount is one.
+TEST_P(FatWriteBackTest, MetadataReachesTheDeviceOnlyWhenFlushed) {
+  WriteBackVolume fs;
+  ASSERT_NO_FATAL_FAILURE(MakeWriteBackVolume(GetParam(), 4 * 1024, &fs));
+  ASSERT_TRUE(fs.volume->Mkdir("/d").ok());
+  ASSERT_TRUE(fs.volume->WriteFile("/d/f.txt", "written back").ok());
+  {
+    auto early = FatVolume::Mount(fs.disk.get());
+    ASSERT_TRUE(early.ok()) << early.status().ToString();
+    EXPECT_FALSE((*early)->Stat("/d").ok()) << "nothing flushed yet";
+  }
+  fs.volume.reset();
+  auto mounted = FatVolume::Mount(fs.disk.get());
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  EXPECT_EQ(AsString(*(*mounted)->ReadFile("/d/f.txt")), "written back");
+}
+
+TEST_P(FatWriteBackTest, NoWriteBackWhenTheOwnerDropsTheDevice) {
+  WriteBackVolume fs;
+  ASSERT_NO_FATAL_FAILURE(MakeWriteBackVolume(GetParam(), 4 * 1024, &fs));
+  ASSERT_TRUE(fs.volume->WriteFile("/f.txt", "data").ok());
+  fs.volume->set_flush_on_unmount(false);
+  fs.volume.reset();
+  auto mounted = FatVolume::Mount(fs.disk.get());
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  EXPECT_FALSE((*mounted)->Stat("/f.txt").ok());
+}
+
+// The same seeded operation sequence runs against the volume and
+// RamFilesystem (the oracle). At random points the volume is synced and a
+// second volume mounted on its device, or it is unmounted and the device
+// remounted; each mount must show the oracle's tree and the live volume's
+// free-cluster count.
+class FatCrashConsistencyTest
+    : public ::testing::TestWithParam<std::tuple<VolumeKind, uint64_t>> {};
+
+TEST_P(FatCrashConsistencyTest, EveryFlushPointMountsTheOraclesTree) {
+  const auto [kind, seed] = GetParam();
+  WriteBackVolume fs;
+  // 4 MiB: ~1000 clusters, so freed clusters (directories' among them) are
+  // reused often.
+  ASSERT_NO_FATAL_FAILURE(MakeWriteBackVolume(kind, 8 * 1024, &fs));
+  RamFilesystem ram;
+  asbase::Rng rng(seed);
+  std::vector<std::string> files;
+  std::vector<std::string> dirs = {""};  // "" == root
+  auto random_dir = [&] { return dirs[rng.Below(dirs.size())]; };
+  auto random_bytes = [&](size_t size) {
+    std::vector<uint8_t> bytes(size);
+    for (auto& byte : bytes) {
+      byte = static_cast<uint8_t>(rng.Next());
+    }
+    return bytes;
+  };
+  auto forget_file = [&](const std::string& path) {
+    files.erase(std::remove(files.begin(), files.end(), path), files.end());
+  };
+
+  int mounts = 0;
+  for (int step = 0; step < 600; ++step) {
+    FatVolume& fat = *fs.volume;
+    const int op = static_cast<int>(rng.Below(100));
+    if (op < 25) {
+      // Create, or truncate and rewrite.
+      const std::string path =
+          files.empty() || rng.OneIn(2)
+              ? random_dir() + "/" + rng.Word(1, 24) +
+                    (rng.OneIn(2) ? "." + rng.Word(1, 3) : "")
+              : files[rng.Below(files.size())];
+      const std::vector<uint8_t> data = random_bytes(rng.Below(20000));
+      const asbase::Status fat_status = fat.WriteFile(path, data);
+      ASSERT_EQ(fat_status.ok(), ram.WriteFile(path, data).ok()) << path;
+      if (fat_status.ok() &&
+          std::find(files.begin(), files.end(), path) == files.end()) {
+        files.push_back(path);
+      }
+    } else if (op < 45 && !files.empty()) {
+      // Write at an offset, possibly past EOF.
+      const std::string& path = files[rng.Below(files.size())];
+      const OpenFlags flags{.read = true, .write = true};
+      auto fh = fat.Open(path, flags);
+      auto rh = ram.Open(path, flags);
+      ASSERT_TRUE(fh.ok()) << path;
+      ASSERT_TRUE(rh.ok()) << path;
+      const uint64_t size = fat.Stat(path)->size;
+      const int64_t offset = static_cast<int64_t>(rng.Below(size + 6000));
+      const std::vector<uint8_t> data = random_bytes(1 + rng.Below(9000));
+      ASSERT_TRUE(fat.Seek(*fh, offset, Whence::kSet).ok());
+      ASSERT_TRUE(ram.Seek(*rh, offset, Whence::kSet).ok());
+      ASSERT_EQ(*fat.Write(*fh, data), data.size()) << path;
+      ASSERT_EQ(*ram.Write(*rh, data), data.size()) << path;
+      ASSERT_TRUE(fat.Close(*fh).ok());
+      ASSERT_TRUE(ram.Close(*rh).ok());
+    } else if (op < 57 && !files.empty()) {
+      const std::string path = files[rng.Below(files.size())];
+      ASSERT_TRUE(fat.Remove(path).ok()) << path;
+      ASSERT_TRUE(ram.Remove(path).ok()) << path;
+      forget_file(path);
+    } else if (op < 69) {
+      const std::string path = random_dir() + "/" + rng.Word(1, 16);
+      const asbase::Status fat_status = fat.Mkdir(path);
+      ASSERT_EQ(fat_status.ok(), ram.Mkdir(path).ok()) << path;
+      if (fat_status.ok()) {
+        dirs.push_back(path);
+      }
+    } else if (op < 79 && dirs.size() > 1) {
+      // Remove a directory, emptied of its files first; one holding a
+      // subdirectory stays on both sides.
+      const size_t index = 1 + rng.Below(dirs.size() - 1);
+      const std::string dir = dirs[index];
+      for (const std::string& path : std::vector<std::string>(files)) {
+        if (path.rfind(dir + "/", 0) == 0 &&
+            path.find('/', dir.size() + 1) == std::string::npos) {
+          ASSERT_TRUE(fat.Remove(path).ok()) << path;
+          ASSERT_TRUE(ram.Remove(path).ok()) << path;
+          forget_file(path);
+        }
+      }
+      const asbase::Status fat_status = fat.Remove(dir);
+      ASSERT_EQ(fat_status.ok(), ram.Remove(dir).ok()) << dir;
+      if (fat_status.ok()) {
+        dirs.erase(dirs.begin() + static_cast<int64_t>(index));
+      }
+    } else if (op < 90) {
+      // Sync, then mount a second volume on the same device.
+      ASSERT_TRUE(fat.Sync().ok());
+      auto second = FatVolume::Mount(fs.disk.get());
+      ASSERT_TRUE(second.ok()) << second.status().ToString();
+      ASSERT_NO_FATAL_FAILURE(ExpectSameTree(**second, ram, ""))
+          << "step " << step;
+      ASSERT_EQ(*(*second)->CountFreeClusters(), *fat.CountFreeClusters())
+          << "step " << step;
+      ++mounts;
+    } else {
+      // Unmount, and continue on a fresh mount of the device.
+      const uint32_t free_clusters = *fat.CountFreeClusters();
+      fs.volume.reset();
+      auto remounted = FatVolume::Mount(fs.disk.get());
+      ASSERT_TRUE(remounted.ok()) << remounted.status().ToString();
+      fs.volume = std::move(*remounted);
+      ASSERT_NO_FATAL_FAILURE(ExpectSameTree(*fs.volume, ram, ""))
+          << "step " << step;
+      ASSERT_EQ(*fs.volume->CountFreeClusters(), free_clusters)
+          << "step " << step;
+      ++mounts;
+    }
+  }
+  EXPECT_GT(mounts, 50);
+  ASSERT_NO_FATAL_FAILURE(ExpectSameTree(*fs.volume, ram, ""));
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, FatWriteBackTest,
+                         ::testing::Values(VolumeKind::kMounted,
+                                           VolumeKind::kClone),
+                         VolumeKindName);
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, FatCrashConsistencyTest,
+    ::testing::Combine(::testing::Values(VolumeKind::kMounted,
+                                         VolumeKind::kClone),
+                       ::testing::Values(11, 12, 13, 14, 15)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == VolumeKind::kMounted
+                             ? "mounted"
+                             : "clone") +
+             "_" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace asfat

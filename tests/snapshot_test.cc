@@ -235,10 +235,11 @@ TEST(MemDiskTest, UnalignedIoAcrossPageBoundariesRoundTrips) {
   EXPECT_EQ(first, std::vector<uint8_t>(first.size(), 1));
 }
 
-// ------------------------------------------------------------ FAT sectors
+// ------------------------------------------------------------ FAT metadata
 
-// A freshly formatted disk of the default WFD geometry (64 MiB), frozen,
-// and the metadata captured from its volume: the fatfs half of a template.
+// A freshly formatted disk of the default WFD geometry (64 MiB), the
+// metadata captured from its volume, and the disk frozen after that: the
+// fatfs half of a template.
 struct FatImage {
   std::unique_ptr<asblk::MemDisk> disk;
   std::unique_ptr<asfat::FatVolume> volume;  // the template's own volume
@@ -252,18 +253,31 @@ void MakeFatImage(FatImage* out) {
   auto volume = asfat::FatVolume::Mount(out->disk.get());
   ASSERT_TRUE(volume.ok()) << volume.status().ToString();
   out->volume = std::move(*volume);
+  auto meta = out->volume->SnapshotMeta();
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  out->meta = *meta;
   out->image = out->disk->SnapshotImage();
-  out->meta = out->volume->SnapshotMeta();
 }
 
-// The entries of every FAT sector, by value.
-std::vector<asfat::FatVolume::FatSector> FatContents(
-    const asfat::FatVolume::FatPages& pages) {
-  std::vector<asfat::FatVolume::FatSector> out;
-  for (const auto& page : pages) {
-    out.push_back(*page);
+// The FAT sectors of an image, in order, by value.
+std::vector<asfat::FatVolume::Sector> FatContents(
+    const asfat::FatVolume::MetaImage& meta) {
+  std::vector<asfat::FatVolume::Sector> out;
+  for (uint32_t s = 0; s < meta.fat_sectors; ++s) {
+    auto it = meta.pages->find(meta.reserved_sectors + s);
+    if (it != meta.pages->end()) {
+      out.push_back(it->second);
+    }
   }
   return out;
+}
+
+// The FAT sectors a volume holds now (captured, so written back first).
+std::vector<asfat::FatVolume::Sector> FatContents(asfat::FatVolume& volume) {
+  auto meta = volume.SnapshotMeta();
+  EXPECT_TRUE(meta.ok()) << meta.status().ToString();
+  return meta.ok() ? FatContents(*meta)
+                   : std::vector<asfat::FatVolume::Sector>{};
 }
 
 std::string ReadVolumeFile(asfat::FatVolume& volume, const std::string& path) {
@@ -272,51 +286,59 @@ std::string ReadVolumeFile(asfat::FatVolume& volume, const std::string& path) {
                     : "<" + bytes.status().ToString() + ">";
 }
 
-TEST(FatSectorCowTest, FourKiBWriteCopiesOneSectorAndSharesTheRest) {
+TEST(FatMetaCowTest, FourKiBWriteCopiesTwoSectorsAndOneDataPage) {
   FatImage fat;
   ASSERT_NO_FATAL_FAILURE(MakeFatImage(&fat));
-  ASSERT_EQ(fat.meta.fat->size(), 128u) << "64 MiB disk: 128 FAT sectors";
-  const auto pristine = FatContents(*fat.meta.fat);
-  EXPECT_EQ(fat.volume->PrivateFatBytes(), 0u) << "captured: all shared";
+  const auto pristine = FatContents(fat.meta);
+  ASSERT_EQ(pristine.size(), 128u) << "64 MiB disk: 128 FAT sectors";
+  EXPECT_EQ(fat.meta.pages->size(), 128u + 8)
+      << "the FAT and the root directory's cluster";
+  EXPECT_EQ(fat.volume->PrivateMetaBytes(), 0u) << "captured: all shared";
   const uint32_t free_before = *fat.volume->CountFreeClusters();
 
   asblk::MemDisk disk_a(fat.image);
   asblk::MemDisk disk_b(fat.image);
   auto a = asfat::FatVolume::MountFromMeta(&disk_a, fat.meta);
   auto b = asfat::FatVolume::MountFromMeta(&disk_b, fat.meta);
-  EXPECT_EQ(a->PrivateFatBytes(), 0u);
+  EXPECT_EQ(a->PrivateMetaBytes(), 0u);
   ASSERT_TRUE(a->WriteFile("/page.bin", std::string(4096, 'p')).ok());
-  EXPECT_EQ(a->PrivateFatBytes(), 512u) << "one sector, not the 64 KiB FAT";
+  EXPECT_EQ(a->PrivateMetaBytes(), 2u * 512)
+      << "the FAT sector and the directory entry's, not the 64 KiB FAT";
+  EXPECT_EQ(disk_a.ResidentBytes(), 4096u) << "only file data hit the disk";
   EXPECT_EQ(*a->CountFreeClusters(), free_before - 1);
 
   // The template and a sibling clone are unchanged.
-  EXPECT_EQ(FatContents(*fat.meta.fat), pristine);
-  EXPECT_EQ(fat.volume->PrivateFatBytes(), 0u);
+  EXPECT_EQ(FatContents(fat.meta), pristine);
+  EXPECT_EQ(fat.volume->PrivateMetaBytes(), 0u);
   EXPECT_EQ(*fat.volume->CountFreeClusters(), free_before);
-  EXPECT_EQ(b->PrivateFatBytes(), 0u);
+  EXPECT_EQ(b->PrivateMetaBytes(), 0u);
   EXPECT_EQ(*b->CountFreeClusters(), free_before);
   EXPECT_FALSE(b->Stat("/page.bin").ok());
 
-  // The sibling's write into the same sector gets its own copy.
+  // The sibling's write into the same sectors gets its own copies.
   ASSERT_TRUE(b->WriteFile("/other.bin", std::string(4096, 'o')).ok());
-  EXPECT_EQ(b->PrivateFatBytes(), 512u);
+  EXPECT_EQ(b->PrivateMetaBytes(), 2u * 512);
   EXPECT_EQ(ReadVolumeFile(*a, "/page.bin"), std::string(4096, 'p'));
   EXPECT_EQ(ReadVolumeFile(*b, "/other.bin"), std::string(4096, 'o'));
-  EXPECT_EQ(FatContents(*fat.meta.fat), pristine);
+  EXPECT_FALSE(a->Stat("/other.bin").ok());
+  EXPECT_EQ(FatContents(fat.meta), pristine);
 }
 
-TEST(FatSectorCowTest, MegabyteWriteCopiesExactlyTheSectorsItTouched) {
+TEST(FatMetaCowTest, MegabyteWriteCopiesExactlyTheSectorsItTouched) {
   FatImage fat;
   ASSERT_NO_FATAL_FAILURE(MakeFatImage(&fat));
-  const auto pristine = FatContents(*fat.meta.fat);
+  const auto pristine = FatContents(fat.meta);
   asblk::MemDisk disk(fat.image);
   auto clone = asfat::FatVolume::MountFromMeta(&disk, fat.meta);
   ASSERT_TRUE(clone->WriteFile("/big.bin", std::string(1 << 20, 'm')).ok());
+  EXPECT_EQ(disk.ResidentBytes(), size_t{1} << 20)
+      << "metadata stays in memory until a Sync";
 
-  // Which sectors changed, read back from the disk the write-through hit.
+  // Which sectors changed, read back from the disk after the write-back.
+  ASSERT_TRUE(clone->Sync().ok());
   auto mounted = asfat::FatVolume::Mount(&disk);
   ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
-  const auto on_disk = FatContents(*(*mounted)->SnapshotMeta().fat);
+  const auto on_disk = FatContents(**mounted);
   ASSERT_EQ(on_disk.size(), pristine.size());
   size_t touched = 0;
   for (size_t s = 0; s < on_disk.size(); ++s) {
@@ -324,11 +346,12 @@ TEST(FatSectorCowTest, MegabyteWriteCopiesExactlyTheSectorsItTouched) {
   }
   // 256 clusters from cluster 3 on: entries 3..258, sectors 0..2.
   EXPECT_EQ(touched, 3u);
-  EXPECT_EQ(clone->PrivateFatBytes(), touched * 512);
-  EXPECT_EQ(FatContents(*fat.meta.fat), pristine);
+  // Plus the root directory sector holding the file's entry.
+  EXPECT_EQ(clone->PrivateMetaBytes(), (touched + 1) * 512);
+  EXPECT_EQ(FatContents(fat.meta), pristine);
 }
 
-TEST(FatSectorCowTest, MountOfACloneDiskReadsBackTheClonesFat) {
+TEST(FatMetaCowTest, MountOfASyncedCloneDiskReadsBackTheClonesMetadata) {
   FatImage fat;
   ASSERT_NO_FATAL_FAILURE(MakeFatImage(&fat));
   asblk::MemDisk disk(fat.image);
@@ -339,19 +362,21 @@ TEST(FatSectorCowTest, MountOfACloneDiskReadsBackTheClonesFat) {
   ASSERT_TRUE(clone->WriteFile("/dir/b.bin", std::string(9000, 'b')).ok());
   ASSERT_TRUE(clone->Remove("/a.bin").ok());
   ASSERT_TRUE(clone->WriteFile("/c.bin", std::string(600 << 10, 'c')).ok());
+  ASSERT_TRUE(clone->Sync().ok());
 
   auto mounted = asfat::FatVolume::Mount(&disk);
   ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
-  EXPECT_EQ(FatContents(*(*mounted)->SnapshotMeta().fat),
-            FatContents(*clone->SnapshotMeta().fat));
   EXPECT_EQ(ReadVolumeFile(**mounted, "/dir/b.bin"), std::string(9000, 'b'));
+  EXPECT_EQ(ReadVolumeFile(**mounted, "/c.bin"), std::string(600 << 10, 'c'));
+  EXPECT_FALSE((*mounted)->Stat("/a.bin").ok());
   EXPECT_EQ(*(*mounted)->CountFreeClusters(), *clone->CountFreeClusters());
+  EXPECT_EQ(FatContents(**mounted), FatContents(*clone));
 }
 
-TEST(FatSectorCowTest, ConcurrentClonesAndTemplateWritesStayIsolated) {
+TEST(FatMetaCowTest, ConcurrentClonesAndTemplateWritesStayIsolated) {
   FatImage fat;
   ASSERT_NO_FATAL_FAILURE(MakeFatImage(&fat));
-  const auto pristine = FatContents(*fat.meta.fat);
+  const auto pristine = FatContents(fat.meta);
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -363,7 +388,7 @@ TEST(FatSectorCowTest, ConcurrentClonesAndTemplateWritesStayIsolated) {
                                static_cast<char>('a' + t));
         if (!clone->WriteFile("/t.bin", body).ok() ||
             ReadVolumeFile(*clone, "/t.bin") != body ||
-            clone->PrivateFatBytes() != 512) {
+            clone->PrivateMetaBytes() != 2 * 512) {
           failures.fetch_add(1);
         }
       }
@@ -380,7 +405,7 @@ TEST(FatSectorCowTest, ConcurrentClonesAndTemplateWritesStayIsolated) {
     thread.join();
   }
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(FatContents(*fat.meta.fat), pristine);
+  EXPECT_EQ(FatContents(fat.meta), pristine);
   EXPECT_EQ(ReadVolumeFile(*fat.volume, "/tmpl15.bin"), std::string(8192, 'T'));
 }
 
@@ -407,8 +432,9 @@ TEST(WfdSnapshotTest, FourKiBFileWriteIntoCloneCostsAFewPages) {
   ASSERT_TRUE(clone.ok()) << clone.status().ToString();
   ASSERT_TRUE(
       WriteFile((*clone)->libos(), "/page.bin", std::string(4096, 'p')).ok());
-  // The FAT sector, directory entry and data cluster pages (12 KiB), plus
-  // the one 512-byte FAT sector the volume copied.
+  // The data cluster's disk page, plus the FAT sector and the directory
+  // entry's sector the volume copied; the metadata stays off the disk.
+  EXPECT_LE((*clone)->libos().ResidentDiskBytes(), 4096u + 2 * 512);
   EXPECT_LE((*clone)->ResidentBytes(), 16u * 1024);
   EXPECT_EQ(ReadFile((*clone)->libos(), "/page.bin"), std::string(4096, 'p'));
 }
@@ -424,9 +450,9 @@ TEST(WfdSnapshotTest, ClusterWriteTouchesOnePageOnAnUnevenGeometry) {
   ASSERT_TRUE(clone.ok()) << clone.status().ToString();
   ASSERT_TRUE(
       WriteFile((*clone)->libos(), "/page.bin", std::string(4096, 'u')).ok());
-  // The FAT sector, directory entry and data cluster pages: 3 pages, plus
-  // the one 512-byte FAT sector the volume copied.
-  EXPECT_LE((*clone)->libos().ResidentDiskBytes(), 3u * 4096 + 512);
+  // The data cluster's page, plus the FAT sector and the directory entry's
+  // sector the volume copied.
+  EXPECT_LE((*clone)->libos().ResidentDiskBytes(), 4096u + 2 * 512);
   EXPECT_EQ(ReadFile((*clone)->libos(), "/page.bin"), std::string(4096, 'u'));
 }
 

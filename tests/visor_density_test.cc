@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -70,10 +71,13 @@ TEST(VisorDensityTest, IdleShardsHoldNoFlightRing) {
 
 // Registers `count` one-stage fatfs tenants shaped like the serving bench's
 // zipf_tenants (pool 1, concurrency 1, queue 8, 50 ms idle TTL), named
-// <prefix>-<i>, on shard `pin_shard` (-1: placed by hash).
+// <prefix>-<i>, on shard `pin_shard` (-1: placed by hash). Their stage runs
+// `fn`; `idle_ttl_ms` 0 keeps parked WFDs.
 std::vector<std::string> RegisterTenants(AsVisorRouter& router,
                                          const std::string& prefix, int count,
-                                         int pin_shard = -1) {
+                                         int pin_shard = -1,
+                                         const std::string& fn = "density.noop",
+                                         int64_t idle_ttl_ms = 50) {
   FunctionRegistry::Global().Register(
       "density.noop", [](FunctionContext&) { return asbase::OkStatus(); });
   AsVisor::WorkflowOptions options;
@@ -83,13 +87,13 @@ std::vector<std::string> RegisterTenants(AsVisorRouter& router,
   options.pool_size = 1;
   options.max_concurrency = 1;
   options.queue_capacity = 8;
-  options.idle_ttl_ms = 50;
+  options.idle_ttl_ms = idle_ttl_ms;
   options.pin_shard = pin_shard;
   std::vector<std::string> names;
   for (int i = 0; i < count; ++i) {
     WorkflowSpec spec;
     spec.name = prefix + "-" + std::to_string(i);
-    spec.stages.push_back(StageSpec{{FunctionSpec{"density.noop", 1}}});
+    spec.stages.push_back(StageSpec{{FunctionSpec{fn, 1}}});
     router.RegisterWorkflow(spec, options);
     names.push_back(spec.name);
   }
@@ -114,6 +118,53 @@ TEST(VisorDensityTest, RegisteringAWorkflowCostsUnder3KiBOfHeap) {
   // std::deques, it held 9.1 KiB.
   EXPECT_LT(per_tenant, 3u * 1024) << "one registration holds " << per_tenant
                                    << " B of heap";
+}
+
+// The density case: tenants shaped like zipf_tenants, each holding one
+// parked WFD cloned from the shared template after its function wrote a
+// 4 KiB file and read it back. What a tenant then holds is its
+// registration plus a parked clone: the file's data page, the two metadata
+// sectors the write copied, and the WFD's own bookkeeping.
+TEST(VisorDensityTest, ParkedFatfsTenantCostsUnder12KiBOfHeap) {
+  FunctionRegistry::Global().Register(
+      "density.tenant_io", [](FunctionContext& ctx) -> asbase::Status {
+        const std::vector<uint8_t> payload(4096, 0x5A);
+        AS_RETURN_IF_ERROR(ctx.as().WriteWholeFile("/tenant.bin", payload));
+        AS_ASSIGN_OR_RETURN(std::vector<uint8_t> back,
+                            ctx.as().ReadWholeFile("/tenant.bin"));
+        return back == payload ? asbase::OkStatus()
+                               : asbase::DataLoss("read-back differs");
+      });
+  RouterOptions options;
+  options.shards = 4;
+  AsVisorRouter router(options);
+  auto invoke_all = [&router](const std::vector<std::string>& names) {
+    for (const std::string& name : names) {
+      auto result = router.Invoke(name, asbase::Json());
+      ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    }
+  };
+  // One tenant per shard first: the shard's warmer, the families' first
+  // series and the geometry's template (one full boot) are paid once.
+  for (int shard = 0; shard < 4; ++shard) {
+    ASSERT_NO_FATAL_FAILURE(invoke_all(
+        RegisterTenants(router, "density-io-warm" + std::to_string(shard), 1,
+                        shard, "density.tenant_io", /*idle_ttl_ms=*/0)));
+  }
+  constexpr int kTenants = 256;
+  const size_t before = mallinfo2().uordblks;
+  const std::vector<std::string> names = RegisterTenants(
+      router, "density-io", kTenants, -1, "density.tenant_io", 0);
+  ASSERT_NO_FATAL_FAILURE(invoke_all(names));
+  const size_t per_tenant = (mallinfo2().uordblks - before) / kTenants;
+  for (const std::string& name : names) {
+    ASSERT_EQ(*router.WarmWfdCount(name), 1u) << name;
+  }
+  // When fatfs wrote its FAT and directory sectors through to the disk,
+  // each clone also held the two 4 KiB disk pages they sit in: ~18.6 KiB.
+  EXPECT_LT(per_tenant, 12u * 1024) << "one parked tenant holds "
+                                    << per_tenant << " B of heap";
+  std::printf("[ density  ] parked fatfs tenant: %zu B of heap\n", per_tenant);
 }
 
 TEST(VisorDensityTest, InvokeSeriesStayBoundedUnderAMillionSamples) {

@@ -217,9 +217,20 @@ TEST(WfdPoolTest, SixtyFourPoolsOnOneWarmerEachEvictWithinTtl) {
   for (int i = 0; i < kPools; ++i) {
     const int64_t idle = evicted_at[i] - parked_at[i];
     EXPECT_GE(idle, kTtlMs * kMillis) << "pool " << i << " evicted early";
-    EXPECT_LE(idle, (kTtlMs + 20) * kMillis)
+    // Liveness only: how late the warmer wakes is up to the host's load.
+    EXPECT_LE(idle, (kTtlMs + 1000) * kMillis)
         << "pool " << i << " evicted " << idle / kMillis << " ms after park";
   }
+  // One warmer must not serialize the 64 deadlines: the last eviction lands
+  // within 20 ms of the first, plus however far apart the parks were. A
+  // uniformly late warmer moves every eviction alike and cannot trip this.
+  const int64_t park_spread = parked_at[kPools - 1] - parked_at[0];
+  const int64_t eviction_spread =
+      *std::max_element(evicted_at.begin(), evicted_at.end()) -
+      *std::min_element(evicted_at.begin(), evicted_at.end());
+  EXPECT_LE(eviction_spread, park_spread + 20 * kMillis)
+      << "evictions spread over " << eviction_spread / kMillis
+      << " ms for parks " << park_spread / kMillis << " ms apart";
 }
 
 TEST(WfdPoolTest, ShutdownWaitsOutATickInsideTheFactory) {
