@@ -86,12 +86,16 @@ cmake --build "${BUILD}-ubsan" -j "$(nproc)" --target fatfs_test
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --test-dir "${BUILD}-ubsan" -L fatfs --output-on-failure
 
-echo "==> serving + dataplane + sharding + obs-overhead bench smoke (--quick)"
+echo "==> serving + dataplane + sharding + obs-overhead + Table 4 bench smoke"
 (cd "${BUILD}" && ./bench/bench_serving --quick >/dev/null)
 (cd "${BUILD}" && ./bench/bench_fig10_coldstart --quick >/dev/null)
 (cd "${BUILD}" && ./bench/bench_dataplane --quick >/dev/null)
 (cd "${BUILD}" && ./bench/bench_sharding --quick --zipf >/dev/null)
 (cd "${BUILD}" && ./bench/bench_serving --obs-overhead --quick >/dev/null)
+# Table 4 runs the as-fatfs rows over MemDisk and the user-space TCP stack
+# (~1 s). It once stalled for minutes in its TCP section; the timeout turns
+# a repeat into a CI failure instead of a hang.
+(cd "${BUILD}" && timeout 60 ./bench/bench_tab04_fsnet >/dev/null)
 
 # The serving benchmark builds its own copy of src/ (.bench_build/serve) and
 # drives Wfd::CaptureSnapshot / Wfd::CloneFromSnapshot in its ladder, so a

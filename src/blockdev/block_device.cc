@@ -1,10 +1,12 @@
 #include "src/blockdev/block_device.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/common/clock.h"
 
@@ -21,57 +23,90 @@ asbase::Status BlockDevice::ValidateRange(uint64_t lba, size_t bytes) const {
   return asbase::OkStatus();
 }
 
-size_t MemDiskImage::bytes() const {
-  size_t total = 0;
-  for (const auto& [index, chunk] : chunks) {
-    total += chunk->size();
+ChunkStore::~ChunkStore() { Unmap(); }
+
+ChunkStore::ChunkStore(ChunkStore&& other) noexcept
+    : chunk_count_(std::exchange(other.chunk_count_, 0)),
+      pages_(std::exchange(other.pages_, nullptr)),
+      held_(std::exchange(other.held_, 0)),
+      bits_(std::exchange(other.bits_, {})) {}
+
+ChunkStore& ChunkStore::operator=(ChunkStore&& other) noexcept {
+  if (this != &other) {
+    Unmap();
+    chunk_count_ = std::exchange(other.chunk_count_, 0);
+    pages_ = std::exchange(other.pages_, nullptr);
+    held_ = std::exchange(other.held_, 0);
+    bits_ = std::exchange(other.bits_, {});
   }
-  return total;
+  return *this;
 }
 
-MemDisk::MemDisk(uint64_t block_count) : blocks_(block_count) {}
+void ChunkStore::Unmap() {
+  if (pages_ != nullptr) {
+    ::munmap(pages_, chunk_count_ * kChunkBytes);
+    pages_ = nullptr;
+  }
+}
+
+asbase::Result<uint8_t*> ChunkStore::Take(uint64_t chunk) {
+  if (pages_ == nullptr) {
+    // The whole disk's worth of address space, committed page by page as
+    // chunks are written: a clone that writes pays this one mmap.
+    void* mapped = ::mmap(nullptr, chunk_count_ * kChunkBytes,
+                          PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (mapped == MAP_FAILED) {
+      return asbase::ResourceExhausted("cannot map MemDisk pages");
+    }
+    pages_ = static_cast<uint8_t*>(mapped);
+    bits_.assign((chunk_count_ + 63) / 64, 0);
+  }
+  bits_[chunk / 64] |= uint64_t{1} << (chunk % 64);
+  ++held_;
+  return Chunk(chunk);
+}
+
+void ChunkStore::Freeze() {
+  if (pages_ != nullptr) {
+    ::mprotect(pages_, chunk_count_ * kChunkBytes, PROT_READ);
+  }
+}
+
+const uint8_t* MemDiskImage::FindChunk(uint64_t chunk) const {
+  for (const MemDiskImage* image = this; image != nullptr;
+       image = image->parent_.get()) {
+    if (image->chunks_.Holds(chunk)) {
+      return image->chunks_.Chunk(chunk);
+    }
+  }
+  return nullptr;
+}
+
+size_t MemDiskImage::bytes() const {
+  size_t chunks = 0;
+  for (uint64_t chunk = 0; chunk < chunks_.chunk_count(); ++chunk) {
+    chunks += FindChunk(chunk) != nullptr ? 1 : 0;
+  }
+  return chunks * ChunkStore::kChunkBytes;
+}
+
+namespace {
+
+uint64_t ChunksFor(uint64_t blocks) {
+  return (blocks * BlockDevice::kBlockSize + ChunkStore::kChunkBytes - 1) /
+         ChunkStore::kChunkBytes;
+}
+
+}  // namespace
+
+MemDisk::MemDisk(uint64_t block_count)
+    : blocks_(block_count), own_(ChunksFor(block_count)) {}
 
 MemDisk::MemDisk(std::shared_ptr<const MemDiskImage> base)
-    : blocks_(base == nullptr ? 0 : base->blocks), base_(std::move(base)) {}
-
-const std::vector<uint8_t>* MemDisk::ChunkForRead(uint64_t chunk_index) const {
-  auto it = chunks_.find(chunk_index);
-  if (it != chunks_.end()) {
-    return it->second.get();
-  }
-  if (base_ != nullptr) {
-    auto base_it = base_->chunks.find(chunk_index);
-    if (base_it != base_->chunks.end()) {
-      return base_it->second.get();
-    }
-  }
-  return nullptr;  // hole: zeros
-}
-
-std::vector<uint8_t>* MemDisk::ChunkForWrite(uint64_t chunk_index) {
-  auto it = chunks_.find(chunk_index);
-  if (it != chunks_.end()) {
-    return it->second.get();
-  }
-  // First write into this chunk: copy the template's content (CoW break) or
-  // start from zeros.
-  std::shared_ptr<std::vector<uint8_t>> chunk;
-  const std::vector<uint8_t>* base_chunk = nullptr;
-  if (base_ != nullptr) {
-    auto base_it = base_->chunks.find(chunk_index);
-    if (base_it != base_->chunks.end()) {
-      base_chunk = base_it->second.get();
-    }
-  }
-  if (base_chunk != nullptr) {
-    chunk = std::make_shared<std::vector<uint8_t>>(*base_chunk);
-  } else {
-    chunk = std::make_shared<std::vector<uint8_t>>(kChunkBytes, 0);
-  }
-  std::vector<uint8_t>* raw = chunk.get();
-  chunks_.emplace(chunk_index, std::move(chunk));
-  return raw;
-}
+    : blocks_(base == nullptr ? 0 : base->blocks()),
+      own_(ChunksFor(blocks_)),
+      base_(std::move(base)) {}
 
 asbase::Status MemDisk::Read(uint64_t lba, std::span<uint8_t> out) {
   AS_RETURN_IF_ERROR(ValidateRange(lba, out.size()));
@@ -82,9 +117,11 @@ asbase::Status MemDisk::Read(uint64_t lba, std::span<uint8_t> out) {
     const uint64_t chunk_index = offset / kChunkBytes;
     const size_t within = static_cast<size_t>(offset % kChunkBytes);
     const size_t len = std::min(out.size() - done, kChunkBytes - within);
-    const std::vector<uint8_t>* chunk = ChunkForRead(chunk_index);
+    const uint8_t* chunk = own_.Holds(chunk_index) ? own_.Chunk(chunk_index)
+                           : base_ != nullptr ? base_->FindChunk(chunk_index)
+                                              : nullptr;
     if (chunk != nullptr) {
-      std::memcpy(out.data() + done, chunk->data() + within, len);
+      std::memcpy(out.data() + done, chunk + within, len);
     } else {
       std::memset(out.data() + done, 0, len);
     }
@@ -104,8 +141,20 @@ asbase::Status MemDisk::Write(uint64_t lba, std::span<const uint8_t> data) {
     const uint64_t chunk_index = offset / kChunkBytes;
     const size_t within = static_cast<size_t>(offset % kChunkBytes);
     const size_t len = std::min(data.size() - done, kChunkBytes - within);
-    std::vector<uint8_t>* chunk = ChunkForWrite(chunk_index);
-    std::memcpy(chunk->data() + within, data.data() + done, len);
+    uint8_t* chunk = nullptr;
+    if (own_.Holds(chunk_index)) {
+      chunk = own_.Chunk(chunk_index);
+    } else {
+      // First write into this chunk: copy the template's page (CoW break)
+      // unless this write replaces all of it, or keep the fresh page's zeros.
+      AS_ASSIGN_OR_RETURN(chunk, own_.Take(chunk_index));
+      const uint8_t* image =
+          base_ != nullptr ? base_->FindChunk(chunk_index) : nullptr;
+      if (image != nullptr && len < kChunkBytes) {
+        std::memcpy(chunk, image, kChunkBytes);
+      }
+    }
+    std::memcpy(chunk + within, data.data() + done, len);
     done += len;
     offset += len;
   }
@@ -115,28 +164,25 @@ asbase::Status MemDisk::Write(uint64_t lba, std::span<const uint8_t> data) {
 
 std::shared_ptr<const MemDiskImage> MemDisk::SnapshotImage() {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto image = std::make_shared<MemDiskImage>();
-  image->blocks = blocks_;
-  if (base_ != nullptr) {
-    image->chunks = base_->chunks;
+  if (own_.held() == 0 && base_ != nullptr) {
+    return base_;  // nothing written since the base: it is the image
   }
-  for (const auto& [index, chunk] : chunks_) {
-    image->chunks[index] = chunk;
-  }
-  // The template disk becomes a CoW client of its own frozen image: its
-  // next write to any of these chunks copies privately, so the image stays
-  // immutable while the template keeps serving.
-  base_ = image;
-  chunks_.clear();
-  return image;
+  // The image takes this disk's pages as they are; the template disk becomes
+  // a CoW client of its own frozen image, so its next write to any of these
+  // chunks copies into a fresh store and the image stays immutable.
+  own_.Freeze();
+  const uint64_t chunks = own_.chunk_count();
+  base_ = std::shared_ptr<const MemDiskImage>(
+      new MemDiskImage(blocks_, std::move(own_), std::move(base_)));
+  own_ = ChunkStore(chunks);
+  return base_;
 }
 
 size_t MemDisk::ResidentBytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Every chunk is kChunkBytes (ChunkForWrite makes or copies one), so this
-  // is O(1): the pool charges it on every park, and a long-lived WFD's
+  // O(1): the pool charges it on every park, and a long-lived WFD's
   // rewritten files leave it thousands of chunks.
-  return chunks_.size() * kChunkBytes;
+  return own_.held() * kChunkBytes;
 }
 
 asbase::Result<std::unique_ptr<FileDisk>> FileDisk::Create(

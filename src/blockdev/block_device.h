@@ -17,7 +17,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -66,28 +65,83 @@ class BlockDevice {
   std::atomic<uint64_t> bytes_written_{0};
 };
 
-// Immutable disk template for snapshot-fork (DESIGN.md §14): the sparse set
-// of touched chunks of a MemDisk at capture time. Shared by every clone (and
-// by the template disk itself, which becomes a CoW client of its own image
-// after SnapshotImage); chunk vectors are never mutated once they land here.
-struct MemDiskImage {
-  uint64_t blocks = 0;
-  std::unordered_map<uint64_t, std::shared_ptr<std::vector<uint8_t>>> chunks;
+// The private pages of one MemDisk or MemDiskImage: chunk i lives at offset
+// i * kChunkBytes of one anonymous MAP_NORESERVE mapping, reserved on the
+// first Take, and a bitmap (1 bit per chunk, also allocated then) records
+// which chunks are held. A page reaches RSS only when written, no chunk
+// lives on the malloc heap, and destroying the store hands every page back
+// to the kernel in one munmap.
+class ChunkStore {
+ public:
+  static constexpr size_t kChunkBytes = 4u << 10;  // one page, 8 blocks
 
-  size_t bytes() const;
+  explicit ChunkStore(uint64_t chunk_count) : chunk_count_(chunk_count) {}
+  ~ChunkStore();
+  ChunkStore(ChunkStore&& other) noexcept;
+  ChunkStore& operator=(ChunkStore&& other) noexcept;
+  ChunkStore(const ChunkStore&) = delete;
+  ChunkStore& operator=(const ChunkStore&) = delete;
+
+  bool Holds(uint64_t chunk) const {
+    return !bits_.empty() && ((bits_[chunk / 64] >> (chunk % 64)) & 1) != 0;
+  }
+  // The page of a held chunk.
+  uint8_t* Chunk(uint64_t chunk) const { return pages_ + chunk * kChunkBytes; }
+  // Marks a chunk that is not yet held as held and returns its page, which
+  // reads as zeros; reserves the mapping on the first call.
+  asbase::Result<uint8_t*> Take(uint64_t chunk);
+  // Makes the mapping read-only: the chunks of an image never change.
+  void Freeze();
+
+  uint64_t chunk_count() const { return chunk_count_; }
+  size_t held() const { return held_; }
+
+ private:
+  void Unmap();
+
+  uint64_t chunk_count_ = 0;
+  uint8_t* pages_ = nullptr;
+  size_t held_ = 0;
+  std::vector<uint64_t> bits_;
 };
 
-// RAM-backed disk with lazily-touched chunked storage: a fresh 64 MiB disk
-// commits nothing until blocks are written (an idle WFD's resident bytes
-// track touched blocks, not configured disk size), and a disk cloned from a
-// MemDiskImage shares the template's chunks copy-on-write — the first write
-// to a shared chunk copies that chunk privately. A chunk is one 4 KiB page,
+// Immutable disk template for snapshot-fork (DESIGN.md §14): the chunks a
+// MemDisk held at capture time, over the image that disk was itself cloned
+// from (if any). Shared by every clone and by the template disk itself,
+// which becomes a CoW client of its own image after SnapshotImage. Its pages
+// are mapped read-only once they land here.
+class MemDiskImage {
+ public:
+  uint64_t blocks() const { return blocks_; }
+  // The chunk's bytes as captured; nullptr = a hole (zeros).
+  const uint8_t* FindChunk(uint64_t chunk) const;
+  // Bytes of the distinct chunks this image (with its parents) holds.
+  size_t bytes() const;
+
+ private:
+  friend class MemDisk;
+  MemDiskImage(uint64_t blocks, ChunkStore chunks,
+               std::shared_ptr<const MemDiskImage> parent)
+      : blocks_(blocks), chunks_(std::move(chunks)), parent_(std::move(parent)) {}
+
+  uint64_t blocks_;
+  ChunkStore chunks_;
+  std::shared_ptr<const MemDiskImage> parent_;
+};
+
+// RAM-backed disk with lazily-touched, page-granular storage of its own (a
+// ChunkStore): a fresh 64 MiB disk commits nothing until blocks are written
+// (an idle WFD's resident bytes track touched blocks, not configured disk
+// size), and a disk cloned from a MemDiskImage reads the template's chunks
+// until it writes — the first write to a chunk copies the image's page into
+// the disk's own (or keeps the page's zero fill). A chunk is one 4 KiB page,
 // the FAT cluster size, so a clone's small file write copies only the data
 // clusters it touches, not their neighbours (fatfs keeps FAT and directory
-// sectors in memory until a Sync).
+// sectors in memory until a Sync). A disk that writes costs one mmap, and
+// its destruction (say, an evicted WFD's) one munmap that returns its pages.
 class MemDisk : public BlockDevice {
  public:
-  static constexpr size_t kChunkBytes = 4u << 10;  // 8 blocks
+  static constexpr size_t kChunkBytes = ChunkStore::kChunkBytes;
 
   explicit MemDisk(uint64_t block_count);
   // CoW clone: reads come from the image until this disk writes.
@@ -97,27 +151,22 @@ class MemDisk : public BlockDevice {
   asbase::Status Write(uint64_t lba, std::span<const uint8_t> data) override;
   uint64_t block_count() const override { return blocks_; }
 
-  // Freezes the current contents into an immutable image (cheap: shares
-  // chunk vectors, copies no data). This disk keeps serving reads/writes;
-  // its own next write to any frozen chunk copies privately first.
+  // Freezes the current contents into an immutable image (cheap: hands this
+  // disk's pages and bitmap to the image, copies no data). This disk keeps
+  // serving reads/writes from a fresh, lazily mapped store; its own next
+  // write to any frozen chunk copies privately first.
   std::shared_ptr<const MemDiskImage> SnapshotImage();
 
-  // Bytes privately materialized by this disk: touched chunks minus those
-  // still shared with the base image. The CoW-aware half of
-  // alloy_visor_pool_resident_bytes.
+  // Bytes privately materialized by this disk: held chunks × 4 KiB. The
+  // CoW-aware half of alloy_visor_pool_resident_bytes.
   size_t ResidentBytes() const;
 
  private:
-  // Returns a privately-owned, mutable chunk for `chunk_index`, copying
-  // from the base image (or zero-filling) on first write. mutex_ held.
-  std::vector<uint8_t>* ChunkForWrite(uint64_t chunk_index);
-  // Read view of a chunk; nullptr = hole (zeros). mutex_ held.
-  const std::vector<uint8_t>* ChunkForRead(uint64_t chunk_index) const;
-
   mutable std::mutex mutex_;
   uint64_t blocks_;
-  // Touched chunks owned by this disk. An entry shadows the base image.
-  std::unordered_map<uint64_t, std::shared_ptr<std::vector<uint8_t>>> chunks_;
+  // Chunks written by this disk since it was made or last snapshotted; a
+  // held chunk shadows the base image.
+  ChunkStore own_;
   // Template this disk was cloned from (or froze itself into); may be null.
   std::shared_ptr<const MemDiskImage> base_;
 };

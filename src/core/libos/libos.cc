@@ -324,8 +324,8 @@ asbase::Status Libos::BuildLocked(ModuleKind kind) {
       }
       if (module->mem_disk != nullptr) {
         // Capture the volume's metadata, then freeze the freshly formatted
-        // disk (chunk pointers, no copy) before any function writes: the
-        // pristine halves of a clone template. The disk dies with the
+        // disk (its pages move to the image, no copy) before any function
+        // writes: the pristine halves of a clone template. The disk dies with the
         // volume, so its dirty metadata is never written back.
         AS_ASSIGN_OR_RETURN(module->pristine_fat, (*mounted)->SnapshotMeta());
         module->pristine_disk = module->mem_disk->SnapshotImage();

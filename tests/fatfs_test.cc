@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 
 #include "src/blockdev/block_device.h"
 #include "src/common/clock.h"
@@ -69,6 +70,146 @@ TEST(MemDiskTest, CountsStats) {
   EXPECT_EQ(stats.reads, 1u);
   EXPECT_EQ(stats.writes, 1u);
   EXPECT_EQ(stats.bytes_read, 512u);
+}
+
+// A disk of `blocks` whose every page holds its own index, frozen into an
+// image: the template every clone below reads.
+std::shared_ptr<const asblk::MemDiskImage> PatternImage(uint64_t blocks) {
+  MemDisk disk(blocks);
+  for (uint64_t lba = 0; lba < blocks; lba += 8) {
+    std::vector<uint8_t> page(MemDisk::kChunkBytes,
+                              static_cast<uint8_t>(lba / 8 + 1));
+    EXPECT_TRUE(disk.Write(lba, page).ok());
+  }
+  return disk.SnapshotImage();
+}
+
+TEST(MemDiskTest, CloneReadsItsImagesBytes) {
+  auto image = PatternImage(256);
+  EXPECT_EQ(image->blocks(), 256u);
+  EXPECT_EQ(image->bytes(), 256u * 512);
+  MemDisk clone(image);
+  EXPECT_EQ(clone.block_count(), 256u);
+  std::vector<uint8_t> all(256 * 512);
+  ASSERT_TRUE(clone.Read(0, all).ok());
+  for (size_t i = 0; i < all.size(); ++i) {
+    ASSERT_EQ(all[i], static_cast<uint8_t>(i / MemDisk::kChunkBytes + 1)) << i;
+  }
+  EXPECT_EQ(clone.ResidentBytes(), 0u) << "reads copy nothing";
+}
+
+TEST(MemDiskTest, FirstWriteCopiesExactlyOneChunk) {
+  MemDisk clone(PatternImage(256));
+  const std::vector<uint8_t> block(512, 0xEE);
+  ASSERT_TRUE(clone.Write(8 * 5 + 3, block).ok());
+  EXPECT_EQ(clone.ResidentBytes(), MemDisk::kChunkBytes);
+  // The chunk's other blocks came from the image; its neighbours still do.
+  std::vector<uint8_t> pages(3 * MemDisk::kChunkBytes);
+  ASSERT_TRUE(clone.Read(8 * 4, pages).ok());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    const size_t page = i / MemDisk::kChunkBytes;
+    const size_t in_page = i % MemDisk::kChunkBytes;
+    const uint8_t want = page == 1 && in_page / 512 == 3
+                             ? 0xEE
+                             : static_cast<uint8_t>(4 + page + 1);
+    ASSERT_EQ(pages[i], want) << i;
+  }
+  // A second write into the same chunk copies nothing more.
+  ASSERT_TRUE(clone.Write(8 * 5, block).ok());
+  EXPECT_EQ(clone.ResidentBytes(), MemDisk::kChunkBytes);
+}
+
+TEST(MemDiskTest, UntouchedChunksReadZerosAndCostNothing) {
+  MemDisk fresh(16 * 1024);
+  MemDisk clone(MemDisk(16 * 1024).SnapshotImage());
+  for (MemDisk* disk : {&fresh, &clone}) {
+    std::vector<uint8_t> out(16 * 512, 0xFF);
+    for (uint64_t lba = 0; lba < 16 * 1024; lba += 16 * 64) {
+      ASSERT_TRUE(disk->Read(lba, out).ok());
+      ASSERT_EQ(out, std::vector<uint8_t>(out.size(), 0)) << lba;
+    }
+    EXPECT_EQ(disk->ResidentBytes(), 0u);
+  }
+}
+
+TEST(MemDiskTest, ImageStaysIdenticalWhileItsSourceKeepsWriting) {
+  MemDisk source(256);
+  for (uint64_t lba = 0; lba < 256; lba += 8) {
+    ASSERT_TRUE(
+        source.Write(lba, std::vector<uint8_t>(MemDisk::kChunkBytes, 0x11))
+            .ok());
+  }
+  auto image = source.SnapshotImage();
+  EXPECT_EQ(source.ResidentBytes(), 0u) << "the image took the pages";
+  std::vector<uint8_t> frozen(256 * 512);
+  ASSERT_TRUE(MemDisk(image).Read(0, frozen).ok());
+  // Every chunk of the source is rewritten, half of them only in part.
+  for (uint64_t lba = 0; lba < 256; lba += 4) {
+    ASSERT_TRUE(source.Write(lba, std::vector<uint8_t>(512, 0x22)).ok());
+  }
+  EXPECT_EQ(source.ResidentBytes(), 256u * 512);
+  std::vector<uint8_t> after(256 * 512);
+  ASSERT_TRUE(MemDisk(image).Read(0, after).ok());
+  EXPECT_EQ(after, frozen);
+  for (uint64_t chunk = 0; chunk < 32; ++chunk) {
+    ASSERT_NE(image->FindChunk(chunk), nullptr);
+    EXPECT_EQ(image->FindChunk(chunk)[MemDisk::kChunkBytes - 1], 0x11);
+  }
+  ASSERT_TRUE(source.Read(4, std::span<uint8_t>(after.data(), 512)).ok());
+  EXPECT_EQ(after[0], 0x22);
+}
+
+TEST(MemDiskTest, ImageOfACloneLayersOverItsBase) {
+  auto base = PatternImage(256);
+  MemDisk clone(base);
+  ASSERT_TRUE(clone.Write(8 * 2, std::vector<uint8_t>(512, 0xAB)).ok());
+  auto layered = clone.SnapshotImage();
+  EXPECT_EQ(layered->bytes(), 256u * 512) << "distinct chunks, not layers";
+  EXPECT_EQ(clone.SnapshotImage(), layered) << "nothing written since";
+  MemDisk grandchild(layered);
+  std::vector<uint8_t> page(MemDisk::kChunkBytes);
+  ASSERT_TRUE(grandchild.Read(8 * 2, page).ok());
+  EXPECT_EQ(page[0], 0xAB);
+  EXPECT_EQ(page[512], 3);
+  ASSERT_TRUE(grandchild.Read(8 * 3, page).ok());
+  EXPECT_EQ(page[0], 4);
+  ASSERT_TRUE(MemDisk(base).Read(8 * 2, page).ok());
+  EXPECT_EQ(page[0], 3);
+}
+
+// VmRSS of this process in KiB, or -1 if /proc is unreadable.
+int64_t VmRssKib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      int64_t kib = -1;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(1 << 12, '\n');
+  }
+  return -1;
+}
+
+// A destroyed disk hands its pages back: 1,000 disks that each hold a
+// different page would leave ~4 MiB behind if one kept its mapping.
+TEST(MemDiskTest, DestroyedDisksReturnTheirPages) {
+  const std::vector<uint8_t> block(512, 0x77);
+  {
+    MemDisk warm(16 * 1024);  // pages in whatever the first disk pays
+    ASSERT_TRUE(warm.Write(0, block).ok());
+  }
+  const int64_t before = VmRssKib();
+  ASSERT_GT(before, 0) << "cannot read VmRSS from /proc/self/status";
+  for (uint64_t i = 0; i < 1000; ++i) {
+    MemDisk disk(16 * 1024);
+    ASSERT_TRUE(disk.Write(i * 8 % (16 * 1024), block).ok());
+    ASSERT_EQ(disk.ResidentBytes(), MemDisk::kChunkBytes);
+  }
+  const int64_t growth_kib = VmRssKib() - before;
+  EXPECT_LT(growth_kib, 1024) << "1,000 destroyed disks left " << growth_kib
+                              << " KiB resident";
 }
 
 TEST(FileDiskTest, PersistsAcrossReopen) {
