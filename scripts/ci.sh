@@ -67,7 +67,10 @@ ctest --test-dir "${BUILD}-asan" -L fatfs --output-on-failure
 ctest --test-dir "${BUILD}-asan" -L obs --output-on-failure
 # The alloc label is alloc_test: the WFD heap allocator writes its block
 # headers and free-list nodes inside the heap it manages, and releasing free
-# pages must stop short of every one of them.
+# pages must stop short of every one of them. It also runs
+# wfd_reclaim_test: a WFD's LibOS objects live in its reservation's system
+# pages and die with one munmap, so an object touched after its WFD is
+# destroyed faults, and anything still malloc'd leaks.
 ctest --test-dir "${BUILD}-asan" -L alloc --output-on-failure
 # The workloads label is workloads_test: function inputs and AsBuffers live
 # on the WFD heap behind EnvBuffer owners that hold the invocation's AsStd*

@@ -22,41 +22,55 @@ Arena::Arena(size_t size) {
                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   AS_CHECK(mapped != MAP_FAILED) << "mmap of " << size_ << " bytes failed";
   data_ = mapped;
+  owned_ = true;
+}
+
+Arena Arena::View(void* data, size_t size) {
+  Arena view;
+  view.data_ = data;
+  view.size_ = size;
+  return view;
 }
 
 Arena::~Arena() {
-  if (data_ != nullptr) {
+  if (owned_) {
     munmap(data_, size_);
   }
 }
 
 Arena::Arena(Arena&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)) {}
+      size_(std::exchange(other.size_, 0)),
+      owned_(std::exchange(other.owned_, false)) {}
 
 Arena& Arena::operator=(Arena&& other) noexcept {
   if (this != &other) {
-    if (data_ != nullptr) {
+    if (owned_) {
       munmap(data_, size_);
     }
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
+    owned_ = std::exchange(other.owned_, false);
   }
   return *this;
 }
 
 size_t Arena::ResidentBytes(size_t prefix) const {
-  if (data_ == nullptr) {
-    return 0;
-  }
-  const size_t page = PageSize();
-  const size_t pages = (std::min(prefix, size_) + page - 1) / page;
+  return data_ == nullptr ? 0
+                          : asalloc::ResidentBytes(data_,
+                                                   std::min(prefix, size_));
+}
+
+size_t ResidentBytes(const void* data, size_t bytes) {
+  const size_t page = Arena::PageSize();
+  const size_t pages = (bytes + page - 1) / page;
   unsigned char vec[256];
   size_t resident = 0;
   for (size_t first = 0; first < pages; first += sizeof(vec)) {
     const size_t count = std::min(sizeof(vec), pages - first);
-    if (mincore(static_cast<char*>(data_) + first * page, count * page, vec) !=
-        0) {
+    if (mincore(const_cast<char*>(static_cast<const char*>(data)) +
+                    first * page,
+                count * page, vec) != 0) {
       return 0;
     }
     for (size_t i = 0; i < count; ++i) {

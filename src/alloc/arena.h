@@ -1,9 +1,10 @@
 // Page-aligned memory arenas backing WFD heaps and MPK partitions.
 //
-// Arenas are mmap'd so that (a) protection keys can be bound at page
-// granularity and (b) destroying the WFD returns the memory to the host in
-// one munmap, matching the paper's "as-visor destroys the WFD and reclaims
-// the associated resources".
+// Arenas are page-aligned so that protection keys can be bound at page
+// granularity. A standalone arena maps its own pages; a WFD's heap arena is
+// a view of the heap range of the WFD's reservation (reservation.h), which
+// destroying the WFD returns to the host in one munmap, matching the paper's
+// "as-visor destroys the WFD and reclaims the associated resources".
 
 #ifndef SRC_ALLOC_ARENA_H_
 #define SRC_ALLOC_ARENA_H_
@@ -18,6 +19,8 @@ class Arena {
   Arena() = default;
   // Maps `size` bytes (rounded up to pages) of zeroed anonymous memory.
   explicit Arena(size_t size);
+  // A view of `size` page-aligned bytes that someone else maps and unmaps.
+  static Arena View(void* data, size_t size);
   ~Arena();
 
   Arena(Arena&& other) noexcept;
@@ -40,7 +43,12 @@ class Arena {
  private:
   void* data_ = nullptr;
   size_t size_ = 0;
+  bool owned_ = false;  // unmapped by this arena's destructor
 };
+
+// Bytes of resident pages (via mincore) in [data, data + bytes), rounded out
+// to whole pages; data must be page-aligned.
+size_t ResidentBytes(const void* data, size_t bytes);
 
 }  // namespace asalloc
 

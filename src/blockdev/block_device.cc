@@ -5,10 +5,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <utility>
 
 #include "src/common/clock.h"
+#include "src/common/logging.h"
 
 namespace asblk {
 
@@ -23,36 +25,16 @@ asbase::Status BlockDevice::ValidateRange(uint64_t lba, size_t bytes) const {
   return asbase::OkStatus();
 }
 
-ChunkStore::~ChunkStore() { Unmap(); }
-
-ChunkStore::ChunkStore(ChunkStore&& other) noexcept
-    : chunk_count_(std::exchange(other.chunk_count_, 0)),
-      pages_(std::exchange(other.pages_, nullptr)),
-      held_(std::exchange(other.held_, 0)),
-      bits_(std::exchange(other.bits_, {})) {}
-
-ChunkStore& ChunkStore::operator=(ChunkStore&& other) noexcept {
-  if (this != &other) {
-    Unmap();
-    chunk_count_ = std::exchange(other.chunk_count_, 0);
-    pages_ = std::exchange(other.pages_, nullptr);
-    held_ = std::exchange(other.held_, 0);
-    bits_ = std::exchange(other.bits_, {});
-  }
-  return *this;
-}
-
-void ChunkStore::Unmap() {
-  if (pages_ != nullptr) {
+ChunkStore::~ChunkStore() {
+  if (owns_pages_ && pages_ != nullptr) {
     ::munmap(pages_, chunk_count_ * kChunkBytes);
-    pages_ = nullptr;
   }
 }
 
 asbase::Result<uint8_t*> ChunkStore::Take(uint64_t chunk) {
   if (pages_ == nullptr) {
     // The whole disk's worth of address space, committed page by page as
-    // chunks are written: a clone that writes pays this one mmap.
+    // chunks are written: a standalone disk that writes pays this one mmap.
     void* mapped = ::mmap(nullptr, chunk_count_ * kChunkBytes,
                           PROT_READ | PROT_WRITE,
                           MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
@@ -60,11 +42,33 @@ asbase::Result<uint8_t*> ChunkStore::Take(uint64_t chunk) {
       return asbase::ResourceExhausted("cannot map MemDisk pages");
     }
     pages_ = static_cast<uint8_t*>(mapped);
+  }
+  if (bits_.empty()) {
     bits_.assign((chunk_count_ + 63) / 64, 0);
   }
   bits_[chunk / 64] |= uint64_t{1} << (chunk % 64);
   ++held_;
   return Chunk(chunk);
+}
+
+void ChunkStore::Release() {
+  if (held_ == 0) {
+    return;
+  }
+  // One madvise from the first held chunk to the last: pages in between
+  // that were never touched cost it nothing.
+  uint64_t first = chunk_count_;
+  uint64_t last = 0;
+  for (uint64_t word = 0; word < bits_.size(); ++word) {
+    if (bits_[word] != 0) {
+      first = std::min<uint64_t>(first,
+                                 word * 64 + std::countr_zero(bits_[word]));
+      last = word * 64 + 63 - std::countl_zero(bits_[word]);
+      bits_[word] = 0;
+    }
+  }
+  ::madvise(Chunk(first), (last + 1 - first) * kChunkBytes, MADV_DONTNEED);
+  held_ = 0;
 }
 
 void ChunkStore::Freeze() {
@@ -100,13 +104,19 @@ uint64_t ChunksFor(uint64_t blocks) {
 
 }  // namespace
 
-MemDisk::MemDisk(uint64_t block_count)
-    : blocks_(block_count), own_(ChunksFor(block_count)) {}
+MemDisk::MemDisk(uint64_t block_count, uint8_t* pages,
+                 std::pmr::memory_resource* memory)
+    : blocks_(block_count), own_(ChunksFor(block_count), pages, memory) {}
 
-MemDisk::MemDisk(std::shared_ptr<const MemDiskImage> base)
+MemDisk::MemDisk(std::shared_ptr<const MemDiskImage> base, uint8_t* pages,
+                 std::pmr::memory_resource* memory)
     : blocks_(base == nullptr ? 0 : base->blocks()),
-      own_(ChunksFor(blocks_)),
+      own_(ChunksFor(blocks_), pages, memory),
       base_(std::move(base)) {}
+
+size_t MemDisk::StorageBytes(uint64_t block_count) {
+  return ChunksFor(block_count) * kChunkBytes;
+}
 
 asbase::Status MemDisk::Read(uint64_t lba, std::span<uint8_t> out) {
   AS_RETURN_IF_ERROR(ValidateRange(lba, out.size()));
@@ -167,14 +177,23 @@ std::shared_ptr<const MemDiskImage> MemDisk::SnapshotImage() {
   if (own_.held() == 0 && base_ != nullptr) {
     return base_;  // nothing written since the base: it is the image
   }
-  // The image takes this disk's pages as they are; the template disk becomes
-  // a CoW client of its own frozen image, so its next write to any of these
-  // chunks copies into a fresh store and the image stays immutable.
-  own_.Freeze();
-  const uint64_t chunks = own_.chunk_count();
-  base_ = std::shared_ptr<const MemDiskImage>(
-      new MemDiskImage(blocks_, std::move(own_), std::move(base_)));
-  own_ = ChunkStore(chunks);
+  // The image copies this disk's chunks into a store of its own, since this
+  // disk's pages die with it (a WFD's with its reservation). The disk then
+  // gives its pages back and becomes a CoW client of its frozen image: its
+  // next write to any of these chunks copies first, and the image stays
+  // immutable.
+  auto image = std::shared_ptr<MemDiskImage>(
+      new MemDiskImage(blocks_, own_.chunk_count(), std::move(base_)));
+  for (uint64_t chunk = 0; chunk < own_.chunk_count(); ++chunk) {
+    if (own_.Holds(chunk)) {
+      auto page = image->chunks_.Take(chunk);
+      AS_CHECK(page.ok()) << page.status().ToString();
+      std::memcpy(*page, own_.Chunk(chunk), kChunkBytes);
+    }
+  }
+  image->chunks_.Freeze();
+  own_.Release();
+  base_ = std::move(image);
   return base_;
 }
 

@@ -14,11 +14,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "src/common/resource_object.h"
 #include "src/common/status.h"
 
 namespace asblk {
@@ -66,19 +68,26 @@ class BlockDevice {
 };
 
 // The private pages of one MemDisk or MemDiskImage: chunk i lives at offset
-// i * kChunkBytes of one anonymous MAP_NORESERVE mapping, reserved on the
-// first Take, and a bitmap (1 bit per chunk, also allocated then) records
-// which chunks are held. A page reaches RSS only when written, no chunk
-// lives on the malloc heap, and destroying the store hands every page back
-// to the kernel in one munmap.
+// i * kChunkBytes of one page range, and a bitmap (1 bit per chunk,
+// allocated on the first Take from `memory`) records which chunks are held.
+// The range is either lent by the owner (a WFD's reservation) or, when none
+// is, one anonymous MAP_NORESERVE mapping of the store's own, reserved on
+// the first Take and unmapped when the store dies. A page reaches RSS only
+// when written and no chunk lives on the malloc heap.
 class ChunkStore {
  public:
   static constexpr size_t kChunkBytes = 4u << 10;  // one page, 8 blocks
 
-  explicit ChunkStore(uint64_t chunk_count) : chunk_count_(chunk_count) {}
+  // `pages`, when not null, is chunk_count * kChunkBytes page-aligned bytes
+  // that outlive the store.
+  explicit ChunkStore(uint64_t chunk_count, uint8_t* pages = nullptr,
+                      std::pmr::memory_resource* memory =
+                          std::pmr::get_default_resource())
+      : chunk_count_(chunk_count),
+        pages_(pages),
+        owns_pages_(pages == nullptr),
+        bits_(memory) {}
   ~ChunkStore();
-  ChunkStore(ChunkStore&& other) noexcept;
-  ChunkStore& operator=(ChunkStore&& other) noexcept;
   ChunkStore(const ChunkStore&) = delete;
   ChunkStore& operator=(const ChunkStore&) = delete;
 
@@ -88,8 +97,10 @@ class ChunkStore {
   // The page of a held chunk.
   uint8_t* Chunk(uint64_t chunk) const { return pages_ + chunk * kChunkBytes; }
   // Marks a chunk that is not yet held as held and returns its page, which
-  // reads as zeros; reserves the mapping on the first call.
+  // reads as zeros; reserves the mapping of an unlent store on first call.
   asbase::Result<uint8_t*> Take(uint64_t chunk);
+  // Gives every held chunk's page back to the kernel and holds none.
+  void Release();
   // Makes the mapping read-only: the chunks of an image never change.
   void Freeze();
 
@@ -97,19 +108,19 @@ class ChunkStore {
   size_t held() const { return held_; }
 
  private:
-  void Unmap();
-
-  uint64_t chunk_count_ = 0;
-  uint8_t* pages_ = nullptr;
+  const uint64_t chunk_count_;
+  uint8_t* pages_;
+  const bool owns_pages_;
   size_t held_ = 0;
-  std::vector<uint64_t> bits_;
+  std::pmr::vector<uint64_t> bits_;
 };
 
-// Immutable disk template for snapshot-fork (DESIGN.md §14): the chunks a
-// MemDisk held at capture time, over the image that disk was itself cloned
-// from (if any). Shared by every clone and by the template disk itself,
-// which becomes a CoW client of its own image after SnapshotImage. Its pages
-// are mapped read-only once they land here.
+// Immutable disk template for snapshot-fork (DESIGN.md §14): copies of the
+// chunks a MemDisk held at capture time, over the image that disk was itself
+// cloned from (if any). Shared by every clone and by the template disk
+// itself, which becomes a CoW client of its own image after SnapshotImage.
+// Its chunks live in a read-only mapping of its own, never in the memory of
+// the disk it was captured from, which may die first.
 class MemDiskImage {
  public:
   uint64_t blocks() const { return blocks_; }
@@ -120,9 +131,9 @@ class MemDiskImage {
 
  private:
   friend class MemDisk;
-  MemDiskImage(uint64_t blocks, ChunkStore chunks,
+  MemDiskImage(uint64_t blocks, uint64_t chunk_count,
                std::shared_ptr<const MemDiskImage> parent)
-      : blocks_(blocks), chunks_(std::move(chunks)), parent_(std::move(parent)) {}
+      : blocks_(blocks), chunks_(chunk_count), parent_(std::move(parent)) {}
 
   uint64_t blocks_;
   ChunkStore chunks_;
@@ -137,24 +148,38 @@ class MemDiskImage {
 // the disk's own (or keeps the page's zero fill). A chunk is one 4 KiB page,
 // the FAT cluster size, so a clone's small file write copies only the data
 // clusters it touches, not their neighbours (fatfs keeps FAT and directory
-// sectors in memory until a Sync). A disk that writes costs one mmap, and
-// its destruction (say, an evicted WFD's) one munmap that returns its pages.
-class MemDisk : public BlockDevice {
+// sectors in memory until a Sync). A WFD's disk keeps its chunks in the
+// disk range of the WFD's reservation, which dies with the WFD; a
+// standalone disk maps its own on its first write and unmaps it when it
+// dies.
+class MemDisk : public BlockDevice, public asbase::ResourceObject {
  public:
   static constexpr size_t kChunkBytes = ChunkStore::kChunkBytes;
 
-  explicit MemDisk(uint64_t block_count);
+  // `pages`, when not null, is where the disk keeps its chunks: the disk's
+  // size rounded up to whole chunks, page-aligned, outliving the disk.
+  // `memory` holds the chunk bitmap.
+  explicit MemDisk(uint64_t block_count, uint8_t* pages = nullptr,
+                   std::pmr::memory_resource* memory =
+                       std::pmr::get_default_resource());
   // CoW clone: reads come from the image until this disk writes.
-  explicit MemDisk(std::shared_ptr<const MemDiskImage> base);
+  explicit MemDisk(std::shared_ptr<const MemDiskImage> base,
+                   uint8_t* pages = nullptr,
+                   std::pmr::memory_resource* memory =
+                       std::pmr::get_default_resource());
+
+  // Bytes of chunk storage a disk of `block_count` blocks needs.
+  static size_t StorageBytes(uint64_t block_count);
 
   asbase::Status Read(uint64_t lba, std::span<uint8_t> out) override;
   asbase::Status Write(uint64_t lba, std::span<const uint8_t> data) override;
   uint64_t block_count() const override { return blocks_; }
 
-  // Freezes the current contents into an immutable image (cheap: hands this
-  // disk's pages and bitmap to the image, copies no data). This disk keeps
-  // serving reads/writes from a fresh, lazily mapped store; its own next
-  // write to any frozen chunk copies privately first.
+  // Freezes the current contents into an immutable image: copies the
+  // chunks this disk holds into the image's own read-only store (a
+  // formatted disk's few pages, once per template), then gives this disk's
+  // pages back. The disk keeps serving reads from the image; its next write
+  // to any frozen chunk copies privately first.
   std::shared_ptr<const MemDiskImage> SnapshotImage();
 
   // Bytes privately materialized by this disk: held chunks × 4 KiB. The

@@ -171,7 +171,7 @@ class AsStd {
     return AccessGuard(&wfd_->mpk(),
                        asmpk::PkeyRuntime::AllowKey(
                            wfd_->mpk().ReadPkru(), wfd_->user_key()),
-                       wfd_->options().inter_function_isolation);
+                       wfd_->inter_function_isolation());
   }
 
  private:

@@ -84,12 +84,13 @@ Libos::Libos(Options options, const WfdSnapshot& snapshot)
         clone_status_ = asbase::Internal("snapshot lists fatfs but no disk");
         return;
       }
-      auto module = std::make_unique<FsModule>();
-      auto mem_disk = std::make_unique<asblk::MemDisk>(snapshot.disk);
+      auto module = Make<FsModule>();
+      auto mem_disk = Make<asblk::MemDisk>(
+          snapshot.disk, options_.disk_pages.data(), options_.memory);
       module->mem_disk = mem_disk.get();
       module->owned_disk = std::move(mem_disk);
-      auto volume = asfat::FatVolume::MountFromMeta(module->owned_disk.get(),
-                                                    snapshot.fat);
+      auto volume = asfat::FatVolume::MountFromMeta(
+          module->owned_disk.get(), snapshot.fat, options_.memory);
       // The disk dies with the volume: nothing would read a write-back.
       volume->set_flush_on_unmount(false);
       module->volume = volume.get();
@@ -286,10 +287,11 @@ asbase::Status Libos::LoadLocked(ModuleKind kind) {
 asbase::Status Libos::BuildLocked(ModuleKind kind) {
   switch (kind) {
     case ModuleKind::kMm: {
-      auto module = std::make_unique<MmModule>();
-      module->heap = asalloc::Arena(options_.heap_bytes);
+      auto module = Make<MmModule>();
+      module->heap = asalloc::Arena::View(options_.heap_pages.data(),
+                                          options_.heap_pages.size());
       if (!module->heap.valid()) {
-        return asbase::ResourceExhausted("cannot map WFD heap");
+        return asbase::FailedPrecondition("WFD has no heap range");
       }
       module->allocator.Init(module->heap.data(), module->heap.size());
       if (options_.mpk != nullptr && options_.heap_key != 0) {
@@ -305,28 +307,30 @@ asbase::Status Libos::BuildLocked(ModuleKind kind) {
         return asbase::FailedPrecondition(
             "WFD is configured for ramfs; fatfs unavailable");
       }
-      auto module = std::make_unique<FsModule>();
+      auto module = Make<FsModule>();
       asblk::BlockDevice* disk = options_.disk;
       if (disk == nullptr) {
-        auto mem_disk = std::make_unique<asblk::MemDisk>(options_.disk_blocks);
+        auto mem_disk = Make<asblk::MemDisk>(
+            options_.disk_blocks, options_.disk_pages.data(), options_.memory);
         module->mem_disk = mem_disk.get();
         module->owned_disk = std::move(mem_disk);
         disk = module->owned_disk.get();
       }
-      auto mounted = asfat::FatVolume::Mount(disk);
+      auto mounted = asfat::FatVolume::Mount(disk, options_.memory);
       if (!mounted.ok()) {
         // Fresh disk image: format it, then mount.
         AS_RETURN_IF_ERROR(asfat::FatVolume::Format(disk));
-        mounted = asfat::FatVolume::Mount(disk);
+        mounted = asfat::FatVolume::Mount(disk, options_.memory);
         if (!mounted.ok()) {
           return mounted.status();
         }
       }
       if (module->mem_disk != nullptr) {
         // Capture the volume's metadata, then freeze the freshly formatted
-        // disk (its pages move to the image, no copy) before any function
-        // writes: the pristine halves of a clone template. The disk dies with the
-        // volume, so its dirty metadata is never written back.
+        // disk (the image copies its few pages and the disk gives them
+        // back) before any function writes: the pristine halves of a clone
+        // template. The disk dies with the volume, so its dirty metadata is
+        // never written back.
         AS_ASSIGN_OR_RETURN(module->pristine_fat, (*mounted)->SnapshotMeta());
         module->pristine_disk = module->mem_disk->SnapshotImage();
         module->volume = mounted->get();
@@ -341,13 +345,13 @@ asbase::Status Libos::BuildLocked(ModuleKind kind) {
         return asbase::FailedPrecondition(
             "WFD is configured for fatfs; ramfs unavailable");
       }
-      auto module = std::make_unique<FsModule>();
+      auto module = Make<FsModule>();
       module->fs = std::make_unique<asfat::RamFilesystem>();
       fs_ = std::move(module);
       return asbase::OkStatus();
     }
     case ModuleKind::kFdtab: {
-      auto module = std::make_unique<FdtabModule>();
+      auto module = Make<FdtabModule>(options_.memory);
       module->entries.resize(3);  // 0/1/2 reserved for stdio
       for (auto& entry : module->entries) {
         entry.kind = FdEntry::Kind::kStdio;
@@ -360,7 +364,7 @@ asbase::Status Libos::BuildLocked(ModuleKind kind) {
         return asbase::FailedPrecondition(
             "WFD has no virtual network attachment");
       }
-      auto module = std::make_unique<SocketModule>();
+      auto module = Make<SocketModule>();
       module->port = options_.fabric->Attach(options_.addr);
       module->stack = std::make_unique<asnet::NetStack>(module->port);
       socket_ = std::move(module);
@@ -371,13 +375,13 @@ asbase::Status Libos::BuildLocked(ModuleKind kind) {
       return asbase::OkStatus();
     }
     case ModuleKind::kTime: {
-      auto module = std::make_unique<TimeModule>();
+      auto module = Make<TimeModule>();
       module->boot_micros = asbase::WallMicros();
       time_ = std::move(module);
       return asbase::OkStatus();
     }
     case ModuleKind::kMmapFileBackend: {
-      mmap_ = std::make_unique<MmapModule>();
+      mmap_ = Make<MmapModule>();
       return asbase::OkStatus();
     }
   }
@@ -580,7 +584,7 @@ size_t Libos::ResidentHeapBytes() const {
 size_t Libos::ResidentDiskBytes() const {
   return fs_ == nullptr || fs_->mem_disk == nullptr
              ? 0
-             : fs_->mem_disk->ResidentBytes() + fs_->volume->PrivateMetaBytes();
+             : fs_->mem_disk->ResidentBytes();
 }
 
 // ------------------------------------------------------------------ files

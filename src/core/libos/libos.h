@@ -19,7 +19,9 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <memory_resource>
 #include <mutex>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "src/alloc/linked_list_allocator.h"
 #include "src/alloc/slot_registry.h"
 #include "src/blockdev/block_device.h"
+#include "src/common/resource_object.h"
 #include "src/common/status.h"
 #include "src/core/libos/module.h"
 #include "src/fatfs/fat_volume.h"
@@ -43,7 +46,10 @@ namespace alloy {
 
 struct WfdSnapshot;
 
-class Libos {
+// A Libos, its modules and their state live in `Options::memory` (DESIGN.md
+// §14): a WFD passes the system pages of its reservation, so destroying the
+// WFD leaves nothing the LibOS allocated on the malloc heap.
+class Libos : public asbase::ResourceObject {
  public:
   struct Options {
     // Disable on-demand loading: construct every module in the constructor
@@ -67,6 +73,13 @@ class Libos {
     // libos does not take ownership; the trace must outlive the WFD.
     asobs::Trace* trace = nullptr;
     uint32_t trace_parent = 0;
+    // Where the LibOS keeps what it owns: the system resource and the heap
+    // and disk ranges of the WFD's reservation (page-aligned, heap_bytes
+    // rounded up to pages and MemDisk::StorageBytes(disk_blocks) long,
+    // outliving the LibOS). Wfd::Boot, the only user, sets all three.
+    std::pmr::memory_resource* memory = nullptr;
+    std::span<uint8_t> heap_pages;
+    std::span<uint8_t> disk_pages;
   };
 
   explicit Libos(Options options);
@@ -193,20 +206,22 @@ class Libos {
   size_t ResidentHeapBytes() const;
 
   // Bytes of disk chunks privately materialized by this WFD's owned
-  // MemDisk plus the metadata sectors (FAT and directories) its volume
-  // holds privately (0 for external disks, ramfs, or an unloaded fs
-  // module). CoW-aware like ResidentHeapBytes.
+  // MemDisk (0 for external disks, ramfs, or an unloaded fs module).
+  // CoW-aware like ResidentHeapBytes. The metadata sectors (FAT and
+  // directories) the volume holds privately are not disk pages: they live
+  // in Options::memory, a WFD's system pages.
   size_t ResidentDiskBytes() const;
 
  private:
   // ---- module state ----
-  struct MmModule {
+  // Each module lives in options_.memory (Make).
+  struct MmModule : asbase::ResourceObject {
     asalloc::Arena heap;
     asalloc::LinkedListAllocator allocator;
     asalloc::SlotRegistry slots;
     std::mutex mutex;
   };
-  struct FsModule {
+  struct FsModule : asbase::ResourceObject {
     std::unique_ptr<asblk::BlockDevice> owned_disk;
     std::unique_ptr<asfat::Filesystem> fs;
     // Non-null only when this module owns a MemDisk; `volume` is then the
@@ -226,15 +241,17 @@ class Libos {
     std::unique_ptr<asnet::TcpListener> listener;
     std::unique_ptr<asnet::TcpConnection> connection;
   };
-  struct FdtabModule {
-    std::vector<FdEntry> entries;
+  struct FdtabModule : asbase::ResourceObject {
+    explicit FdtabModule(std::pmr::memory_resource* memory)
+        : entries(memory) {}
+    std::pmr::vector<FdEntry> entries;
     std::mutex mutex;
   };
-  struct SocketModule {
+  struct SocketModule : asbase::ResourceObject {
     std::shared_ptr<asnet::TunPort> port;
     std::unique_ptr<asnet::NetStack> stack;
   };
-  struct TimeModule {
+  struct TimeModule : asbase::ResourceObject {
     int64_t boot_micros = 0;
   };
   struct MmapRegion {
@@ -243,7 +260,7 @@ class Libos {
     std::vector<bool> resident;  // per page
     int fs_handle = -1;
   };
-  struct MmapModule {
+  struct MmapModule : asbase::ResourceObject {
     std::map<uintptr_t, MmapRegion> regions;
     std::mutex mutex;
   };
@@ -255,6 +272,12 @@ class Libos {
   // Constructs one module's state, without its dependencies or the
   // LoadModuleImage cost: shared by the load path and clone boot.
   asbase::Status BuildLocked(ModuleKind kind);
+  // A module (or other object the LibOS owns) in options_.memory.
+  template <typename T, typename... Args>
+  std::unique_ptr<T> Make(Args&&... args) {
+    return std::unique_ptr<T>(new (options_.memory)
+                                  T(std::forward<Args>(args)...));
+  }
   asbase::Result<FsModule*> RequireFs();
   asbase::Result<MmModule*> RequireMm();
   asbase::Result<FdtabModule*> RequireFdtab();

@@ -165,8 +165,8 @@ asbase::Result<RunStats> Orchestrator::Run(const WorkflowSpec& workflow,
 
   AsStd as(wfd_);
   as.set_deadline_nanos(options.deadline_nanos);
-  asobs::Trace* trace = wfd_->options().trace;
-  const uint32_t trace_parent = wfd_->options().trace_parent;
+  asobs::Trace* trace = wfd_->trace();
+  const uint32_t trace_parent = wfd_->trace_parent();
 
   // The calling thread runs instance 0 of every stage itself; the WFD's
   // resident worker pool runs the rest. On a fresh WFD this spawns the

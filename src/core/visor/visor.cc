@@ -649,7 +649,6 @@ asbase::Status AsVisor::Lease(Invocation& call) {
     call.wfd->SetTrace(call.trace.get(), call.root.id());
     call.loads_before = call.wfd->libos().TotalLoadNanos();
     call.result.warm_start = true;
-    call.root.SetArg("start", "warm");
     call.flight.start = asobs::FlightStart::kHit;
   } else {
     bool cloned = false;
@@ -659,7 +658,6 @@ asbase::Status AsVisor::Lease(Invocation& call) {
       call.wfd = std::move(*wfd_or);
       call.result.wfd_create_nanos = call.wfd->creation_nanos();
       call.result.clone_start = cloned;
-      call.root.SetArg("start", cloned ? "clone" : "cold");
       call.flight.start =
           cloned ? asobs::FlightStart::kClone : asobs::FlightStart::kFull;
     } else {
@@ -795,11 +793,12 @@ void AsVisor::EmitFlight(uint32_t workflow_id,
 }
 
 void AsVisor::AccountOutcome(const std::string& workflow_name,
-                             std::shared_ptr<const asobs::Trace> trace,
+                             std::shared_ptr<asobs::Trace> trace,
                              asobs::FlightOutcome outcome,
                              int64_t total_nanos) {
   const int64_t now = asbase::MonoNanos();
   std::optional<BlackBoxRequest> blackbox;
+  bool retained = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = workflows_.find(workflow_name);
@@ -828,7 +827,8 @@ void AsVisor::AccountOutcome(const std::string& workflow_name,
           outcome != asobs::FlightOutcome::kOk || trace_threshold_ms_ == 0 ||
           total_nanos > trace_threshold_ms_ * 1'000'000;
       if (retain) {
-        entry.traces.push_back(std::move(trace));
+        entry.traces.push_back(trace);
+        retained = true;
         while (entry.traces.size() > trace_ring_) {
           entry.traces.pop_front();
         }
@@ -878,6 +878,11 @@ void AsVisor::AccountOutcome(const std::string& workflow_name,
   }
   if (blackbox.has_value()) {
     WriteBlackBox(*blackbox);
+  }
+  if (retained) {
+    // Kept for as long as the ring holds it: without its growth slack.
+    // Off the shard lock; the trace's own lock guards its readers.
+    trace->ShrinkToFit();
   }
 }
 

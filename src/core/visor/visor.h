@@ -509,7 +509,7 @@ class AsVisor {
   // + burn gauges, and — on an SLO trigger — the black-box snapshot.
   // `trace` may be null (rejections have no trace).
   void AccountOutcome(const std::string& workflow_name,
-                      std::shared_ptr<const asobs::Trace> trace,
+                      std::shared_ptr<asobs::Trace> trace,
                       asobs::FlightOutcome outcome, int64_t total_nanos);
 
   // Serializes the flight ring + the request's queue/pool state to a JSON

@@ -12,6 +12,14 @@
 // around every LibOS call. With `inter_function_isolation` (AS-IFI), each
 // registered function instance additionally gets its own key and pays a PKRU
 // switch around intermediate-buffer accesses.
+//
+// Memory (DESIGN.md §14): a WFD is one mapping, an asalloc::Reservation of
+// [system | disk | heap] pages made at boot. The Wfd object, its LibOS and
+// modules, the FAT volume, the MemDisk, the MPK runtime and the trampoline
+// live in the system pages; the MemDisk's chunks in the disk range; the WFD
+// heap in the heap range. Destroying the WFD unmaps the reservation, so
+// nothing it allocated is left on the malloc heap. The system pages stay on
+// key 0, as the malloc heap did.
 
 #ifndef SRC_CORE_WFD_H_
 #define SRC_CORE_WFD_H_
@@ -21,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "src/alloc/reservation.h"
 #include "src/common/thread_pool.h"
 #include "src/core/libos/libos.h"
 #include "src/core/wfd_snapshot.h"
@@ -92,10 +101,21 @@ class Wfd {
   Wfd(const Wfd&) = delete;
   Wfd& operator=(const Wfd&) = delete;
 
+  // A Wfd lives in the system pages of its own reservation, and deleting it
+  // unmaps the reservation (Boot is the only `new`).
+  static void* operator new(size_t size, asalloc::Reservation* reservation);
+  static void operator delete(void* wfd);
+  static void operator delete(void* wfd, asalloc::Reservation* reservation);
+
   Libos& libos() { return *libos_; }
   asmpk::PkeyRuntime& mpk() { return *mpk_; }
   asmpk::Trampoline& trampoline() { return *trampoline_; }
-  const WfdOptions& options() const { return options_; }
+
+  // The WfdOptions a WFD keeps after boot.
+  bool reference_passing() const { return reference_passing_; }
+  bool inter_function_isolation() const { return inter_function_isolation_; }
+  asobs::Trace* trace() const { return trace_; }
+  uint32_t trace_parent() const { return trace_parent_; }
 
   // Nanoseconds spent inside Create() — the WFD instantiation part of the
   // cold-start budget. Module load time accrues separately in the LibOS.
@@ -125,8 +145,15 @@ class Wfd {
   // the shared user key.
   uint32_t UserPkru(asmpk::ProtKey function_key) const;
 
-  // Resident memory attributable to this WFD (Fig 17b).
+  // Resident memory attributable to this WFD (Fig 17b): its heap, the disk
+  // chunks it wrote (CoW-aware) and its system pages.
   size_t ResidentBytes() const;
+  // The system pages of that: the WFD's own objects and the LibOS state
+  // they hold (cached FAT and directory sectors, fd table, bitmaps).
+  size_t ResidentSystemBytes() const;
+
+  // The one mapping this WFD's memory lives in.
+  const asalloc::Reservation& reservation() const { return *reservation_; }
 
   // ---- stage worker pool (orchestrator data plane) ----
   // Grows this WFD's worker pool to at least `num_threads`
@@ -144,14 +171,21 @@ class Wfd {
   size_t stage_worker_count() const;
 
  private:
-  Wfd() = default;
+  Wfd(asalloc::Reservation* reservation, const WfdOptions& options);
 
-  // Create and CloneFromSnapshot: keys, trampoline, and a LibOS that is
-  // either empty (or fully loaded, load-all) or built from `snapshot`.
+  // Create and CloneFromSnapshot: the reservation, keys, trampoline, and a
+  // LibOS that is either empty (or fully loaded, load-all) or built from
+  // `snapshot`.
   static asbase::Result<std::unique_ptr<Wfd>> Boot(
       WfdOptions options, const WfdSnapshot* snapshot);
 
-  WfdOptions options_;
+  asalloc::Reservation* const reservation_;
+  const bool reference_passing_;
+  const bool inter_function_isolation_;
+  asobs::Trace* trace_;
+  uint32_t trace_parent_;
+  // Stage workers pin here (WfdOptions::cpu_affinity).
+  const std::pmr::vector<int> cpu_affinity_;
   std::unique_ptr<asmpk::PkeyRuntime> mpk_;
   asmpk::ProtKey system_key_ = 0;
   asmpk::ProtKey user_key_ = 0;

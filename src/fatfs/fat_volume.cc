@@ -213,8 +213,9 @@ asbase::Status FatVolume::Format(asblk::BlockDevice* device,
 // ----------------------------------------------------------------- Mount
 
 asbase::Result<std::unique_ptr<FatVolume>> FatVolume::Mount(
-    asblk::BlockDevice* device) {
-  auto volume = std::unique_ptr<FatVolume>(new FatVolume(device));
+    asblk::BlockDevice* device, std::pmr::memory_resource* memory) {
+  auto volume = std::unique_ptr<FatVolume>(new (memory)
+                                               FatVolume(device, memory));
   AS_RETURN_IF_ERROR(volume->LoadGeometry());
   AS_RETURN_IF_ERROR(volume->LoadFat());
   return volume;
@@ -291,7 +292,10 @@ asbase::Result<FatVolume::MetaImage> FatVolume::SnapshotMeta() {
   for (const auto& [lba, page] : own_) {
     (*pages)[lba] = page.bytes;
   }
+  // Emptied with its bucket array: after a Mount that read the whole FAT,
+  // the array sits above everything the volume holds later.
   own_.clear();
+  own_.rehash(0);
   base_ = std::move(pages);
 
   MetaImage meta;
@@ -307,9 +311,11 @@ asbase::Result<FatVolume::MetaImage> FatVolume::SnapshotMeta() {
   return meta;
 }
 
-std::unique_ptr<FatVolume> FatVolume::MountFromMeta(asblk::BlockDevice* device,
-                                                    const MetaImage& meta) {
-  auto volume = std::unique_ptr<FatVolume>(new FatVolume(device));
+std::unique_ptr<FatVolume> FatVolume::MountFromMeta(
+    asblk::BlockDevice* device, const MetaImage& meta,
+    std::pmr::memory_resource* memory) {
+  auto volume = std::unique_ptr<FatVolume>(new (memory)
+                                               FatVolume(device, memory));
   volume->sectors_per_cluster_ = meta.sectors_per_cluster;
   volume->bytes_per_cluster_ = meta.bytes_per_cluster;
   volume->reserved_sectors_ = meta.reserved_sectors;
@@ -883,15 +889,16 @@ asbase::Result<int> FatVolume::Open(const std::string& path, OpenFlags flags) {
     return found.status();
   }
 
-  OpenFile file;
-  file.path = path;
-  file.first_cluster = entry.first_cluster;
-  file.size = entry.size;
-  file.offset = flags.append ? entry.size : 0;
-  file.location = entry.location;
-  file.flags = flags;
+  // The path is built in the volume's memory and moved in, so (when longer
+  // than the inline buffer) it lives where the map node does.
+  OpenFile file{.path = std::pmr::string(path, open_files_.get_allocator()),
+                .first_cluster = entry.first_cluster,
+                .offset = flags.append ? entry.size : 0,
+                .size = entry.size,
+                .location = entry.location,
+                .flags = flags};
   const int handle = next_handle_++;
-  open_files_[handle] = std::move(file);
+  open_files_.emplace(handle, std::move(file));
   return handle;
 }
 
@@ -1067,7 +1074,7 @@ asbase::Result<FileInfo> FatVolume::Stat(const std::string& path) {
   // An open write handle may hold a newer size than the directory entry.
   uint32_t size = entry.size;
   for (const auto& [handle, file] : open_files_) {
-    if (file.path == path && file.size > size) {
+    if (std::string_view(file.path) == path && file.size > size) {
       size = file.size;
     }
   }
@@ -1092,7 +1099,7 @@ asbase::Status FatVolume::Remove(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   AS_ASSIGN_OR_RETURN(DirEntry entry, ResolvePath(path));
   for (const auto& [handle, file] : open_files_) {
-    if (file.path == path) {
+    if (std::string_view(file.path) == path) {
       return asbase::FailedPrecondition(path + " is open");
     }
   }

@@ -25,11 +25,14 @@
 
 #include <array>
 #include <memory>
+#include <memory_resource>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/blockdev/block_device.h"
+#include "src/common/resource_object.h"
 #include "src/fatfs/filesystem.h"
 
 namespace asfat {
@@ -39,7 +42,10 @@ struct FormatOptions {
   std::string volume_label = "ALLOYSTACK";
 };
 
-class FatVolume : public Filesystem {
+// A volume and everything it keeps (cached sectors, open files) live in
+// the memory resource it is mounted with: a WFD's system pages, or the
+// default resource.
+class FatVolume : public Filesystem, public asbase::ResourceObject {
  public:
   // Writes a fresh FAT32 layout onto the device.
   static asbase::Status Format(asblk::BlockDevice* device,
@@ -48,7 +54,8 @@ class FatVolume : public Filesystem {
   // Parses the boot sector and loads the FAT. The device must outlive the
   // volume.
   static asbase::Result<std::unique_ptr<FatVolume>> Mount(
-      asblk::BlockDevice* device);
+      asblk::BlockDevice* device,
+      std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
   // Unmounts: writes dirty metadata back, unless turned off.
   ~FatVolume() override;
@@ -86,8 +93,9 @@ class FatVolume : public Filesystem {
   // Mounts over `device` (typically a CoW MemDisk clone) without reading a
   // single block and with no private metadata: geometry, FAT and root
   // directory come from the image.
-  static std::unique_ptr<FatVolume> MountFromMeta(asblk::BlockDevice* device,
-                                                  const MetaImage& meta);
+  static std::unique_ptr<FatVolume> MountFromMeta(
+      asblk::BlockDevice* device, const MetaImage& meta,
+      std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
   // Whether destroying the volume writes dirty metadata back (default on).
   // Off for a volume whose device is destroyed with it: nobody could read
@@ -122,7 +130,8 @@ class FatVolume : public Filesystem {
   static constexpr uint32_t kFatMask = 0x0FFFFFFF;
 
  private:
-  FatVolume(asblk::BlockDevice* device) : device_(device) {}
+  FatVolume(asblk::BlockDevice* device, std::pmr::memory_resource* memory)
+      : device_(device), own_(memory), open_files_(memory) {}
 
   // Location of a 32-byte directory entry on disk.
   struct EntryLocation {
@@ -142,7 +151,7 @@ class FatVolume : public Filesystem {
   };
 
   struct OpenFile {
-    std::string path;          // canonical, for open-file conflict checks
+    std::pmr::string path;     // canonical, for open-file conflict checks
     uint32_t first_cluster;
     uint64_t offset;
     uint32_t size;
@@ -255,11 +264,11 @@ class FatVolume : public Filesystem {
     Sector bytes;
     bool dirty = false;  // differs from the device
   };
-  std::unordered_map<uint64_t, OwnedSector> own_;
+  std::pmr::unordered_map<uint64_t, OwnedSector> own_;
   std::shared_ptr<const MetaPages> base_;
   uint32_t next_free_hint_ = 3;
 
-  std::unordered_map<int, OpenFile> open_files_;
+  std::pmr::unordered_map<int, OpenFile> open_files_;
   int next_handle_ = 3;
 };
 

@@ -151,7 +151,9 @@ MpkBackend PkeyRuntime::DefaultBackend() {
   return HardwareAvailable() ? MpkBackend::kHardware : MpkBackend::kEmulated;
 }
 
-PkeyRuntime::PkeyRuntime(MpkBackend backend) : backend_(backend) {
+PkeyRuntime::PkeyRuntime(MpkBackend backend,
+                         std::pmr::memory_resource* memory)
+    : backend_(backend), regions_(memory), hw_keys_(memory) {
   if (backend_ == MpkBackend::kHardware) {
     AS_CHECK(HardwareAvailable())
         << "hardware MPK backend requested but pkey_alloc fails";

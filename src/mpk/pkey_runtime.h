@@ -26,8 +26,10 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory_resource>
 #include <mutex>
 
+#include "src/common/resource_object.h"
 #include "src/common/status.h"
 
 namespace asmpk {
@@ -42,7 +44,10 @@ enum class MpkBackend {
 
 const char* MpkBackendName(MpkBackend backend);
 
-class PkeyRuntime {
+// Its region and key maps live in the memory resource it is built with (a
+// WFD's system pages, or the default resource), as does the runtime itself
+// when created with `new (resource)`.
+class PkeyRuntime : public asbase::ResourceObject {
  public:
   // True when pkey_alloc succeeds on this kernel/CPU.
   static bool HardwareAvailable();
@@ -50,7 +55,9 @@ class PkeyRuntime {
   // Picks kHardware when available, else kEmulated.
   static MpkBackend DefaultBackend();
 
-  explicit PkeyRuntime(MpkBackend backend = DefaultBackend());
+  explicit PkeyRuntime(
+      MpkBackend backend = DefaultBackend(),
+      std::pmr::memory_resource* memory = std::pmr::get_default_resource());
   ~PkeyRuntime();
 
   PkeyRuntime(const PkeyRuntime&) = delete;
@@ -131,9 +138,9 @@ class PkeyRuntime {
 
   const MpkBackend backend_;
   mutable std::mutex mutex_;
-  std::map<uintptr_t, Region> regions_;  // keyed by start address
+  std::pmr::map<uintptr_t, Region> regions_;  // keyed by start address
   uint16_t keys_in_use_ = 1;             // bit per key; key 0 reserved
-  std::map<ProtKey, int> hw_keys_;       // our key -> kernel pkey
+  std::pmr::map<ProtKey, int> hw_keys_;       // our key -> kernel pkey
   std::atomic<uint64_t> switch_count_{0};
   std::atomic<uint64_t> measured_switch_nanos_{0};  // kMprotect only
 };

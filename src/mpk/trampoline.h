@@ -18,11 +18,12 @@
 #include <cstdint>
 #include <utility>
 
+#include "src/common/resource_object.h"
 #include "src/mpk/pkey_runtime.h"
 
 namespace asmpk {
 
-class Trampoline {
+class Trampoline : public asbase::ResourceObject {
  public:
   // `system_pkru` is the PKRU value system code runs under (system + user
   // keys enabled); `user_pkru` is the restricted value user code runs under.

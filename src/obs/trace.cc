@@ -87,6 +87,16 @@ std::vector<SpanRecord> Trace::Spans() const {
   return spans_;
 }
 
+void Trace::ShrinkToFit() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  spans_.shrink_to_fit();
+}
+
+size_t Trace::span_capacity() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return spans_.capacity();
+}
+
 void Trace::AppendChromeEvents(asbase::JsonArray& events, int pid) const {
   std::vector<SpanRecord> spans = Spans();
   {

@@ -95,6 +95,12 @@ class Trace {
   // Completed spans, in end order.
   std::vector<SpanRecord> Spans() const;
 
+  // Drops the span list's growth slack: a trace kept after its invocation
+  // ended (for /trace) holds exactly its spans.
+  void ShrinkToFit();
+  // Spans the list has room for without growing.
+  size_t span_capacity() const;
+
   // Appends this trace's events to `events` as Chrome complete events.
   // `pid` groups one invocation per "process" in the viewer.
   void AppendChromeEvents(asbase::JsonArray& events, int pid) const;

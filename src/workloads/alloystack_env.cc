@@ -58,7 +58,7 @@ ExecEnv BindAlloyStackEnv(alloy::FunctionContext& context) {
   ExecEnv env;
   alloy::AsStd* as = &context.as();
   const bool reference_passing =
-      as->wfd().options().reference_passing;
+      as->wfd().reference_passing();
 
   env.stage = context.stage();
   env.instance = context.instance();

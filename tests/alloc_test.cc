@@ -6,11 +6,13 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory_resource>
 #include <vector>
 
 #include "src/alloc/arena.h"
 #include "src/alloc/buffer_pool.h"
 #include "src/alloc/linked_list_allocator.h"
+#include "src/alloc/reservation.h"
 #include "src/alloc/slot_registry.h"
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
@@ -522,6 +524,95 @@ TEST(BufferPoolTest, BlockRefsOutliveThePool) {
   }
   EXPECT_EQ(survivor.get()[4095], 0x7E);
   survivor.reset();  // must not touch the destroyed freelist
+}
+
+// A memory resource that counts what reaches it.
+class CountingResource : public std::pmr::memory_resource {
+ public:
+  size_t live = 0;
+
+ private:
+  void* do_allocate(size_t bytes, size_t align) override {
+    ++live;
+    return std::pmr::new_delete_resource()->allocate(bytes, align);
+  }
+  void do_deallocate(void* p, size_t bytes, size_t align) override {
+    --live;
+    std::pmr::new_delete_resource()->deallocate(p, bytes, align);
+  }
+  bool do_is_equal(const memory_resource& other) const noexcept override {
+    return this == &other;
+  }
+};
+
+TEST(PageResourceTest, ServesFromItsPagesThenFallsBackUpstream) {
+  Arena pages(4096);
+  CountingResource upstream;
+  PageResource resource(pages.data(), pages.size(), &upstream);
+  const auto in_pages = [&](const void* p) {
+    return p >= pages.data() &&
+           p < static_cast<const char*>(pages.data()) + pages.size();
+  };
+  std::vector<void*> blocks;
+  for (int i = 0; i < 16; ++i) {
+    blocks.push_back(resource.allocate(240));
+  }
+  for (void* block : blocks) {
+    EXPECT_TRUE(in_pages(block));
+  }
+  EXPECT_EQ(upstream.live, 0u);
+  // Sixteen 256-byte blocks fill the page: the next one comes from
+  // upstream, and each is freed where it came from.
+  void* spilled = resource.allocate(240);
+  EXPECT_FALSE(in_pages(spilled));
+  EXPECT_EQ(upstream.live, 1u);
+  resource.deallocate(spilled, 240);
+  EXPECT_EQ(upstream.live, 0u);
+  for (void* block : blocks) {
+    resource.deallocate(block, 240);
+  }
+  EXPECT_TRUE(in_pages(resource.allocate(4000))) << "freed blocks coalesce";
+}
+
+// Pages go back once the touched region has grown by more than a page, not
+// for churn within one: that would fault the same page in and out.
+TEST(PageResourceTest, ReleasesGrowthNotChurn) {
+  const size_t page = Arena::PageSize();
+  Arena pages(16 * page);
+  PageResource resource(pages.data(), pages.size());
+  void* keep = resource.allocate(64);
+  void* big = resource.allocate(4 * page);
+  std::memset(big, 0x5A, 4 * page);
+  resource.deallocate(big, 4 * page);
+  EXPECT_GE(resource.ReleaseFreePages(), 3 * page);
+  for (int i = 0; i < 4; ++i) {
+    void* node = resource.allocate(page / 2);
+    std::memset(node, 0x11, page / 2);
+    resource.deallocate(node, page / 2);
+    EXPECT_EQ(resource.ReleaseFreePages(), 0u) << "round " << i;
+  }
+  resource.deallocate(keep, 64);
+}
+
+TEST(ReservationTest, LaysOutSystemDiskAndHeapInOneMapping) {
+  const size_t page = Arena::PageSize();
+  Reservation* reservation = Reservation::Map(100, 3 * page + 1, 5 * page);
+  ASSERT_NE(reservation, nullptr);
+  const auto* base = static_cast<const uint8_t*>(reservation->data());
+  EXPECT_EQ(reservation->disk(), base + page) << "system rounds up to a page";
+  EXPECT_EQ(reservation->disk_bytes(), 4 * page);
+  EXPECT_EQ(reservation->heap(), base + 5 * page);
+  EXPECT_EQ(reservation->heap_bytes(), 5 * page);
+  EXPECT_EQ(reservation->bytes(), 10 * page);
+  // Nothing but the control block's page is touched yet.
+  EXPECT_EQ(reservation->ResidentSystemBytes(), page);
+  std::memset(reservation->disk(), 0xD1, reservation->disk_bytes());
+  std::memset(reservation->heap(), 0xEA, reservation->heap_bytes());
+  void* object = reservation->system()->allocate(64);
+  EXPECT_GT(object, reservation->data());
+  EXPECT_LT(object, static_cast<const void*>(reservation->disk()));
+  reservation->system()->deallocate(object, 64);
+  Reservation::Unmap(reservation);
 }
 
 }  // namespace

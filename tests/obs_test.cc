@@ -417,6 +417,44 @@ TEST(VisorObsTest, LoadAllInvokeHasNoModuleLoadSpans) {
       << "load_all boots modules before the run; none load inside spans";
 }
 
+// With the default threshold (0) every trace is retained, and the ring
+// keeps up to eight per workflow for as long as the workflow lives: a
+// retained trace holds exactly its spans, with no growth slack, and the
+// root span allocates nothing for how the WFD started (its wfd_clone or
+// wfd_create child says that).
+TEST(VisorObsTest, RetainedTraceHoldsNoSpanSlack) {
+  alloy::AsVisor visor;
+  RegisterIoWorkflow(visor, "obs-retained", /*on_demand=*/true);
+  // Two stages, so neither run's span count is a power of two, which a
+  // growing vector would fill exactly.
+  alloy::WorkflowSpec spec;
+  spec.name = "obs-retained";
+  for (int stage = 0; stage < 2; ++stage) {
+    spec.stages.push_back(
+        alloy::StageSpec{{alloy::FunctionSpec{"test.obs-io", 1}}});
+  }
+  alloy::AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  visor.RegisterWorkflow(spec, options);
+  for (int i = 0; i < 2; ++i) {  // a full boot, then a warm hit
+    auto result = visor.Invoke("obs-retained", asbase::Json());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_NE(result->trace, nullptr);
+    const std::vector<asobs::SpanRecord> spans = result->trace->Spans();
+    EXPECT_EQ(result->trace->span_capacity(), spans.size()) << "run " << i;
+    EXPECT_NE(spans.size() & (spans.size() - 1), 0u) << "run " << i;
+    size_t boots = 0;
+    for (const asobs::SpanRecord& span : spans) {
+      if (span.name == "invoke") {
+        ASSERT_EQ(span.args.size(), 1u) << "run " << i;
+        EXPECT_EQ(span.args[0].first, "workflow");
+      }
+      boots += span.name == "wfd_create" ? 1 : 0;
+    }
+    EXPECT_EQ(boots, i == 0 ? 1u : 0u) << "run " << i;
+  }
+}
+
 TEST(VisorObsTest, InvokeBumpsGlobalCounters) {
   alloy::AsVisor visor;
   RegisterIoWorkflow(visor, "obs-counted", /*on_demand=*/true);

@@ -6,8 +6,8 @@
 //   - registering a workflow costs a small, fixed amount of heap, most of
 //     it the workflow's metric series;
 //   - a workflow's latency series stay bounded however many samples land;
-//   - a parked fatfs tenant holds a few KiB of heap and one disk page, and
-//     an evicted one gives its disk pages back;
+//   - a parked fatfs tenant holds a few KiB of heap, one disk page and one
+//     system page, and an evicted one gives its pages back;
 //   - a parked WFD holds none of the heap pages its last invocation freed;
 //   - a sort invocation keeps its input and scratch on the WFD heap, so it
 //     does not grow the host's malloc arenas.
@@ -148,9 +148,11 @@ void InvokeAll(AsVisorRouter& router, const std::vector<std::string>& names) {
 // parked WFD cloned from the shared template after its function wrote a
 // 4 KiB file and read it back. What a tenant then holds is its
 // registration plus a parked clone: the file's data page, the two metadata
-// sectors the write copied, and the WFD's own bookkeeping. The data page
-// lives in the MemDisk's own mapping, not on the malloc heap, so it is
-// added to the heap delta; the metadata sectors are heap bytes already.
+// sectors the write copied, and the WFD's own bookkeeping. The clone's
+// memory is its reservation, not the malloc heap: the data page is in its
+// disk range, the bookkeeping and the sectors in its system pages, and both
+// are added to the heap delta. The pool's resident gauge charges exactly
+// those pages.
 TEST(VisorDensityTest, ParkedFatfsTenantCostsUnder12KiBOfHeap) {
   RegisterTenantIo();
   RouterOptions options;
@@ -170,9 +172,18 @@ TEST(VisorDensityTest, ParkedFatfsTenantCostsUnder12KiBOfHeap) {
       router, "density-io", kTenants, -1, "density.tenant_io", 0);
   ASSERT_NO_FATAL_FAILURE(InvokeAll(router, names));
   const size_t heap = mallinfo2().uordblks - before;
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
   size_t disk_pages = 0;
+  size_t system_pages = 0;
   for (const std::string& name : names) {
     ASSERT_EQ(*router.WarmWfdCount(name), 1u) << name;
+    const int64_t charged =
+        asobs::Registry::Global()
+            .GetGauge("alloy_visor_pool_resident_bytes",
+                      {{"workflow", name},
+                       {"alloy_visor_shard",
+                        std::to_string(router.ShardOf(name))}})
+            .value();
     std::shared_ptr<WfdPool> pool =
         router.shard(router.ShardOf(name)).MigrateOut(name);
     ASSERT_NE(pool, nullptr) << name;
@@ -181,32 +192,38 @@ TEST(VisorDensityTest, ParkedFatfsTenantCostsUnder12KiBOfHeap) {
       ASSERT_TRUE(fs.ok()) << fs.status().ToString();
       auto* volume = dynamic_cast<asfat::FatVolume*>(*fs);
       ASSERT_NE(volume, nullptr) << name;
-      disk_pages +=
-          wfd->libos().ResidentDiskBytes() - volume->PrivateMetaBytes();
+      EXPECT_EQ(volume->PrivateMetaBytes(), 2u * 512) << name;
+      disk_pages += wfd->libos().ResidentDiskBytes();
+      system_pages += wfd->ResidentSystemBytes();
+      EXPECT_EQ(charged, static_cast<int64_t>(wfd->ResidentBytes())) << name;
     }
     pool->Shutdown();
   }
   EXPECT_EQ(disk_pages, kTenants * size_t{4096}) << "one data page each";
-  const size_t per_tenant = (heap + disk_pages) / kTenants;
+  // The Wfd, its LibOS, volume (with the two copied sectors), MemDisk,
+  // MPK runtime and trampoline, moved off the malloc heap.
+  EXPECT_EQ(system_pages, kTenants * page) << "one system page each";
+  const size_t per_tenant = (heap + disk_pages + system_pages) / kTenants;
   // When fatfs wrote its FAT and directory sectors through to the disk,
   // each clone also held the two 4 KiB disk pages they sit in: ~18.6 KiB.
-  EXPECT_LT(per_tenant, 12u * 1024) << "one parked tenant holds "
-                                    << per_tenant << " B of heap and disk";
+  EXPECT_LT(per_tenant, 12u * 1024)
+      << "one parked tenant holds " << per_tenant
+      << " B of heap, disk and system pages";
   std::printf("[ density  ] parked fatfs tenant: %zu B of heap + %zu B of "
-              "disk pages\n",
-              heap / kTenants, disk_pages / kTenants);
+              "disk pages + %zu B of system pages\n",
+              heap / kTenants, disk_pages / kTenants, system_pages / kTenants);
 }
 
 // Tenants whose pools the warmer evicts after their one invocation. The
 // TTL outlives the invocation loop, so all 256 clones are parked at once and
-// their memory interleaves with what the tenants keep (registration, series),
-// as a serving process's does. Freed malloc chunks between those stay
-// resident, so a clone's disk page must not be one: it lives in the
-// MemDisk's own mapping, which eviction unmaps. Measured alone: 7600 B kept
-// and 4096 B returned per tenant; 11648 B kept and 0 B returned when disk
-// chunks were malloc'd. After the tests above, whose freed heap the clones
-// reuse, ~1.4 KiB is kept either way, and the returned page still tells
-// the two apart.
+// their memory interleaves with what the tenants keep (registration, series,
+// a retained trace), as a serving process's does. Freed malloc chunks
+// between those stay resident, so nothing a clone owns may be one: its
+// disk page and its bookkeeping live in its reservation, which eviction
+// unmaps. Measured alone: ~3.6 KiB kept and 8 KiB (the disk page and the
+// system page) returned per tenant; 7600 B kept and 4096 B returned when
+// the bookkeeping was malloc'd, 11648 B kept and 0 B returned when the
+// disk chunks were too.
 TEST(VisorDensityTest, EvictedFatfsTenantsReturnTheirDiskPages) {
   RegisterTenantIo();
   RouterOptions options;
@@ -241,9 +258,9 @@ TEST(VisorDensityTest, EvictedFatfsTenantsReturnTheirDiskPages) {
   const int64_t after = VmRssKib();
   const int64_t per_tenant = (after - before) * 1024 / kTenants;
   const int64_t returned = (parked - after) * 1024 / kTenants;
-  EXPECT_LT(per_tenant, 9 * 1024) << "one evicted tenant left " << per_tenant
+  EXPECT_LT(per_tenant, 5 * 1024) << "one evicted tenant left " << per_tenant
                                   << " B resident";
-  EXPECT_GE(returned, 3 * 1024) << "evicting a tenant returned " << returned
+  EXPECT_GE(returned, 6 * 1024) << "evicting a tenant returned " << returned
                                 << " B";
   std::printf("[ density  ] evicted fatfs tenant: %lld B of VmRSS kept, "
               "%lld B returned\n",
@@ -347,9 +364,11 @@ TEST(VisorDensityTest, ParkedWfdHoldsNoFreedHeapPages) {
   const size_t heap = parked[0]->libos().ResidentHeapBytes();
   EXPECT_LE(heap, 2 * page) << "the parked WFD holds " << heap
                             << " B of freed heap";
-  // The pool charged exactly that: this workflow never loads fatfs.
+  // The pool charged exactly that and the WFD's system pages: this
+  // workflow never loads fatfs.
   EXPECT_EQ(parked[0]->libos().ResidentDiskBytes(), 0u);
-  EXPECT_EQ(charged, static_cast<int64_t>(heap));
+  EXPECT_EQ(charged,
+            static_cast<int64_t>(heap + parked[0]->ResidentSystemBytes()));
 }
 
 // Bytes glibc malloc holds from the kernel, summed over all arenas, plus
