@@ -38,7 +38,10 @@ ALLOY_VISOR_SHARDS=4 ctest --test-dir "${BUILD}-tsan" -L serving --output-on-fai
 # so the caller and the workers share one stage's state.
 ctest --test-dir "${BUILD}-tsan" -L core --output-on-failure
 # The obs label covers the flight-ring concurrent-writers/scraping-reader
-# seqlock test — the torn-read protocol is only proven if TSan sees it.
+# seqlock test — the torn-read protocol is only proven if TSan sees it —
+# the tree ring that holds retained span trees beside the records, written
+# by the same writers, and MPK runtimes joining and leaving the telemetry
+# list while /metrics walks it.
 ctest --test-dir "${BUILD}-tsan" -L obs --output-on-failure
 ctest --test-dir "${BUILD}-tsan" -L netstack --output-on-failure
 # The http label is the epoll edge reactor: reactor threads vs responders
@@ -63,7 +66,9 @@ ALLOY_VISOR_SHARDS=4 ctest --test-dir "${BUILD}-asan" -L serving --output-on-fai
 ctest --test-dir "${BUILD}-asan" -L fatfs --output-on-failure
 # The obs label covers the metrics registry: a latency series grows its
 # bucket array over the index range it has used, so an off-by-one in a
-# bucket index is an out-of-bounds write that only ASan reports.
+# bucket index is an out-of-bounds write that only ASan reports. It also
+# serves retained span trees while writers displace them from the tree
+# ring: a tree freed while served is a use-after-free.
 ctest --test-dir "${BUILD}-asan" -L obs --output-on-failure
 # The alloc label is alloc_test: the WFD heap allocator writes its block
 # headers and free-list nodes inside the heap it manages, and releasing free

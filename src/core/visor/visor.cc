@@ -103,13 +103,8 @@ AsVisor::AsVisor(ShardIdentity shard, std::shared_ptr<SnapshotStore> snapshots)
       warmer_(ShardLabels(), shard_.cpus) {
   flight_ = std::make_unique<asobs::FlightRecorder>(static_cast<size_t>(
       asbase::EnvInt64("ALLOY_FLIGHT_RING", kDefaultFlightRing)));
-  trace_ring_ = static_cast<size_t>(
-      asbase::EnvInt64("ALLOY_TRACE_RING", static_cast<int64_t>(kTraceRing)));
   trace_threshold_ms_ = asbase::EnvInt64("ALLOY_TRACE_THRESHOLD_MS", 0);
-  const char* blackbox_dir = std::getenv("ALLOY_BLACKBOX_DIR");
-  blackbox_dir_ = blackbox_dir != nullptr && *blackbox_dir != '\0'
-                      ? blackbox_dir
-                      : ".";
+  blackbox_dir_ = asbase::EnvString("ALLOY_BLACKBOX_DIR", ".");
   asobs::Registry& registry = asobs::Registry::Global();
   flight_records_ = &registry.GetCounter("alloy_visor_flight_records_total",
                                          ShardLabels());
@@ -549,7 +544,7 @@ struct AsVisor::Invocation {
   const std::shared_ptr<const Registration> registration;
   const int64_t received_at;
   // Outlives the WFD (which holds a raw pointer to it) and may then be
-  // retained (tail-based, see AccountOutcome) for /trace.
+  // retained on the flight record (tail-based, see Finish) for /trace.
   const std::shared_ptr<asobs::Trace> trace;
   asobs::Span root;
   // Stamped as phases complete and deposited on every exit path, failures
@@ -766,8 +761,19 @@ int64_t AsVisor::Finish(Invocation& call, asobs::FlightOutcome outcome) {
   call.flight.outcome = outcome;
   call.flight.end_nanos = asbase::MonoNanos();
   call.flight.total_nanos = call.flight.end_nanos - call.received_at;
-  EmitFlight(call.registration->flight_id, call.flight);
-  AccountOutcome(call.workflow, call.trace, outcome, call.flight.total_nanos);
+  // Tail-based trace retention: the span tree rides on the flight record
+  // only for failures, timeouts and runs over the threshold (0: all runs),
+  // and without its growth slack.
+  std::shared_ptr<const asobs::Trace> retained;
+  const int64_t threshold_ms = trace_threshold_ms_.load();
+  if (flight_->enabled() &&
+      (outcome != asobs::FlightOutcome::kOk || threshold_ms == 0 ||
+       call.flight.total_nanos > threshold_ms * 1'000'000)) {
+    call.trace->ShrinkToFit();
+    retained = call.trace;
+  }
+  EmitFlight(call.registration->flight_id, call.flight, std::move(retained));
+  AccountOutcome(call.workflow, outcome, call.flight.total_nanos);
   return call.flight.total_nanos;
 }
 
@@ -781,24 +787,25 @@ asbase::Result<InvokeResult> AsVisor::InvokeFromConfig(
 // ------------------------------- flight recorder / tail retention / SLO
 
 void AsVisor::EmitFlight(uint32_t workflow_id,
-                         const asobs::FlightRecord& record) {
+                         const asobs::FlightRecord& record,
+                         std::shared_ptr<const asobs::Trace> trace) {
   if (!flight_->enabled()) {
     return;
   }
-  if (flight_->Record(workflow_id, record)) {
-    flight_records_->Add(1);
-  } else {
+  const bool retaining = trace != nullptr;
+  if (flight_->Record(workflow_id, record, std::move(trace)) == 0) {
     flight_dropped_->Add(1);
+  } else {
+    flight_records_->Add(1);
+    traces_retained_->Add(retaining ? 1 : 0);
   }
 }
 
 void AsVisor::AccountOutcome(const std::string& workflow_name,
-                             std::shared_ptr<asobs::Trace> trace,
                              asobs::FlightOutcome outcome,
                              int64_t total_nanos) {
   const int64_t now = asbase::MonoNanos();
   std::optional<BlackBoxRequest> blackbox;
-  bool retained = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = workflows_.find(workflow_name);
@@ -817,23 +824,6 @@ void AsVisor::AccountOutcome(const std::string& workflow_name,
               ? sample
               : kServiceAlpha * sample +
                     (1.0 - kServiceAlpha) * entry.service_ewma_nanos;
-    }
-
-    // Tail-based trace retention: keep the full span tree only for
-    // invocations worth debugging — failures, timeouts, or runs over the
-    // latency threshold. threshold 0 retains everything (PR 1 behavior).
-    if (trace != nullptr && trace_ring_ > 0) {
-      const bool retain =
-          outcome != asobs::FlightOutcome::kOk || trace_threshold_ms_ == 0 ||
-          total_nanos > trace_threshold_ms_ * 1'000'000;
-      if (retain) {
-        entry.traces.push_back(trace);
-        retained = true;
-        while (entry.traces.size() > trace_ring_) {
-          entry.traces.pop_front();
-        }
-        traces_retained_->Add(1);
-      }
     }
 
     // SLO accounting + burn gauges; on a trigger, collect the queue/pool
@@ -878,11 +868,6 @@ void AsVisor::AccountOutcome(const std::string& workflow_name,
   }
   if (blackbox.has_value()) {
     WriteBlackBox(*blackbox);
-  }
-  if (retained) {
-    // Kept for as long as the ring holds it: without its growth slack.
-    // Off the shard lock; the trace's own lock guards its readers.
-    trace->ShrinkToFit();
   }
 }
 
@@ -1154,14 +1139,10 @@ asbase::Status AsVisor::StartServing(const ServingOptions& serving) {
     std::lock_guard<std::mutex> lock(mutex_);
     serving_ = serving;
     draining_ = false;
-    // Tail-retention knobs: 0 / -1 mean "keep the current setting" (env
-    // override or the construction default).
-    if (serving.trace_ring > 0) {
-      trace_ring_ = serving.trace_ring;
-    }
-    if (serving.trace_threshold_ms >= 0) {
-      trace_threshold_ms_ = serving.trace_threshold_ms;
-    }
+  }
+  // -1 keeps the current setting (env override or the default).
+  if (serving.trace_threshold_ms >= 0) {
+    trace_threshold_ms_ = serving.trace_threshold_ms;
   }
   serving_pool_ = std::make_unique<asbase::ThreadPool>(serving.worker_threads);
   return asbase::OkStatus();
@@ -1226,16 +1207,6 @@ size_t AsVisor::max_inflight() const {
 bool AsVisor::draining() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return draining_;
-}
-
-size_t AsVisor::trace_ring_depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return trace_ring_;
-}
-
-int64_t AsVisor::trace_threshold_ms() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return trace_threshold_ms_;
 }
 
 std::vector<std::string> AsVisor::WorkflowNames() const {
@@ -1441,7 +1412,7 @@ void AsVisor::Refuse(const std::string& workflow_name, const Ticket& ticket,
   rejected.end_nanos = rejected.start_nanos;
   rejected.queue_wait_nanos = predicted_wait_nanos;
   EmitFlight(flight_id, rejected);
-  AccountOutcome(workflow_name, nullptr, asobs::FlightOutcome::kRejected, 0);
+  AccountOutcome(workflow_name, asobs::FlightOutcome::kRejected, 0);
   // Tell the client when a retry is predicted to succeed; fall back to
   // the static knob before any service-time sample exists.
   const int retry_after =
@@ -1464,39 +1435,29 @@ ashttp::HttpResponse AsVisor::ServeMetrics() const {
 }
 
 ashttp::HttpResponse AsVisor::ServeTrace(const std::string& target) const {
-  ashttp::HttpResponse response;
   const std::string workflow = ashttp::QueryParam(target, "workflow");
-  std::list<std::shared_ptr<const asobs::Trace>> traces;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (workflow.empty()) {
-      response.status = 400;
-      response.reason = "Bad Request";
-      std::string names;
-      for (const auto& [name, entry] : workflows_) {
-        names += names.empty() ? name : ", " + name;
-      }
-      response.body = "usage: /trace?workflow=<name>; registered: " + names;
-      return response;
+  if (workflow.empty()) {
+    std::string names;
+    for (const std::string& name : WorkflowNames()) {
+      names += names.empty() ? name : ", " + name;
     }
-    auto it = workflows_.find(workflow);
-    if (it == workflows_.end()) {
-      response.status = 404;
-      response.reason = "Not Found";
-      response.body = "no workflow named '" + workflow + "'";
-      return response;
-    }
-    traces = it->second.traces;
+    return ErrorResponse(400, "Bad Request",
+                         "usage: /trace?workflow=<name>; registered: " + names);
   }
-  // One Chrome "process" per retained invocation, newest = highest pid.
+  if (!FindRegistration(workflow).ok()) {
+    return ErrorResponse(404, "Not Found",
+                         "no workflow named '" + workflow + "'");
+  }
+  // One Chrome "process" per retained invocation, oldest first; its pid is
+  // the invocation's flight record id, as /debug/flight shows it.
   asbase::Json events{asbase::JsonArray{}};
-  int pid = 1;
-  for (const auto& trace : traces) {
-    trace->AppendChromeEvents(events.array(), pid++);
+  for (const auto& [id, trace] : flight_->Traces(workflow)) {
+    trace->AppendChromeEvents(events.array(), static_cast<int64_t>(id));
   }
   asbase::Json doc;
   doc.Set("displayTimeUnit", "ms");
   doc.Set("traceEvents", std::move(events));
+  ashttp::HttpResponse response;
   response.headers["content-type"] = "application/json";
   response.body = doc.Dump();
   return response;

@@ -127,14 +127,10 @@ class AsVisor {
     // EWMA exists yet; once it does, Retry-After is computed from the
     // predicted wait instead.
     int retry_after_seconds = 1;
-    // Tail-based trace retention (DESIGN.md §11). `trace_ring` replaces the
-    // per-workflow retained-trace depth; 0 = keep the visor's current
-    // setting (ALLOY_TRACE_RING env, else kTraceRing). `trace_threshold_ms`
-    // retains a full span tree only for invocations that fail, time out, or
-    // run longer than the threshold; 0 = retain every trace (the PR 1
-    // behavior); -1 = keep the current setting (ALLOY_TRACE_THRESHOLD_MS
-    // env, else 0).
-    size_t trace_ring = 0;
+    // Tail-based trace retention (DESIGN.md §11): an invocation's span tree
+    // rides on its flight record only when it fails, times out, or runs
+    // longer than this; 0 = retain every trace; -1 = keep the current
+    // setting (ALLOY_TRACE_THRESHOLD_MS env, else 0).
     int64_t trace_threshold_ms = -1;
   };
 
@@ -244,8 +240,8 @@ class AsVisor {
   // the run result and latency (429 when saturated, 504 on deadline).
   // GET /health answers "ok". GET /metrics serves the process-wide registry
   // in Prometheus text format; GET /trace?workflow=<name> serves the last
-  // invocations' spans as Chrome trace JSON (open in about:tracing or
-  // ui.perfetto.dev).
+  // invocations' retained span trees as Chrome trace JSON (open in
+  // about:tracing or ui.perfetto.dev).
   asbase::Status StartWatchdog(uint16_t port = 0);
   asbase::Status StartWatchdog(uint16_t port, ServingOptions serving);
   uint16_t watchdog_port() const;
@@ -306,9 +302,8 @@ class AsVisor {
   // This shard's flight recorder (the router aggregates across shards).
   const asobs::FlightRecorder& flight() const { return *flight_; }
 
-  // Effective trace-retention knobs (tests, ops).
-  size_t trace_ring_depth() const;
-  int64_t trace_threshold_ms() const;
+  // Effective trace-retention threshold (tests, ops).
+  int64_t trace_threshold_ms() const { return trace_threshold_ms_; }
 
   // Rebalance hook: replaces this shard's slice of the global in-flight
   // budget (clamped to >= 1) and grants queued tickets a raised cap admits.
@@ -328,8 +323,6 @@ class AsVisor {
   // Warm WFDs currently parked for a workflow (tests, ops introspection).
   asbase::Result<size_t> WarmWfdCount(const std::string& workflow_name) const;
 
-  // Trace ring depth per workflow served by /trace.
-  static constexpr size_t kTraceRing = 8;
   // Upper bound on a queueing budget (workflow default or the
   // `x-queue-budget-ms` header): one hour. Larger values clamp to it.
   static constexpr int64_t kMaxQueueBudgetMs = 3'600'000;
@@ -366,8 +359,8 @@ class AsVisor {
     int inflight = 0;
     // FIFO admission queue: tickets of requests waiting for a concurrency
     // slot, front = next to run. Bounded by options.queue_capacity. A list,
-    // like `traces`, so an empty one allocates nothing (a std::deque
-    // allocates on construction and again on every move).
+    // so an empty one allocates nothing (a std::deque allocates on
+    // construction and again on every move).
     std::list<Ticket> waiters;
     // Deficit-round-robin credit toward the next admission grant: each
     // contested grant adds `weight` per round to every workflow with a
@@ -377,8 +370,6 @@ class AsVisor {
     // EWMA of recent service time (Invoke wall time, queue wait excluded);
     // drives the predicted-wait admission decision and Retry-After.
     double service_ewma_nanos = 0;
-    // Last kTraceRing invocation traces, oldest first.
-    std::list<std::shared_ptr<const asobs::Trace>> traces;
   };
 
   // The visor's one WFD boot step (DESIGN.md §14), behind both the pool
@@ -404,8 +395,8 @@ class AsVisor {
   // dies with the Invocation, never re-pooled.
   asbase::Status Fail(Invocation& call, asbase::Status status);
   // Every exit's last step: closes the span tree, deposits the flight
-  // record and accounts the outcome (service-time EWMA, trace retention,
-  // SLO). Returns the invocation's total time.
+  // record (the tree attached if tail retention keeps it) and accounts the
+  // outcome (service-time EWMA, SLO). Returns the invocation's total time.
   int64_t Finish(Invocation& call, asobs::FlightOutcome outcome);
 
   // Frees an invocation's slot and grants whatever queued tickets that
@@ -490,9 +481,10 @@ class AsVisor {
 
   ashttp::HttpResponse ServeMetrics() const;
 
-  // Deposits one record into this shard's flight ring and keeps the
-  // records/dropped counters in step.
-  void EmitFlight(uint32_t workflow_id, const asobs::FlightRecord& record);
+  // Deposits one record (with `trace` attached, if any) into this shard's
+  // flight ring and keeps the records/dropped/retained counters in step.
+  void EmitFlight(uint32_t workflow_id, const asobs::FlightRecord& record,
+                  std::shared_ptr<const asobs::Trace> trace = nullptr);
 
   // Everything the SLO anomaly trigger snapshots besides the flight ring,
   // collected under mutex_ and written to disk after it drops.
@@ -505,11 +497,9 @@ class AsVisor {
   };
 
   // Shared completion bookkeeping for every invocation outcome (success,
-  // error, timeout, rejection): tail-based trace retention, SLO accounting
-  // + burn gauges, and — on an SLO trigger — the black-box snapshot.
-  // `trace` may be null (rejections have no trace).
+  // error, timeout, rejection): the service-time EWMA, SLO accounting +
+  // burn gauges, and — on an SLO trigger — the black-box snapshot.
   void AccountOutcome(const std::string& workflow_name,
-                      std::shared_ptr<asobs::Trace> trace,
                       asobs::FlightOutcome outcome, int64_t total_nanos);
 
   // Serializes the flight ring + the request's queue/pool state to a JSON
@@ -541,17 +531,17 @@ class AsVisor {
   std::unique_ptr<ashttp::HttpServer> watchdog_;
 
   // ---- flight recorder / tail retention / SLO (DESIGN.md §11) ----
-  // Per-shard ring; capacity from ALLOY_FLIGHT_RING (default 1024, 0 =
-  // disabled). Lock-free — HTTP scrapers read it without touching mutex_.
+  // Per-shard ring of records and their retained span trees; capacity
+  // from ALLOY_FLIGHT_RING (default 1024, 0 = disabled, which retains no
+  // trees either). HTTP scrapers read it without touching mutex_.
   std::unique_ptr<asobs::FlightRecorder> flight_;
   asobs::Counter* flight_records_ = nullptr;
   asobs::Counter* flight_dropped_ = nullptr;
   asobs::Counter* traces_retained_ = nullptr;
   asobs::Counter* blackbox_counter_ = nullptr;
-  // Tail-retention knobs, guarded by mutex_ (StartServing may override the
-  // env/default values).
-  size_t trace_ring_ = kTraceRing;
-  int64_t trace_threshold_ms_ = 0;
+  // Tail-retention threshold: the env/default value, which StartServing
+  // may override. Atomic, so Finish reads it without mutex_.
+  std::atomic<int64_t> trace_threshold_ms_{0};
   std::string blackbox_dir_;  // immutable after construction
   std::atomic<uint64_t> blackbox_seq_{0};
 };

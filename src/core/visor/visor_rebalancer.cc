@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 
 #include "src/common/clock.h"
@@ -15,14 +14,13 @@
 namespace alloy {
 namespace {
 
+using asbase::EnvFlag;
 using asbase::EnvInt64;
 
-bool EnvFlag(const char* name, bool fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') {
-    return fallback;
-  }
-  return !(env[0] == '0' && env[1] == '\0');
+// A ratio knob, set in whole percent.
+double EnvPercent(const char* name, double fallback) {
+  return static_cast<double>(EnvInt64(name, std::llround(fallback * 100))) /
+         100.0;
 }
 
 std::string SlicesToString(const std::vector<size_t>& slices) {
@@ -47,23 +45,12 @@ RebalancerOptions RebalancerOptions::FromEnv(RebalancerOptions base) {
                   static_cast<int64_t>(base.reslice_deadband))));
   base.migrate = EnvFlag("ALLOY_REBALANCE_MIGRATE", base.migrate);
   base.migrate_ratio =
-      static_cast<double>(EnvInt64(
-          "ALLOY_REBALANCE_MIGRATE_RATIO_PCT",
-          static_cast<int64_t>(std::llround(base.migrate_ratio * 100)))) /
-      100.0;
+      EnvPercent("ALLOY_REBALANCE_MIGRATE_RATIO_PCT", base.migrate_ratio);
   base.scale = EnvFlag("ALLOY_REBALANCE_SCALE", base.scale);
   base.scale_up_utilization =
-      static_cast<double>(EnvInt64(
-          "ALLOY_REBALANCE_SCALE_UP_PCT",
-          static_cast<int64_t>(std::llround(base.scale_up_utilization *
-                                            100)))) /
-      100.0;
-  base.scale_down_utilization =
-      static_cast<double>(EnvInt64(
-          "ALLOY_REBALANCE_SCALE_DOWN_PCT",
-          static_cast<int64_t>(std::llround(base.scale_down_utilization *
-                                            100)))) /
-      100.0;
+      EnvPercent("ALLOY_REBALANCE_SCALE_UP_PCT", base.scale_up_utilization);
+  base.scale_down_utilization = EnvPercent("ALLOY_REBALANCE_SCALE_DOWN_PCT",
+                                           base.scale_down_utilization);
   return base;
 }
 

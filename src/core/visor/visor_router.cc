@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "src/common/clock.h"
+#include "src/common/env.h"
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
 #include "src/obs/rebalance.h"
@@ -49,10 +50,7 @@ uint64_t Fnv1a(const std::string& data) {
 size_t ResolveShardCount(size_t requested) {
   size_t shards = requested;
   if (shards == 0) {
-    const char* env = std::getenv("ALLOY_VISOR_SHARDS");
-    if (env != nullptr && *env != '\0') {
-      shards = static_cast<size_t>(std::max(0L, std::atol(env)));
-    }
+    shards = static_cast<size_t>(asbase::EnvInt64("ALLOY_VISOR_SHARDS", 0));
   }
   if (shards == 0) {
     shards = std::max(1u, std::thread::hardware_concurrency());

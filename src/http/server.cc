@@ -30,13 +30,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <optional>
 #include <unordered_map>
 
 #include "src/common/clock.h"
+#include "src/common/env.h"
 #include "src/common/logging.h"
 #include "src/http/http.h"
 #include "src/http/parser.h"
@@ -45,19 +45,6 @@
 namespace ashttp {
 namespace internal {
 namespace {
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') {
-    return fallback;
-  }
-  return static_cast<size_t>(parsed);
-}
 
 // Cached once; Counter/Gauge references are stable for the process.
 struct EdgeMetrics {
@@ -599,16 +586,15 @@ class EdgeReactor {
 }  // namespace internal
 
 HttpServerOptions HttpServerOptions::FromEnv() {
+  using asbase::EnvInt64;
   HttpServerOptions options;
-  options.reactors =
-      std::max<size_t>(1, internal::EnvSize("ALLOY_EDGE_REACTORS", 1));
-  options.max_connections = std::max<size_t>(
-      1, internal::EnvSize("ALLOY_EDGE_MAX_CONNS", options.max_connections));
-  options.idle_timeout_ms = static_cast<int64_t>(internal::EnvSize(
-      "ALLOY_EDGE_IDLE_TIMEOUT_MS",
-      static_cast<size_t>(options.idle_timeout_ms)));
-  options.max_body_bytes = internal::EnvSize("ALLOY_EDGE_MAX_BODY_BYTES",
-                                             options.max_body_bytes);
+  options.reactors = std::max<int64_t>(1, EnvInt64("ALLOY_EDGE_REACTORS", 1));
+  options.max_connections = std::max<int64_t>(
+      1, EnvInt64("ALLOY_EDGE_MAX_CONNS", options.max_connections));
+  options.idle_timeout_ms =
+      EnvInt64("ALLOY_EDGE_IDLE_TIMEOUT_MS", options.idle_timeout_ms);
+  options.max_body_bytes =
+      EnvInt64("ALLOY_EDGE_MAX_BODY_BYTES", options.max_body_bytes);
   return options;
 }
 

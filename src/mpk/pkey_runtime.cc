@@ -4,9 +4,7 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
-#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/logging.h"
@@ -53,75 +51,82 @@ int SysPkeyMprotect(void* addr, size_t len, int prot, int pkey) {
 #endif
 }
 
-// Domain-switch accounting for /metrics. WritePkru is the hottest path in
-// the repo (~25ns under kEmulated), so it records nothing extra: the
-// collector below aggregates, at scrape time, the switch_count_ each
-// runtime already keeps — live instances are walked, destroyed instances
-// fold their totals into `retired` from the destructor.
-struct MpkTelemetry {
-  std::mutex mutex;
-  std::vector<const PkeyRuntime*> live;
-  std::array<uint64_t, 3> retired_switches{};
-  std::array<uint64_t, 3> retired_nanos{};
-};
-
-MpkTelemetry& Telemetry() {
-  static auto* telemetry = new MpkTelemetry();
-  return *telemetry;
-}
-
 size_t BackendIndex(MpkBackend backend) {
   return static_cast<size_t>(backend);
 }
 
-void CollectMpkMetrics(asobs::MetricEmitter& emitter) {
-  MpkTelemetry& telemetry = Telemetry();
-  std::array<uint64_t, 3> switches;
-  std::array<uint64_t, 3> nanos;
-  {
-    std::lock_guard<std::mutex> lock(telemetry.mutex);
-    switches = telemetry.retired_switches;
-    nanos = telemetry.retired_nanos;
-    for (const PkeyRuntime* runtime : telemetry.live) {
-      switches[BackendIndex(runtime->backend())] += runtime->switch_count();
-      nanos[BackendIndex(runtime->backend())] += runtime->switch_nanos();
+}  // namespace
+
+// Domain-switch accounting for /metrics. WritePkru is the hottest path in
+// the repo (~25ns under kEmulated), so it records nothing extra: the
+// collector aggregates, at scrape time, the switch_count_ each runtime
+// already keeps — live runtimes are walked through their intrusive links,
+// destroyed ones fold their totals into `retired` from the destructor.
+struct MpkTelemetry {
+  static MpkTelemetry& Get() {
+    static auto* telemetry = new MpkTelemetry();
+    return *telemetry;
+  }
+
+  static void Collect(asobs::MetricEmitter& emitter) {
+    MpkTelemetry& telemetry = Get();
+    std::array<uint64_t, 3> switches;
+    std::array<uint64_t, 3> nanos;
+    {
+      std::lock_guard<std::mutex> lock(telemetry.mutex);
+      switches = telemetry.retired_switches;
+      nanos = telemetry.retired_nanos;
+      for (const PkeyRuntime* runtime = telemetry.live; runtime != nullptr;
+           runtime = runtime->telemetry_next_) {
+        switches[BackendIndex(runtime->backend())] += runtime->switch_count();
+        nanos[BackendIndex(runtime->backend())] += runtime->switch_nanos();
+      }
+    }
+    for (MpkBackend backend : {MpkBackend::kHardware, MpkBackend::kMprotect,
+                               MpkBackend::kEmulated}) {
+      const asobs::Labels labels = {{"backend", MpkBackendName(backend)}};
+      emitter.Emit("alloy_mpk_domain_switches_total",
+                   asobs::MetricType::kCounter, labels,
+                   switches[BackendIndex(backend)]);
+      emitter.Emit("alloy_mpk_domain_switch_nanos_total",
+                   asobs::MetricType::kCounter, labels,
+                   nanos[BackendIndex(backend)]);
     }
   }
-  for (MpkBackend backend : {MpkBackend::kHardware, MpkBackend::kMprotect,
-                             MpkBackend::kEmulated}) {
-    const asobs::Labels labels = {{"backend", MpkBackendName(backend)}};
-    emitter.Emit("alloy_mpk_domain_switches_total",
-                 asobs::MetricType::kCounter, labels,
-                 switches[BackendIndex(backend)]);
-    emitter.Emit("alloy_mpk_domain_switch_nanos_total",
-                 asobs::MetricType::kCounter, labels,
-                 nanos[BackendIndex(backend)]);
+
+  static void Link(PkeyRuntime* runtime) {
+    static std::once_flag collector_once;
+    std::call_once(collector_once, [] {
+      asobs::Registry::Global().RegisterCollector(Collect);
+    });
+    MpkTelemetry& telemetry = Get();
+    std::lock_guard<std::mutex> lock(telemetry.mutex);
+    runtime->telemetry_next_ = telemetry.live;
+    runtime->telemetry_prev_ = &telemetry.live;
+    if (telemetry.live != nullptr) {
+      telemetry.live->telemetry_prev_ = &runtime->telemetry_next_;
+    }
+    telemetry.live = runtime;
   }
-}
 
-void RegisterTelemetry(const PkeyRuntime* runtime) {
-  static std::once_flag collector_once;
-  std::call_once(collector_once, [] {
-    asobs::Registry::Global().RegisterCollector(CollectMpkMetrics);
-  });
-  MpkTelemetry& telemetry = Telemetry();
-  std::lock_guard<std::mutex> lock(telemetry.mutex);
-  telemetry.live.push_back(runtime);
-}
+  static void Unlink(PkeyRuntime* runtime) {
+    MpkTelemetry& telemetry = Get();
+    std::lock_guard<std::mutex> lock(telemetry.mutex);
+    *runtime->telemetry_prev_ = runtime->telemetry_next_;
+    if (runtime->telemetry_next_ != nullptr) {
+      runtime->telemetry_next_->telemetry_prev_ = runtime->telemetry_prev_;
+    }
+    telemetry.retired_switches[BackendIndex(runtime->backend())] +=
+        runtime->switch_count();
+    telemetry.retired_nanos[BackendIndex(runtime->backend())] +=
+        runtime->switch_nanos();
+  }
 
-void RetireTelemetry(const PkeyRuntime* runtime) {
-  MpkTelemetry& telemetry = Telemetry();
-  std::lock_guard<std::mutex> lock(telemetry.mutex);
-  telemetry.live.erase(
-      std::remove(telemetry.live.begin(), telemetry.live.end(), runtime),
-      telemetry.live.end());
-  telemetry.retired_switches[BackendIndex(runtime->backend())] +=
-      runtime->switch_count();
-  telemetry.retired_nanos[BackendIndex(runtime->backend())] +=
-      runtime->switch_nanos();
-}
-
-}  // namespace
+  std::mutex mutex;
+  PkeyRuntime* live = nullptr;  // head of the live runtimes' list
+  std::array<uint64_t, 3> retired_switches{};
+  std::array<uint64_t, 3> retired_nanos{};
+};
 
 const char* MpkBackendName(MpkBackend backend) {
   switch (backend) {
@@ -158,11 +163,11 @@ PkeyRuntime::PkeyRuntime(MpkBackend backend,
     AS_CHECK(HardwareAvailable())
         << "hardware MPK backend requested but pkey_alloc fails";
   }
-  RegisterTelemetry(this);
+  MpkTelemetry::Link(this);
 }
 
 PkeyRuntime::~PkeyRuntime() {
-  RetireTelemetry(this);
+  MpkTelemetry::Unlink(this);
   for (auto& [key, hw_key] : hw_keys_) {
     SysPkeyFree(hw_key);
   }

@@ -136,6 +136,13 @@ class PkeyRuntime : public asbase::ResourceObject {
 
   void ApplyMprotect(uint32_t pkru);
 
+  // Links in the list of live runtimes the /metrics collector walks
+  // (guarded by its mutex), kept in the runtime so joining and leaving it
+  // allocate nothing. `telemetry_prev_` points at what points here.
+  friend struct MpkTelemetry;
+  PkeyRuntime** telemetry_prev_ = nullptr;
+  PkeyRuntime* telemetry_next_ = nullptr;
+
   const MpkBackend backend_;
   mutable std::mutex mutex_;
   std::pmr::map<uintptr_t, Region> regions_;  // keyed by start address

@@ -53,6 +53,7 @@ const char* FlightStartName(FlightStart start) {
 
 asbase::Json FlightRecord::ToJson() const {
   asbase::Json doc{asbase::JsonObject{}};
+  doc.Set("id", static_cast<int64_t>(id));
   doc.Set("workflow", workflow);
   doc.Set("shard", static_cast<int64_t>(shard));
   doc.Set("outcome", FlightOutcomeName(outcome));
@@ -115,16 +116,14 @@ std::string FlightRecorder::WorkflowName(uint32_t id) const {
   return names_[id - 1];
 }
 
-bool FlightRecorder::Record(uint32_t workflow_id, const FlightRecord& record) {
-#ifdef ALLOY_DISABLE_FLIGHT
-  (void)workflow_id;
-  (void)record;
-  return false;
-#else
+uint64_t FlightRecorder::Record(uint32_t workflow_id,
+                                const FlightRecord& record,
+                                std::shared_ptr<const Trace> trace) {
   if (capacity_ == 0) {
-    return false;
+    return 0;
   }
   const uint64_t ticket = cursor_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t id = ticket + 1;
   Slot& slot = slots_[ticket % capacity_];
 
   // Claim the slot: even → odd on whatever sequence the slot is at. The CAS
@@ -140,9 +139,10 @@ bool FlightRecorder::Record(uint32_t workflow_id, const FlightRecord& record) {
                                    std::memory_order_acq_rel,
                                    std::memory_order_relaxed)) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    return 0;
   }
 
+  Put(slot.id, id);
   Put(slot.workflow_id, workflow_id);
   Put(slot.shard, record.shard);
   Put(slot.outcome, static_cast<uint32_t>(record.outcome));
@@ -168,8 +168,34 @@ bool FlightRecorder::Record(uint32_t workflow_id, const FlightRecord& record) {
   // a consistent record.
   seq.store(expected + 2, std::memory_order_release);
   recorded_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-#endif  // ALLOY_DISABLE_FLIGHT
+
+  if (trace != nullptr) {
+    std::lock_guard<std::mutex> lock(trees_mutex_);
+    RetainedTrace& held =
+        trees_[trees_cursor_++ % std::min(capacity_, kMaxTrees)];
+    held.id = id;
+    // The displaced tree leaves in `trace`, destroyed after the lock drops.
+    held.trace.swap(trace);
+  }
+  return id;
+}
+
+std::vector<FlightRecorder::RetainedTrace> FlightRecorder::Traces(
+    const std::string& workflow) const {
+  const auto held = [this] {
+    std::lock_guard<std::mutex> lock(trees_mutex_);
+    return trees_;
+  }();
+  // Only trees whose record the ring still holds: none outlives its record.
+  std::vector<RetainedTrace> out;
+  for (const FlightRecord& record : Snapshot(workflow)) {
+    for (const RetainedTrace& tree : held) {
+      if (tree.trace != nullptr && tree.id == record.id) {
+        out.push_back(tree);
+      }
+    }
+  }
+  return out;
 }
 
 std::vector<FlightRecord> FlightRecorder::Snapshot(const std::string& workflow,
@@ -197,6 +223,7 @@ std::vector<FlightRecord> FlightRecorder::Snapshot(const std::string& workflow,
       if (before == 0 || (before & 1) != 0) {
         break;  // never written, or write in progress
       }
+      record.id = Get(slot.id);
       workflow_id = Get(slot.workflow_id);
       record.shard = Get(slot.shard);
       record.outcome = static_cast<FlightOutcome>(Get(slot.outcome));

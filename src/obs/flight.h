@@ -2,7 +2,7 @@
 // structured invocation records (DESIGN.md §11).
 //
 // The trace layer answers "where did THIS invocation's time go" but only for
-// the handful of invocations still in a retention ring; `/metrics` answers
+// the handful of span trees the recorder still holds; `/metrics` answers
 // "how fast on average". Neither can reconstruct a p99 spike that happened
 // thirty seconds ago on one shard. The flight recorder fills that gap: every
 // invocation (success, failure, timeout, admission rejection) deposits one
@@ -26,20 +26,24 @@
 // never-written one, so a page of the ring becomes resident only when a
 // record lands in it. A shard that serves little traffic holds little ring.
 //
-// Compile-time kill switch: building with -DALLOY_DISABLE_FLIGHT turns
-// Record() into an immediate return for overhead A/B measurements
-// (`bench_serving --obs-overhead` measures the runtime on/off delta).
+// Retained span trees: a record may carry its invocation's span tree. The
+// last min(8, capacity) such trees sit in a mutex-guarded ring beside the
+// records, served only while their record is still in the ring, so a tree
+// never outlives its record and a shard's tree memory is bounded.
 
 #ifndef SRC_OBS_FLIGHT_H_
 #define SRC_OBS_FLIGHT_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/common/json.h"
+#include "src/obs/trace.h"
 
 namespace asobs {
 
@@ -67,6 +71,9 @@ const char* FlightStartName(FlightStart start);
 struct FlightRecord {
   static constexpr size_t kMaxStages = 6;
 
+  // Position in the recorder's (shard's) sequence from 1; 0 = not recorded.
+  // A retained span tree's Chrome pid on /trace.
+  uint64_t id = 0;
   std::string workflow;  // resolved from the interned id on read
   int32_t shard = -1;
   FlightOutcome outcome = FlightOutcome::kOk;
@@ -109,17 +116,26 @@ class FlightRecorder {
   // Idempotent: the same name always returns the same id.
   uint32_t InternWorkflow(const std::string& name);
 
-  // Deposits one record. Lock-free: one relaxed fetch_add to claim a slot,
-  // one relaxed store per field. If the claimed slot is still being written
-  // by a lapped writer (ring wrapped a full turn mid-write) the record is
-  // dropped and counted, never blocked on. Returns whether it was stored.
-  bool Record(uint32_t workflow_id, const FlightRecord& record);
+  // Deposits one record (`id`, `workflow` ignored), attaching `trace` if
+  // given; returns its id (0 = not stored). One relaxed fetch_add claims a
+  // slot and one relaxed store fills each field; a slot a lapped writer still
+  // holds drops the record (counted), never blocks. A tree takes one lock.
+  uint64_t Record(uint32_t workflow_id, const FlightRecord& record,
+                  std::shared_ptr<const Trace> trace = nullptr);
 
   // Copies out every consistent record, oldest first (by end_nanos).
   // `workflow` empty = all workflows; `since_nanos` > 0 keeps only records
   // with end_nanos > since_nanos (cursor-style incremental scraping).
   std::vector<FlightRecord> Snapshot(const std::string& workflow = "",
                                      int64_t since_nanos = 0) const;
+
+  // The trees attached to the records Snapshot(workflow) returns, oldest
+  // record first.
+  struct RetainedTrace {
+    uint64_t id = 0;
+    std::shared_ptr<const Trace> trace;
+  };
+  std::vector<RetainedTrace> Traces(const std::string& workflow = "") const;
 
   uint64_t recorded() const {
     return recorded_.load(std::memory_order_relaxed);
@@ -134,6 +150,7 @@ class FlightRecorder {
   // recheck detects) rather than undefined behavior.
   struct Slot {
     uint64_t seq;
+    uint64_t id;
     uint32_t workflow_id;
     int32_t shard;
     uint32_t outcome;
@@ -150,7 +167,10 @@ class FlightRecorder {
     uint32_t stages;
     int64_t stage_nanos[FlightRecord::kMaxStages];
   };
-  static_assert(sizeof(Slot) == 152, "docs/operations.md quotes 152 B");
+  static_assert(sizeof(Slot) == 160, "docs/operations.md quotes 160 B");
+  // Holding 16 trees cost bench/serve's bulk_body ~12% more server CPU per
+  // request than holding 8 (4 of 4 alternating pairs; cause not found).
+  static constexpr size_t kMaxTrees = 8;
 
   std::string WorkflowName(uint32_t id) const;
 
@@ -159,6 +179,11 @@ class FlightRecorder {
   std::atomic<uint64_t> cursor_{0};
   std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> dropped_{0};
+
+  // The last min(kMaxTrees, capacity_) retained trees, round-robin.
+  mutable std::mutex trees_mutex_;
+  std::array<RetainedTrace, kMaxTrees> trees_;  // guarded by trees_mutex_
+  uint64_t trees_cursor_ = 0;                    // guarded by trees_mutex_
 
   // Interned workflow names; id = index + 1 (0 = unknown). Append-only,
   // read under the same mutex (Snapshot is not a hot path).

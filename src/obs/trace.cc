@@ -52,8 +52,7 @@ void Span::End() {
 
 // --------------------------------------------------------------------- Trace
 
-Trace::Trace(std::string workflow)
-    : workflow_(std::move(workflow)), start_nanos_(asbase::MonoNanos()) {}
+Trace::Trace(std::string workflow) : workflow_(std::move(workflow)) {}
 
 Span Trace::StartSpan(std::string name, std::string category,
                       uint32_t parent) {
@@ -97,14 +96,14 @@ size_t Trace::span_capacity() const {
   return spans_.capacity();
 }
 
-void Trace::AppendChromeEvents(asbase::JsonArray& events, int pid) const {
+void Trace::AppendChromeEvents(asbase::JsonArray& events, int64_t pid) const {
   std::vector<SpanRecord> spans = Spans();
   {
     // Process metadata so the viewer shows the workflow name per invocation.
     asbase::Json meta;
     meta.Set("name", "process_name");
     meta.Set("ph", "M");
-    meta.Set("pid", static_cast<int64_t>(pid));
+    meta.Set("pid", pid);
     asbase::Json args;
     args.Set("name", workflow_);
     meta.Set("args", std::move(args));
@@ -118,7 +117,7 @@ void Trace::AppendChromeEvents(asbase::JsonArray& events, int pid) const {
     // Chrome wants microseconds; keep nanosecond precision as fractions.
     event.Set("ts", static_cast<double>(span.start_nanos) / 1e3);
     event.Set("dur", static_cast<double>(span.duration_nanos) / 1e3);
-    event.Set("pid", static_cast<int64_t>(pid));
+    event.Set("pid", pid);
     event.Set("tid", static_cast<int64_t>(span.thread_id));
     asbase::Json args;
     args.Set("span_id", static_cast<int64_t>(span.id));

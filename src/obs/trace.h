@@ -82,7 +82,6 @@ class Trace {
   Trace& operator=(const Trace&) = delete;
 
   const std::string& workflow() const { return workflow_; }
-  int64_t start_nanos() const { return start_nanos_; }
 
   // Opens a span. parent == 0 makes a root-level span.
   Span StartSpan(std::string name, std::string category, uint32_t parent = 0);
@@ -103,7 +102,7 @@ class Trace {
 
   // Appends this trace's events to `events` as Chrome complete events.
   // `pid` groups one invocation per "process" in the viewer.
-  void AppendChromeEvents(asbase::JsonArray& events, int pid) const;
+  void AppendChromeEvents(asbase::JsonArray& events, int64_t pid) const;
 
   // {"displayTimeUnit":"ms","traceEvents":[...]} — one invocation.
   asbase::Json ToChromeJson() const;
@@ -113,7 +112,6 @@ class Trace {
   void Record(SpanRecord record);
 
   std::string workflow_;
-  int64_t start_nanos_;
   std::atomic<uint32_t> next_id_{1};
   mutable std::mutex mutex_;
   std::vector<SpanRecord> spans_;

@@ -420,5 +420,33 @@ TEST(EnvTest, EnvInt64ReadsANonNegativeLeadingNumber) {
   ::unsetenv(name);
 }
 
+TEST(EnvTest, EnvFlagIsOffOnlyForZero) {
+  const char* name = "ASBASE_TEST_ENV_FLAG";
+  ::unsetenv(name);
+  EXPECT_TRUE(EnvFlag(name, true));
+  EXPECT_FALSE(EnvFlag(name, false));
+  const std::pair<const char*, bool> cases[] = {
+      {"0", false}, {"1", true}, {"yes", true}, {"00", true}, {"false", true}};
+  for (const auto& [value, expected] : cases) {
+    ::setenv(name, value, 1);
+    EXPECT_EQ(EnvFlag(name, !expected), expected) << "'" << value << "'";
+  }
+  ::setenv(name, "", 1);
+  EXPECT_TRUE(EnvFlag(name, true)) << "empty reads as unset";
+  EXPECT_FALSE(EnvFlag(name, false)) << "empty reads as unset";
+  ::unsetenv(name);
+}
+
+TEST(EnvTest, EnvStringFallsBackWhenUnsetOrEmpty) {
+  const char* name = "ASBASE_TEST_ENV_STRING";
+  ::unsetenv(name);
+  EXPECT_STREQ(EnvString(name, "."), ".");
+  ::setenv(name, "", 1);
+  EXPECT_STREQ(EnvString(name, "."), ".");
+  ::setenv(name, "/var/tmp", 1);
+  EXPECT_STREQ(EnvString(name, "."), "/var/tmp");
+  ::unsetenv(name);
+}
+
 }  // namespace
 }  // namespace asbase

@@ -1,9 +1,13 @@
-// Tests for the observability flight recorder (seqlock ring), the latency
-// attribution report, and the SLO burn-rate tracker (DESIGN.md §11).
+// Tests for the observability flight recorder (seqlock ring and the span
+// trees retained on its records), the latency attribution report, and the
+// SLO burn-rate tracker (DESIGN.md §11).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,16 +58,20 @@ TEST(FlightRecorderTest, RecordSnapshotRoundTrip) {
   FlightRecord record = StampedRecord(42);
   record.outcome = FlightOutcome::kTimeout;
   record.start = FlightStart::kClone;
-  ASSERT_TRUE(recorder.Record(id, record));
+  EXPECT_EQ(recorder.Record(id, record), 1u) << "ids count from 1";
+  EXPECT_EQ(recorder.Record(id, record), 2u);
 
   const std::vector<FlightRecord> snapshot = recorder.Snapshot();
-  ASSERT_EQ(snapshot.size(), 1u);
+  ASSERT_EQ(snapshot.size(), 2u);
+  EXPECT_EQ(snapshot[0].id + snapshot[1].id, 3u);
+  EXPECT_EQ(snapshot[0].ToJson()["id"].as_int(),
+            static_cast<int64_t>(snapshot[0].id));
   EXPECT_EQ(snapshot[0].workflow, "wfa");
   EXPECT_EQ(snapshot[0].outcome, FlightOutcome::kTimeout);
   EXPECT_EQ(snapshot[0].start, FlightStart::kClone);
   EXPECT_EQ(snapshot[0].ToJson()["start"].as_string(), "clone");
   EXPECT_TRUE(AllFieldsAgree(snapshot[0]));
-  EXPECT_EQ(recorder.recorded(), 1u);
+  EXPECT_EQ(recorder.recorded(), 2u);
   EXPECT_EQ(recorder.dropped(), 0u);
 }
 
@@ -102,9 +110,124 @@ TEST(FlightRecorderTest, WorkflowAndSinceFiltersSelectRecords) {
 TEST(FlightRecorderTest, ZeroCapacityDisablesRecording) {
   FlightRecorder recorder(0);
   EXPECT_FALSE(recorder.enabled());
-  EXPECT_FALSE(recorder.Record(1, StampedRecord(7)));
+  EXPECT_EQ(recorder.Record(1, StampedRecord(7)), 0u);
+  auto tree = std::make_shared<const Trace>("off");
+  const std::weak_ptr<const Trace> held = tree;
+  EXPECT_EQ(recorder.Record(1, StampedRecord(8), std::move(tree)), 0u);
+  EXPECT_TRUE(held.expired()) << "a disabled recorder keeps no trees";
   EXPECT_TRUE(recorder.Snapshot().empty());
+  EXPECT_TRUE(recorder.Traces().empty());
   EXPECT_EQ(recorder.recorded(), 0u);
+}
+
+// How many of `trees` are alive: once the test has dropped its own
+// references, the ones the recorder holds.
+size_t Alive(const std::vector<std::weak_ptr<const Trace>>& trees) {
+  size_t alive = 0;
+  for (const auto& tree : trees) {
+    alive += tree.expired() ? 0 : 1;
+  }
+  return alive;
+}
+
+TEST(FlightRecorderTest, RetainedTreesAreBoundedAndFoundByTheirRecordsId) {
+  for (const size_t capacity : {size_t{4}, size_t{64}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    FlightRecorder recorder(capacity);
+    const uint32_t id = recorder.InternWorkflow("kept");
+    std::vector<std::weak_ptr<const Trace>> trees;
+    std::vector<const Trace*> by_id(1);  // by_id[record id]
+    for (int64_t i = 1; i <= 200; ++i) {
+      auto tree = std::make_shared<const Trace>("kept");
+      trees.push_back(tree);
+      by_id.push_back(tree.get());
+      ASSERT_EQ(recorder.Record(id, StampedRecord(i), std::move(tree)),
+                static_cast<uint64_t>(i));
+    }
+    const size_t bound = std::min<size_t>(8, capacity);
+    EXPECT_EQ(Alive(trees), bound) << "the recorder holds min(8, capacity)";
+    const std::vector<FlightRecorder::RetainedTrace> served =
+        recorder.Traces("kept");
+    ASSERT_EQ(served.size(), bound);
+    for (size_t i = 0; i < served.size(); ++i) {
+      EXPECT_EQ(served[i].id, 200 - bound + 1 + i) << "oldest first";
+      EXPECT_EQ(served[i].trace.get(), by_id[served[i].id])
+          << "a tree is found by its own record's id";
+    }
+    EXPECT_TRUE(recorder.Traces("other").empty());
+  }
+}
+
+TEST(FlightRecorderTest, TreeOfAnOverwrittenRecordIsNotServed) {
+  FlightRecorder recorder(32);
+  const uint32_t id = recorder.InternWorkflow("gone");
+  auto tree = std::make_shared<const Trace>("gone");
+  const std::weak_ptr<const Trace> held = tree;
+  ASSERT_EQ(recorder.Record(id, StampedRecord(1), std::move(tree)), 1u);
+  ASSERT_EQ(recorder.Traces().size(), 1u);
+  // 32 untraced records lap the ring: record 1 is overwritten while its
+  // tree still sits in the tree ring.
+  for (int64_t i = 2; i <= 33; ++i) {
+    ASSERT_NE(recorder.Record(id, StampedRecord(i)), 0u);
+  }
+  EXPECT_FALSE(held.expired());
+  EXPECT_TRUE(recorder.Traces().empty())
+      << "a tree must not outlive its record";
+}
+
+// Writers attaching trees while a reader scrapes records and trees: run
+// under TSan and ASan by scripts/ci.sh (label obs). Every tree is named
+// after its record's stamp, so a settled recorder proves the pairing.
+TEST(FlightRecorderTest, ConcurrentWritersAttachingTreesStayPaired) {
+  constexpr int kWriters = 4;
+  constexpr int kRecordsPerWriter = 2000;
+  FlightRecorder recorder(64);
+  const uint32_t id = recorder.InternWorkflow("storm");
+  std::vector<std::weak_ptr<const Trace>> trees(kWriters * kRecordsPerWriter);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> served{0};
+  std::thread reader([&] {
+    // Reads every served tree (one freed while served is what ASan would
+    // report), at least once after the writers are done.
+    do {
+      for (const auto& tree : recorder.Traces("storm")) {
+        served.fetch_add(tree.trace->workflow().empty() ? 0 : 1,
+                         std::memory_order_relaxed);
+      }
+    } while (!stop.load(std::memory_order_relaxed));
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 1; i <= kRecordsPerWriter; ++i) {
+        const int64_t stamp = w * kRecordsPerWriter + i;
+        auto tree = std::make_shared<const Trace>(std::to_string(stamp));
+        trees[stamp - 1] = tree;
+        recorder.Record(id, StampedRecord(stamp), std::move(tree));
+      }
+    });
+  }
+  for (auto& writer : writers) {
+    writer.join();
+  }
+  stop = true;
+  reader.join();
+
+  EXPECT_GT(served.load(), 0u) << "the reader must have seen trees";
+  EXPECT_LE(Alive(trees), 8u);
+  std::map<uint64_t, int64_t> stamps;  // record id -> stamp
+  for (const FlightRecord& record : recorder.Snapshot()) {
+    stamps[record.id] = record.total_nanos;
+  }
+  const std::vector<FlightRecorder::RetainedTrace> settled =
+      recorder.Traces();
+  EXPECT_FALSE(settled.empty());
+  for (const auto& [tree_id, tree] : settled) {
+    ASSERT_EQ(stamps.count(tree_id), 1u);
+    EXPECT_EQ(tree->workflow(), std::to_string(stamps[tree_id]))
+        << "tree " << tree_id << " is attached to another record";
+  }
 }
 
 // The acceptance race: concurrent writers wrapping a small ring while a

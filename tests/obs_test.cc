@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -19,6 +20,7 @@
 #include "src/core/visor/visor.h"
 #include "src/core/visor/wfd_pool.h"
 #include "src/http/http.h"
+#include "src/mpk/pkey_runtime.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -110,6 +112,66 @@ TEST(MetricsTest, CollectorSamplesMergeIntoExposition) {
                       "alloy_test_collected_total{source=\"collector\"} 42\n"),
             std::string::npos)
       << text;
+}
+
+// The emulated backend's alloy_mpk_domain_switches_total in one scrape of
+// the global registry.
+uint64_t EmulatedSwitches(const std::string& text) {
+  const std::string key =
+      "alloy_mpk_domain_switches_total{backend=\"emulated\"} ";
+  const size_t at = text.find(key);
+  return at == std::string::npos
+             ? 0
+             : std::strtoull(text.c_str() + at + key.size(), nullptr, 10);
+}
+
+// MPK runtimes join and leave the telemetry list the /metrics collector
+// walks, on several threads, while a scraper renders the registry; each
+// thread keeps a few alive so runtimes also leave from the middle of the
+// list. scripts/ci.sh runs the obs label under TSan and ASan.
+TEST(MetricsTest, MpkRuntimesComeAndGoWhileMetricsAreScraped) {
+  constexpr int kThreads = 4;
+  constexpr int kRuntimesPerThread = 1000;
+  constexpr int kSwitchesPerRuntime = 3;
+  const uint64_t before =
+      EmulatedSwitches(Registry::Global().RenderPrometheus());
+  std::atomic<bool> stop{false};
+  std::atomic<int> scrapes{0};
+  std::thread scraper([&] {
+    do {
+      const std::string text = Registry::Global().RenderPrometheus();
+      EXPECT_GE(EmulatedSwitches(text), before);
+      scrapes.fetch_add(1, std::memory_order_release);
+    } while (!stop.load(std::memory_order_relaxed));
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&scrapes] {
+      while (scrapes.load(std::memory_order_acquire) == 0) {
+        std::this_thread::yield();  // start once the scraper is running
+      }
+      std::vector<std::unique_ptr<asmpk::PkeyRuntime>> alive;
+      for (int i = 0; i < kRuntimesPerThread; ++i) {
+        alive.push_back(std::make_unique<asmpk::PkeyRuntime>(
+            asmpk::MpkBackend::kEmulated));
+        for (int s = 0; s < kSwitchesPerRuntime; ++s) {
+          alive.back()->WritePkru(0);
+        }
+        if (alive.size() > 3) {
+          alive.erase(alive.begin());  // the oldest: mid-list by now
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  stop = true;
+  scraper.join();
+  EXPECT_GT(scrapes.load(), 0);
+  EXPECT_EQ(EmulatedSwitches(Registry::Global().RenderPrometheus()) - before,
+            uint64_t{kThreads} * kRuntimesPerThread * kSwitchesPerRuntime)
+      << "every switch counted once, live or retired";
 }
 
 TEST(MetricsTest, ResetZeroesInPlaceKeepingReferences) {
@@ -417,9 +479,9 @@ TEST(VisorObsTest, LoadAllInvokeHasNoModuleLoadSpans) {
       << "load_all boots modules before the run; none load inside spans";
 }
 
-// With the default threshold (0) every trace is retained, and the ring
-// keeps up to eight per workflow for as long as the workflow lives: a
-// retained trace holds exactly its spans, with no growth slack, and the
+// With the default threshold (0) every trace is retained, and the shard's
+// flight recorder keeps the last 8 on their records: a retained trace
+// holds exactly its spans, with no growth slack, and the
 // root span allocates nothing for how the WFD started (its wfd_clone or
 // wfd_create child says that).
 TEST(VisorObsTest, RetainedTraceHoldsNoSpanSlack) {

@@ -2,7 +2,7 @@
 // of their own so that nothing else in the process has already paged in the
 // memory they measure:
 //   - a shard that has served no request must not hold its flight ring
-//     (ALLOY_FLIGHT_RING records of 152 B each) resident;
+//     (ALLOY_FLIGHT_RING records of 160 B each) resident;
 //   - registering a workflow costs a small, fixed amount of heap, most of
 //     it the workflow's metric series;
 //   - a workflow's latency series stay bounded however many samples land;
@@ -67,7 +67,7 @@ TEST(VisorDensityTest, IdleShardsHoldNoFlightRing) {
   const int64_t growth_kib = VmRssKib() - before;
   ASSERT_EQ(router->shard_count(), 4u);
   EXPECT_EQ(router->shard(0).flight().capacity(), 1024u);
-  // Four zero-filled 1024-record rings would be 608 KiB.
+  // Four zero-filled 1024-record rings would be 640 KiB.
   EXPECT_LT(growth_kib, 64) << "constructing 4 idle shards made " << growth_kib
                             << " KiB resident";
 }
@@ -204,8 +204,10 @@ TEST(VisorDensityTest, ParkedFatfsTenantCostsUnder12KiBOfHeap) {
   // MPK runtime and trampoline, moved off the malloc heap.
   EXPECT_EQ(system_pages, kTenants * page) << "one system page each";
   const size_t per_tenant = (heap + disk_pages + system_pages) / kTenants;
-  // When fatfs wrote its FAT and directory sectors through to the disk,
-  // each clone also held the two 4 KiB disk pages they sit in: ~18.6 KiB.
+  // ~2.9 KiB of heap each (~3.7 KiB while every tenant kept its own
+  // retained span trees). When fatfs wrote its FAT and directory sectors
+  // through to the disk, each clone also held the two 4 KiB disk pages they
+  // sit in: ~18.6 KiB.
   EXPECT_LT(per_tenant, 12u * 1024)
       << "one parked tenant holds " << per_tenant
       << " B of heap, disk and system pages";
@@ -216,14 +218,16 @@ TEST(VisorDensityTest, ParkedFatfsTenantCostsUnder12KiBOfHeap) {
 
 // Tenants whose pools the warmer evicts after their one invocation. The
 // TTL outlives the invocation loop, so all 256 clones are parked at once and
-// their memory interleaves with what the tenants keep (registration, series,
-// a retained trace), as a serving process's does. Freed malloc chunks
-// between those stay resident, so nothing a clone owns may be one: its
-// disk page and its bookkeeping live in its reservation, which eviction
-// unmaps. Measured alone: ~3.6 KiB kept and 8 KiB (the disk page and the
-// system page) returned per tenant; 7600 B kept and 4096 B returned when
-// the bookkeeping was malloc'd, 11648 B kept and 0 B returned when the
-// disk chunks were too.
+// their memory interleaves with what the tenants keep (registration,
+// series), as a serving process's does. Freed malloc chunks between those
+// stay resident, so nothing a clone owns may be one: its disk page and its
+// bookkeeping live in its reservation, which eviction unmaps. Retained span
+// trees hang off the shards' flight records, 8 per shard whatever the
+// tenant count: 4 × 8 trees spread over 256 tenants. Measured alone:
+// ~3.1 KiB kept and 8 KiB (the disk page and the system page) returned per
+// tenant; ~4.0 KiB kept when each tenant kept up to 8 trees of its own,
+// 7600 B kept and 4096 B returned when the bookkeeping was malloc'd, 11648 B
+// kept and 0 B returned when the disk chunks were too.
 TEST(VisorDensityTest, EvictedFatfsTenantsReturnTheirDiskPages) {
   RegisterTenantIo();
   RouterOptions options;
@@ -258,7 +262,7 @@ TEST(VisorDensityTest, EvictedFatfsTenantsReturnTheirDiskPages) {
   const int64_t after = VmRssKib();
   const int64_t per_tenant = (after - before) * 1024 / kTenants;
   const int64_t returned = (parked - after) * 1024 / kTenants;
-  EXPECT_LT(per_tenant, 5 * 1024) << "one evicted tenant left " << per_tenant
+  EXPECT_LT(per_tenant, 4 * 1024) << "one evicted tenant left " << per_tenant
                                   << " B resident";
   EXPECT_GE(returned, 6 * 1024) << "evicting a tenant returned " << returned
                                 << " B";

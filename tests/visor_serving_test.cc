@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iterator>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -1312,12 +1313,14 @@ TEST(VisorObservabilityTest, TimeoutBurstRetainsTailTracesAndFlightRecords) {
   ASSERT_EQ((*doc)["count"].as_int(), 6);
   int ok_records = 0;
   int timeout_records = 0;
+  std::set<int64_t> timeout_ids;
   for (const asbase::Json& record : (*doc)["records"].array()) {
     EXPECT_EQ(record["workflow"].as_string(), "tailwf");
     if (record["outcome"].as_string() == "ok") {
       ++ok_records;
     } else if (record["outcome"].as_string() == "timeout") {
       ++timeout_records;
+      timeout_ids.insert(record["id"].as_int());
       EXPECT_GT(record["phases"]["exec_nanos"].as_int(), 0)
           << "a timeout record must attribute where the time went";
       EXPECT_GE(record["total_nanos"].as_int(), 50 * 1'000'000);
@@ -1325,6 +1328,22 @@ TEST(VisorObservabilityTest, TimeoutBurstRetainsTailTracesAndFlightRecords) {
   }
   EXPECT_EQ(ok_records, 3);
   EXPECT_EQ(timeout_records, 3);
+  EXPECT_EQ(timeout_ids.size(), 3u) << "every record has its own id";
+
+  // /trace holds exactly the three timed-out trees, each under its flight
+  // record's id.
+  request.target = "/trace?workflow=tailwf";
+  auto traced = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+  ASSERT_TRUE(traced.ok());
+  ASSERT_EQ(traced->status, 200);
+  auto chrome = asbase::Json::Parse(traced->body);
+  ASSERT_TRUE(chrome.ok()) << traced->body;
+  std::set<int64_t> trace_pids;
+  for (const asbase::Json& event : (*chrome)["traceEvents"].array()) {
+    trace_pids.insert(event["pid"].as_int());
+  }
+  EXPECT_EQ(trace_pids, timeout_ids)
+      << "served trees must be exactly the timeouts, pid = record id";
 
   // Phase attribution across the same records: exec owns this tail (the
   // timeouts burned their lives sleeping inside the orchestrator run).
@@ -1481,14 +1500,11 @@ TEST(VisorObservabilityTest, RejectionLeavesFlightRecord) {
 
 TEST(VisorObservabilityTest, ServingOptionsOverrideTraceKnobs) {
   AsVisor visor;
-  // Construction defaults (no env override in the test environment).
-  EXPECT_EQ(visor.trace_ring_depth(), AsVisor::kTraceRing);
+  // Construction default (no env override in the test environment).
   EXPECT_EQ(visor.trace_threshold_ms(), 0);
   AsVisor::ServingOptions serving;
-  serving.trace_ring = 3;
   serving.trace_threshold_ms = 250;
   ASSERT_TRUE(visor.StartServing(serving).ok());
-  EXPECT_EQ(visor.trace_ring_depth(), 3u);
   EXPECT_EQ(visor.trace_threshold_ms(), 250);
   visor.StopServing();
 }

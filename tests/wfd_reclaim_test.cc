@@ -152,12 +152,8 @@ TEST(WfdReclaimTest, EachLiveCloneIsOneMapping) {
   constexpr size_t kClones = 100;
   std::vector<std::unique_ptr<Wfd>> clones;
   clones.reserve(kClones);
-  // A first round pays what grows with the number of live WFDs once per
-  // process: the MPK runtime's list of live runtimes its collector reads.
-  for (size_t i = 0; i < kClones; ++i) {
-    clones.push_back(WritingClone(snapshot));
-  }
-  clones.clear();
+  // No warm-up round: nothing outside a clone's reservation grows with the
+  // number of live WFDs (the MPK telemetry links its runtimes in place).
   const Mappings before = AnonymousMappings();
   [[maybe_unused]] const size_t heap_before = mallinfo2().uordblks;
   size_t reserved = 0;
