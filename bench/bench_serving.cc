@@ -363,7 +363,6 @@ int Main(int argc, char** argv) {
       visor.RegisterWorkflow(OneStage("serve-cpu", "bench.serve-cpu"),
                              options);
       AsVisor::ServingOptions serving;
-      serving.worker_threads = 16;
       serving.max_inflight = 64;
       if (!visor.StartWatchdog(0, serving).ok()) {
         std::fprintf(stderr, "watchdog start failed\n");
@@ -413,7 +412,6 @@ int Main(int argc, char** argv) {
     options.max_concurrency = 2;
     visor.RegisterWorkflow(OneStage("serve-sat", "bench.serve-cpu"), options);
     AsVisor::ServingOptions serving;
-    serving.worker_threads = 16;
     serving.max_inflight = 64;
     if (visor.StartWatchdog(0, serving).ok()) {
       const int burst = quick ? 8 : 16;
@@ -456,7 +454,6 @@ int Main(int argc, char** argv) {
     options.max_concurrency = 8;
     visor.RegisterWorkflow(OneStage("serve-open", "bench.serve-cpu"), options);
     AsVisor::ServingOptions serving;
-    serving.worker_threads = 16;
     serving.max_inflight = 64;
     if (visor.StartWatchdog(0, serving).ok()) {
       // Fixed-rate arrivals at 200 req/s (5ms spacing), each request on its
@@ -533,7 +530,6 @@ int Main(int argc, char** argv) {
         }
       }
       AsVisor::ServingOptions serving;
-      serving.worker_threads = 16;
       serving.max_inflight = 64;
       if (!visor.StartWatchdog(0, serving).ok()) {
         std::fprintf(stderr, "watchdog start failed\n");

@@ -132,7 +132,6 @@ ShardRun RunMixedLoad(size_t shards, int clients, int requests_per_client) {
         OneStage("mix-" + std::to_string(i), "bench.shard-sleep"), options);
   }
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 64;  // divided across shards by the router
   serving.max_inflight = 32;
   if (!router.StartWatchdog(0, serving).ok()) {
     std::fprintf(stderr, "watchdog start failed at %zu shards\n", shards);
@@ -234,7 +233,6 @@ ShardRun RunSkewedLoad(bool zipf, bool rebalance_on, int clients,
         OneStage("skew-" + std::to_string(i), "bench.skew-sleep"), options);
   }
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 64;
   serving.max_inflight = 32;
   if (!router.StartWatchdog(0, serving).ok()) {
     std::fprintf(stderr, "watchdog start failed for skew run\n");

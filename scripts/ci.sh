@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# CI entry point: the full tier-1 suite, then the core, serving, obs,
-# netstack and http layers again under TSan — stage dispatch, the admission
-# queue, the pool warmer, the watchdog pipeline, the flight-ring seqlock,
-# and the poller/timer/backpressure paths are the most thread-heavy code in
-# the tree, so they get the race detector even when the full TSan suite
-# would be too slow — and the serving layer, fatfs, obs, the WFD heap
+# CI entry point: the full tier-1 suite, then the common, core, serving,
+# obs, netstack and http layers again under TSan — the on-demand thread
+# pool, stage dispatch, the admission queue, the pool warmer, the watchdog
+# pipeline, the flight-ring seqlock, and the poller/timer/backpressure
+# paths are the most thread-heavy code in the tree, so they get the race
+# detector even when the full TSan suite would be too slow — and the
+# serving layer, fatfs, obs, the WFD heap
 # allocator and the workload bindings once more under ASan, and fatfs under
 # UBSan.
 #
@@ -22,7 +23,7 @@ cmake -S . -B "${BUILD}" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "${BUILD}" -j "$(nproc)"
 ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)"
 
-echo "==> core + serving + obs + netstack + http tests under ThreadSanitizer (${BUILD}-tsan)"
+echo "==> common + core + serving + obs + netstack + http tests under ThreadSanitizer (${BUILD}-tsan)"
 cmake -S . -B "${BUILD}-tsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DALLOY_SANITIZE=thread >/dev/null
 cmake --build "${BUILD}-tsan" -j "$(nproc)"
@@ -33,6 +34,10 @@ cmake --build "${BUILD}-tsan" -j "$(nproc)"
 # visor_rebalance_test, so live migration, queue handoff, and
 # ScaleTo-vs-inflight races run under the race detector too.
 ALLOY_VISOR_SHARDS=4 ctest --test-dir "${BUILD}-tsan" -L serving --output-on-failure
+# The common label is common_test: a ThreadPool spawns workers from
+# Submit, on whichever thread submits, while its workers count themselves
+# in and out of the in-flight total that decides the spawn.
+ctest --test-dir "${BUILD}-tsan" -L common --output-on-failure
 # The core label is core_test: the orchestrator runs instance 0 of every
 # stage on the calling thread while the WFD's pool workers run its siblings,
 # so the caller and the workers share one stage's state.

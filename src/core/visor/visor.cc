@@ -24,6 +24,10 @@ constexpr double kServiceAlpha = 0.2;
 // Flight-ring capacity when ALLOY_FLIGHT_RING is unset.
 constexpr size_t kDefaultFlightRing = 1024;
 
+// Serving workers a shard may hold: one per admission slot, so a granted
+// invocation never waits for a worker, plus one for Offload's renders.
+size_t ServingThreadCap(size_t max_inflight) { return max_inflight + 1; }
+
 // Burn rates export through int64 gauges; scale to milli-units (burn 1.0 →
 // gauge 1000) so fractional burns stay visible. Documented in docs/metrics.md.
 int64_t BurnMilli(double burn) {
@@ -904,7 +908,8 @@ void AsVisor::WriteBlackBox(const BlackBoxRequest& request) {
 
 // ------------------------------------------------------ admission control
 
-void AsVisor::ReleaseAdmission(const std::string& workflow_name) {
+std::vector<AsVisor::Grant> AsVisor::ReleaseAdmission(
+    const std::string& workflow_name) {
   std::vector<Grant> grants;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -920,7 +925,7 @@ void AsVisor::ReleaseAdmission(const std::string& workflow_name) {
     GrantQueuedLocked(&grants);
   }
   inflight_gauge_->Add(-1);
-  DispatchGrants(std::move(grants));
+  return grants;
 }
 
 int64_t AsVisor::PredictedWaitNanosLocked(const Entry& entry) const {
@@ -1128,9 +1133,8 @@ std::vector<AsVisor::Ticket> AsVisor::TakeWaitersLocked(Entry& entry) {
 // --------------------------------------------------------------- watchdog
 
 asbase::Status AsVisor::StartServing(const ServingOptions& serving) {
-  if (serving.worker_threads == 0 || serving.max_inflight == 0) {
-    return asbase::InvalidArgument(
-        "worker_threads and max_inflight must be >= 1");
+  if (serving.max_inflight == 0) {
+    return asbase::InvalidArgument("max_inflight must be >= 1");
   }
   if (serving_pool_ != nullptr) {
     return asbase::FailedPrecondition("serving already started");
@@ -1144,7 +1148,10 @@ asbase::Status AsVisor::StartServing(const ServingOptions& serving) {
   if (serving.trace_threshold_ms >= 0) {
     trace_threshold_ms_ = serving.trace_threshold_ms;
   }
-  serving_pool_ = std::make_unique<asbase::ThreadPool>(serving.worker_threads);
+  // No thread starts here: each granted invocation spawns a worker when
+  // none is idle, up to one per admission slot plus one for Offload.
+  serving_pool_ = std::make_unique<asbase::ThreadPool>(
+      0, ServingThreadCap(serving.max_inflight));
   return asbase::OkStatus();
 }
 
@@ -1193,6 +1200,9 @@ void AsVisor::SetMaxInflight(size_t max_inflight) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     serving_.max_inflight = std::max<size_t>(1, max_inflight);
+    if (serving_pool_ != nullptr) {
+      serving_pool_->SetMaxThreads(ServingThreadCap(serving_.max_inflight));
+    }
     // A raised cap may make queued tickets runnable immediately.
     GrantQueuedLocked(&grants);
   }
@@ -1202,6 +1212,10 @@ void AsVisor::SetMaxInflight(size_t max_inflight) {
 size_t AsVisor::max_inflight() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return serving_.max_inflight;
+}
+
+size_t AsVisor::serving_threads() const {
+  return serving_pool_ == nullptr ? 0 : serving_pool_->num_threads();
 }
 
 bool AsVisor::draining() const {
@@ -1274,11 +1288,9 @@ asbase::Status AsVisor::StartWatchdog(uint16_t port, ServingOptions serving) {
 }
 
 void AsVisor::Offload(std::function<void()> task) {
-  if (serving_pool_ == nullptr) {
-    task();
-    return;
+  if (serving_pool_ == nullptr || !serving_pool_->Submit(std::move(task))) {
+    task();  // no worker could start: render on the caller
   }
-  serving_pool_->Submit(std::move(task));
 }
 
 void AsVisor::HandleInvoke(RequestPtr request, ashttp::HttpResponder respond,
@@ -1327,31 +1339,52 @@ void AsVisor::HandleInvoke(RequestPtr request, ashttp::HttpResponder respond,
 
 void AsVisor::RunGranted(std::string workflow_name, Ticket ticket,
                          int64_t queue_wait_nanos) {
-  const int64_t total_queue_wait_nanos =
-      ticket.carried_wait_nanos + queue_wait_nanos;
-  serving_pool_->Submit([this, name = std::move(workflow_name),
-                         ticket = std::move(ticket),
-                         total_queue_wait_nanos] {
+  // Kept for the refusal below: a task the pool refuses still holds the
+  // ticket.
+  ashttp::HttpResponder respond = ticket.respond;
+  const bool submitted = serving_pool_->Submit(
+      [this, grant = Grant{workflow_name, std::move(ticket),
+                           queue_wait_nanos}]() mutable {
+        ServeGrants(std::move(grant));
+      });
+  if (!submitted) {
+    DispatchGrants(ReleaseAdmission(workflow_name));
+    respond(ErrorResponse(503, "Service Unavailable",
+                          "no serving worker could start"));
+  }
+}
+
+void AsVisor::ServeGrants(Grant grant) {
+  while (true) {
+    const std::string& name = grant.workflow;
+    const Ticket& ticket = grant.ticket;
+    ashttp::HttpResponse response;
     // Parsed here, not on the reactor: a 128 KiB body costs the reactor
     // nothing, and a bad one still frees its slot.
-    asbase::Json params;
+    asbase::Result<asbase::Json> params = asbase::Json();
     if (!ticket.request->body.empty()) {
-      auto parsed = asbase::Json::Parse(ticket.request->body);
-      if (!parsed.ok()) {
-        ReleaseAdmission(name);
-        ticket.respond(
-            ErrorResponse(400, "Bad Request", parsed.status().ToString()));
-        return;
-      }
-      params = std::move(*parsed);
+      params = asbase::Json::Parse(ticket.request->body);
     }
-    InvokeOptions invoke_options;
-    invoke_options.queue_wait_nanos = total_queue_wait_nanos;
-    const asbase::Result<InvokeResult> invoked =
-        Invoke(name, params, invoke_options);
-    ReleaseAdmission(name);
-    ticket.respond(InvokeResponse(name, invoked));
-  });
+    if (params.ok()) {
+      InvokeOptions invoke_options;
+      invoke_options.queue_wait_nanos =
+          ticket.carried_wait_nanos + grant.queue_wait_nanos;
+      response = InvokeResponse(name, Invoke(name, *params, invoke_options));
+    } else {
+      response = ErrorResponse(400, "Bad Request", params.status().ToString());
+    }
+    // Released before answering, so a client's next request finds the
+    // slot free.
+    std::vector<Grant> granted = ReleaseAdmission(name);
+    ticket.respond(std::move(response));
+    if (granted.empty()) {
+      return;
+    }
+    Grant next = std::move(granted.front());
+    granted.erase(granted.begin());
+    DispatchGrants(std::move(granted));
+    grant = std::move(next);
+  }
 }
 
 void AsVisor::Refuse(const std::string& workflow_name, const Ticket& ticket,

@@ -118,10 +118,10 @@ class AsVisor {
 
   // Watchdog-wide serving knobs (admission control + dispatch).
   struct ServingOptions {
-    // Workers executing invocations; admitted requests queue FIFO when all
-    // workers are busy (the caps below bound that queue).
-    size_t worker_threads = 8;
-    // Global in-flight invocation cap across all workflows.
+    // Global in-flight invocation cap across all workflows. Admission is
+    // the only queue: each granted invocation gets a serving worker of its
+    // own, spawned on demand, so a shard holds at most max_inflight + 1
+    // serving threads (the extra one renders /metrics and /debug).
     size_t max_inflight = 32;
     // Retry-After fallback (seconds) on 429 responses when no service-time
     // EWMA exists yet; once it does, Retry-After is computed from the
@@ -249,7 +249,8 @@ class AsVisor {
 
   // ---- serving lifecycle pieces (used standalone by the router, which
   // ---- owns the shared HTTP server itself) ----
-  // Brings up the admission state + worker pool without an HTTP server.
+  // Brings up the admission state and an empty serving pool (workers start
+  // on demand) without an HTTP server.
   asbase::Status StartServing(const ServingOptions& serving);
   // Non-blocking: flips draining and answers every queued ticket 503.
   // Safe to call on all shards before any join.
@@ -306,9 +307,13 @@ class AsVisor {
   int64_t trace_threshold_ms() const { return trace_threshold_ms_; }
 
   // Rebalance hook: replaces this shard's slice of the global in-flight
-  // budget (clamped to >= 1) and grants queued tickets a raised cap admits.
+  // budget (clamped to >= 1), moves the serving pool's cap with it, and
+  // grants queued tickets a raised cap admits.
   void SetMaxInflight(size_t max_inflight);
   size_t max_inflight() const;
+  // Serving workers spawned so far: they start on demand, one per granted
+  // invocation that finds none idle, and stay until StopServing.
+  size_t serving_threads() const;
 
   std::vector<std::string> WorkflowNames() const;
   int shard_index() const { return shard_.index; }
@@ -399,10 +404,6 @@ class AsVisor {
   // outcome (service-time EWMA, SLO). Returns the invocation's total time.
   int64_t Finish(Invocation& call, asobs::FlightOutcome outcome);
 
-  // Frees an invocation's slot and grants whatever queued tickets that
-  // lets run.
-  void ReleaseAdmission(const std::string& workflow_name);
-
   enum class AdmitOutcome { kGranted, kQueued, kRejected };
   struct Admission {
     AdmitOutcome outcome = AdmitOutcome::kGranted;
@@ -432,12 +433,20 @@ class AsVisor {
   // Grants queued tickets while global slots remain, in deficit-round-robin
   // order across workflows and FIFO within one.
   void GrantQueuedLocked(std::vector<Grant>* grants);
+  // Frees an invocation's slot and returns the queued tickets that lets
+  // run, for the caller to serve or dispatch.
+  std::vector<Grant> ReleaseAdmission(const std::string& workflow_name);
   // Outside mutex_: puts granted tickets on the serving pool.
   void DispatchGrants(std::vector<Grant> grants);
-  // Runs an admitted request on the serving pool: parse the body, invoke,
-  // release the slot, answer.
+  // Puts an admitted request on the serving pool, where ServeGrants runs
+  // it (503 when no serving worker can start).
   void RunGranted(std::string workflow_name, Ticket ticket,
                   int64_t queue_wait_nanos);
+  // On a serving worker: parse the body, invoke, release the slot, answer;
+  // then serve the first ticket that release granted, and so on. The
+  // worker that frees a slot serves the ticket it admits, so a queued
+  // request needs no second worker and waits nowhere but in admission.
+  void ServeGrants(Grant grant);
   // Answers a request admission turned away, by `status` as Admission
   // documents it: at once, or later when draining, re-registration or
   // migration emptied its queue.

@@ -27,11 +27,10 @@
 // counted (alloy_rebalance_*_total) and logged to asobs::RebalanceLog,
 // which rides along in /debug/flight and black-box snapshots.
 //
-// Only the admission *budget* moves — worker threads are fixed per shard at
-// StartWatchdog (asbase::ThreadPool cannot resize). max_inflight is the
-// binding constraint under saturation, so shifting it shifts real capacity;
-// the thread slice only caps how much of that budget can execute truly in
-// parallel.
+// Only the admission *budget* moves, and capacity moves with it: a shard's
+// serving workers start on demand, one per granted invocation, capped by
+// its max_inflight slice (AsVisor::SetMaxInflight raises the cap), so a
+// slice shifted to a hot shard runs there in parallel.
 
 #ifndef SRC_CORE_VISOR_VISOR_REBALANCER_H_
 #define SRC_CORE_VISOR_VISOR_REBALANCER_H_

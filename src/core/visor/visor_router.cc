@@ -313,9 +313,8 @@ asbase::Status AsVisorRouter::StartWatchdog(uint16_t port,
   if (server_ != nullptr) {
     return asbase::FailedPrecondition("watchdog already running");
   }
-  if (serving.worker_threads == 0 || serving.max_inflight == 0) {
-    return asbase::InvalidArgument(
-        "worker_threads and max_inflight must be >= 1");
+  if (serving.max_inflight == 0) {
+    return asbase::InvalidArgument("max_inflight must be >= 1");
   }
   std::vector<std::shared_ptr<AsVisor>> shards = SnapshotShards();
   {
@@ -325,8 +324,6 @@ asbase::Status AsVisorRouter::StartWatchdog(uint16_t port,
   for (size_t i = 0; i < shards.size(); ++i) {
     AsVisor::ServingOptions slice = serving;
     slice.max_inflight = ShardSlice(serving.max_inflight, i, shards.size());
-    slice.worker_threads =
-        ShardSlice(serving.worker_threads, i, shards.size());
     asbase::Status started = shards[i]->StartServing(slice);
     if (!started.ok()) {
       for (size_t j = 0; j < i; ++j) {
@@ -747,10 +744,6 @@ asbase::Status AsVisorRouter::ScaleTo(size_t target) {
     // keep their slices (re-pinning live stage workers isn't worth it) —
     // overlap resolves as WFDs age out.
     std::vector<std::shared_ptr<AsVisor>> fresh;
-    const size_t total_workers = [&] {
-      std::shared_lock<std::shared_mutex> lock(routes_mutex_);
-      return serving_total_.worker_threads;
-    }();
     for (size_t i = old_count; i < target; ++i) {
       std::shared_ptr<AsVisor> shard = MakeShard(i, target);
       if (serving_active_.load(std::memory_order_acquire)) {
@@ -759,7 +752,6 @@ asbase::Status AsVisorRouter::ScaleTo(size_t target) {
           std::shared_lock<std::shared_mutex> lock(routes_mutex_);
           slice = serving_total_;
         }
-        slice.worker_threads = ShardSlice(total_workers, i, target);
         slice.max_inflight = ShardSlice(slice.max_inflight, i, target);
         AS_RETURN_IF_ERROR(shard->StartServing(slice));
       }

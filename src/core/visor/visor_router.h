@@ -12,12 +12,12 @@
 //
 // Placement is a 64-vnode/shard FNV-1a hash ring, so changing the shard
 // count moves only ~1/(N+1) of the workflows (tested both directions).
-// Global serving budgets (`max_inflight`, worker threads) are divided into
-// per-shard slices at StartWatchdog. One shared HttpServer fronts all
-// shards: `/invoke/<wf>` routes to the owning shard with no cross-shard
-// lock on the hot path, `/metrics` serves the shared registry (shards label
-// their series `alloy_visor_shard="<i>"`), `/trace` routes by the workflow
-// query param.
+// The global `max_inflight` budget is divided into per-shard slices at
+// StartWatchdog; a shard's serving workers start on demand within its
+// slice. One shared HttpServer fronts all shards: `/invoke/<wf>` routes to
+// the owning shard with no cross-shard lock on the hot path, `/metrics`
+// serves the shared registry (shards label their series
+// `alloy_visor_shard="<i>"`), `/trace` routes by the workflow query param.
 //
 // The mesh is *elastic*: MigrateWorkflow moves a workflow (warm pool and
 // queued admissions included) between shards, ScaleTo grows or shrinks the
@@ -96,8 +96,9 @@ class AsVisorRouter {
                                       const AsVisor::InvokeOptions& options);
 
   // One shared HTTP server for all shards. `serving` carries the GLOBAL
-  // budgets; the router divides max_inflight and worker_threads into
-  // per-shard slices (each at least 1, remainder to the lowest shards).
+  // budget; the router divides max_inflight into per-shard slices (each at
+  // least 1, remainder to the lowest shards), and each slice also caps its
+  // shard's on-demand serving workers.
   // Starts the rebalancer when RouterOptions enabled it.
   asbase::Status StartWatchdog(uint16_t port = 0);
   asbase::Status StartWatchdog(uint16_t port, AsVisor::ServingOptions serving);

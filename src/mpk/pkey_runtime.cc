@@ -13,8 +13,8 @@
 namespace asmpk {
 namespace {
 
-// Per-thread software PKRU copy. Matches hardware semantics: PKRU is
-// thread-context state.
+// Per-thread software PKRU copy, in the key numbers of the runtime that
+// wrote it last. Matches hardware semantics: PKRU is thread-context state.
 thread_local uint32_t tls_pkru = 0;  // all keys allowed at thread start
 
 #if defined(__x86_64__)
@@ -158,7 +158,7 @@ MpkBackend PkeyRuntime::DefaultBackend() {
 
 PkeyRuntime::PkeyRuntime(MpkBackend backend,
                          std::pmr::memory_resource* memory)
-    : backend_(backend), regions_(memory), hw_keys_(memory) {
+    : backend_(backend), regions_(memory) {
   if (backend_ == MpkBackend::kHardware) {
     AS_CHECK(HardwareAvailable())
         << "hardware MPK backend requested but pkey_alloc fails";
@@ -168,8 +168,10 @@ PkeyRuntime::PkeyRuntime(MpkBackend backend,
 
 PkeyRuntime::~PkeyRuntime() {
   MpkTelemetry::Unlink(this);
-  for (auto& [key, hw_key] : hw_keys_) {
-    SysPkeyFree(hw_key);
+  for (ProtKey key = 1; key < 16; ++key) {
+    if (HardwareKey(key) != 0) {
+      SysPkeyFree(HardwareKey(key));
+    }
   }
 }
 
@@ -178,11 +180,13 @@ asbase::Result<ProtKey> PkeyRuntime::AllocateKey() {
   for (ProtKey key = 1; key < 16; ++key) {
     if ((keys_in_use_ & (1u << key)) == 0) {
       if (backend_ == MpkBackend::kHardware) {
-        int hw_key = SysPkeyAlloc();
+        const int hw_key = SysPkeyAlloc();
         if (hw_key < 0) {
           return asbase::ResourceExhausted("kernel is out of pkeys");
         }
-        hw_keys_[key] = hw_key;
+        hw_keys_.store(hw_keys_.load(std::memory_order_relaxed) |
+                           static_cast<uint64_t>(hw_key) << (4 * key),
+                       std::memory_order_release);
       }
       keys_in_use_ |= static_cast<uint16_t>(1u << key);
       return key;
@@ -204,8 +208,10 @@ asbase::Status PkeyRuntime::FreeKey(ProtKey key) {
     }
   }
   if (backend_ == MpkBackend::kHardware) {
-    SysPkeyFree(hw_keys_[key]);
-    hw_keys_.erase(key);
+    SysPkeyFree(HardwareKey(key));
+    hw_keys_.store(hw_keys_.load(std::memory_order_relaxed) &
+                       ~(uint64_t{0xF} << (4 * key)),
+                   std::memory_order_release);
   }
   keys_in_use_ &= static_cast<uint16_t>(~(1u << key));
   return asbase::OkStatus();
@@ -240,7 +246,7 @@ asbase::Status PkeyRuntime::BindRegion(void* addr, size_t len, ProtKey key,
   }
 
   if (backend_ == MpkBackend::kHardware) {
-    if (SysPkeyMprotect(addr, len, prot, hw_keys_[key]) != 0) {
+    if (SysPkeyMprotect(addr, len, prot, HardwareKey(key)) != 0) {
       return asbase::Internal("pkey_mprotect failed");
     }
   }
@@ -272,7 +278,7 @@ void PkeyRuntime::WritePkru(uint32_t pkru) {
   switch (backend_) {
     case MpkBackend::kHardware:
 #if defined(__x86_64__)
-      HwWritePkru(pkru);
+      HwWritePkru(HardwarePkru(pkru));
 #endif
       break;
     case MpkBackend::kMprotect:
@@ -287,6 +293,21 @@ void PkeyRuntime::WritePkru(uint32_t pkru) {
               asbase::SimCostModel::Global().wrpkru_nanos));
       break;
   }
+}
+
+uint32_t PkeyRuntime::HardwarePkru(uint32_t pkru) const {
+  const uint64_t hw_keys = hw_keys_.load(std::memory_order_acquire);
+  uint32_t hw = pkru & 3u;  // key 0 is key 0 everywhere
+  uint32_t held = 3u;
+  for (ProtKey key = 1; key < 16; ++key) {
+    const uint32_t hw_key = (hw_keys >> (4 * key)) & 0xFu;
+    if (hw_key != 0) {
+      hw |= ((pkru >> (2 * key)) & 3u) << (2 * hw_key);
+      held |= 3u << (2 * hw_key);
+    }
+  }
+  // Other runtimes' kernel keys: open only when everything is.
+  return pkru == 0 ? hw : hw | ~held;
 }
 
 uint64_t PkeyRuntime::switch_nanos() const {

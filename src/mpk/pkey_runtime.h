@@ -19,6 +19,14 @@
 // PKRU layout matches the SDM: 2 bits per key, bit 2k = AD (access disable),
 // bit 2k+1 = WD (write disable). Key 0 is the default key and stays
 // accessible.
+//
+// Keys are per runtime: every runtime numbers its own keys 1..15, and the
+// PKRU values callers build, pass to WritePkru and get from ReadPkru use
+// those numbers. Under kHardware each key is backed by a kernel pkey, and
+// WritePkru translates: a key's bits move to its kernel key, and kernel keys
+// the runtime does not hold (other runtimes') are denied unless the PKRU
+// opens everything. So two runtimes' key 1 are different kernel keys, and
+// one WFD's user PKRU faults on another WFD's pages.
 
 #ifndef SRC_MPK_PKEY_RUNTIME_H_
 #define SRC_MPK_PKEY_RUNTIME_H_
@@ -74,9 +82,13 @@ class PkeyRuntime : public asbase::ResourceObject {
   asbase::Status BindRegion(void* addr, size_t len, ProtKey key, int prot);
   asbase::Status UnbindRegion(void* addr, size_t len);
 
-  // Per-thread PKRU value (software copy in all backends; also written to the
-  // hardware register under kHardware and applied via mprotect under
-  // kMprotect).
+  // Per-thread PKRU value in this runtime's key numbers (software copy in
+  // all backends; translated to kernel keys and written to the register
+  // under kHardware, applied via mprotect under kMprotect). The software
+  // copy is one per thread, shared by every runtime: it holds the value the
+  // last WritePkru on this thread wrote, in the writer's key numbers. Every
+  // path that leaves a domain writes 0 (the same in every runtime's
+  // numbering), so a runtime never reads another's value back.
   uint32_t ReadPkru() const;
   void WritePkru(uint32_t pkru);
 
@@ -135,6 +147,13 @@ class PkeyRuntime : public asbase::ResourceObject {
   };
 
   void ApplyMprotect(uint32_t pkru);
+  // Kernel pkey backing `key` under kHardware; 0 when none.
+  int HardwareKey(ProtKey key) const {
+    return static_cast<int>(
+        (hw_keys_.load(std::memory_order_acquire) >> (4 * key)) & 0xFu);
+  }
+  // `pkru` in kernel key numbers (see the file comment).
+  uint32_t HardwarePkru(uint32_t pkru) const;
 
   // Links in the list of live runtimes the /metrics collector walks
   // (guarded by its mutex), kept in the runtime so joining and leaving it
@@ -147,7 +166,10 @@ class PkeyRuntime : public asbase::ResourceObject {
   mutable std::mutex mutex_;
   std::pmr::map<uintptr_t, Region> regions_;  // keyed by start address
   uint16_t keys_in_use_ = 1;             // bit per key; key 0 reserved
-  std::pmr::map<ProtKey, int> hw_keys_;       // our key -> kernel pkey
+  // Kernel pkey of each of our keys under kHardware, 4 bits per key (key k
+  // in bits 4k..4k+3; 0 = none). Written under mutex_, read lock-free by
+  // WritePkru.
+  std::atomic<uint64_t> hw_keys_{0};
   std::atomic<uint64_t> switch_count_{0};
   std::atomic<uint64_t> measured_switch_nanos_{0};  // kMprotect only
 };

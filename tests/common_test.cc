@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -121,6 +125,70 @@ TEST(JsonTest, UnicodeEscapeToUtf8) {
   auto doc = Json::Parse(R"("é中")");  // é, 中
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->as_string(), "\xC3\xA9\xE4\xB8\xAD");
+}
+
+// The string parser copies plain runs in bulk and decodes escapes one by
+// one, so every escape is checked at every offset of a plain run: first,
+// last, and between.
+TEST(JsonTest, EveryEscapeDecodesAtEveryPosition) {
+  const std::vector<std::pair<std::string, std::string>> escapes = {
+      {R"(\")", "\""},     {R"(\\)", "\\"},     {R"(\/)", "/"},
+      {R"(\b)", "\b"},     {R"(\f)", "\f"},     {R"(\n)", "\n"},
+      {R"(\r)", "\r"},     {R"(\t)", "\t"},     {R"(\u0041)", "A"},
+      {R"(\u00e9)", "\xC3\xA9"},                {R"(\u4E2D)", "\xE4\xB8\xAD"},
+      {R"(\u0000)", std::string(1, '\0')},
+  };
+  const std::string plain = "abc\x7F\xC3\xA9xyz";  // DEL and UTF-8 pass as-is
+  for (const auto& [escape, decoded] : escapes) {
+    for (size_t at = 0; at <= plain.size(); ++at) {
+      const std::string text =
+          "\"" + plain.substr(0, at) + escape + plain.substr(at) + "\"";
+      auto doc = Json::Parse(text);
+      ASSERT_TRUE(doc.ok()) << text;
+      EXPECT_EQ(doc->as_string(),
+                plain.substr(0, at) + decoded + plain.substr(at))
+          << text;
+    }
+  }
+  auto adjacent = Json::Parse(R"("\n\t\\\"\u0041")");
+  ASSERT_TRUE(adjacent.ok());
+  EXPECT_EQ(adjacent->as_string(), "\n\t\\\"A");
+  auto empty = Json::Parse(R"("")");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->as_string(), "");
+}
+
+TEST(JsonTest, RejectsControlCharactersAtEveryPosition) {
+  const std::string plain = "abcd";
+  for (int c = 0; c < 0x20; ++c) {
+    for (size_t at = 0; at <= plain.size(); ++at) {
+      const std::string text = "\"" + plain.substr(0, at) +
+                               static_cast<char>(c) + plain.substr(at) + "\"";
+      EXPECT_FALSE(Json::Parse(text).ok()) << "byte " << c << " at " << at;
+    }
+  }
+}
+
+TEST(JsonTest, StringCutAtEveryPositionIsRejected) {
+  const std::string text = R"("ab\n\u00e9cd\"e\\f")";
+  ASSERT_TRUE(Json::Parse(text).ok());
+  for (size_t cut = 0; cut < text.size(); ++cut) {
+    EXPECT_FALSE(Json::Parse(text.substr(0, cut)).ok()) << cut;
+  }
+}
+
+TEST(JsonTest, RejectsBadEscapes) {
+  EXPECT_FALSE(Json::Parse(R"("\x")").ok());
+  EXPECT_FALSE(Json::Parse(R"("a\")").ok());
+  EXPECT_FALSE(Json::Parse(R"("\u12G4")").ok());
+  EXPECT_FALSE(Json::Parse(R"("\u12")").ok());
+}
+
+TEST(JsonTest, LongStringInABody) {
+  const std::string data(128 * 1024, 'q');
+  auto doc = Json::Parse("{\"data\":\"" + data + "\\n\"}");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ((*doc)["data"].as_string(), data + "\n");
 }
 
 TEST(JsonTest, RejectsMalformed) {
@@ -393,6 +461,144 @@ TEST(ThreadPoolTest, PinToCpusInvalidSetFallsBackToNoAffinity) {
   pool.Submit([&] { count.fetch_add(1); });
   pool.Drain();
   EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ThreadPoolTest, OnDemandGrowthStopsAtTheCap) {
+  ThreadPool pool(0, 3);
+  EXPECT_EQ(pool.num_threads(), 0u);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool open = false;
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_TRUE(pool.Submit([&] {
+      started.fetch_add(1);
+      std::unique_lock<std::mutex> lock(mutex);
+      cv.wait(lock, [&] { return open; });
+      finished.fetch_add(1);
+    }));
+  }
+  EXPECT_EQ(pool.num_threads(), 3u) << "10 blocked tasks, cap 3";
+  while (started.load() < 3) {
+    std::this_thread::yield();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    open = true;
+  }
+  cv.notify_all();
+  pool.Drain();
+  EXPECT_EQ(finished.load(), 10);
+  EXPECT_EQ(pool.num_threads(), 3u);
+}
+
+TEST(ThreadPoolTest, SequentialTasksReuseOneWorker) {
+  ThreadPool pool(0, 8);
+  std::set<std::thread::id> ran_on;
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_TRUE(
+        pool.Submit([&] { ran_on.insert(std::this_thread::get_id()); }));
+    pool.Drain();
+  }
+  EXPECT_EQ(pool.num_threads(), 1u) << "an idle worker takes the next task";
+  EXPECT_EQ(ran_on.size(), 1u);
+}
+
+TEST(ThreadPoolTest, TheMostRecentlyIdleWorkerTakesTheNextTask) {
+  ThreadPool pool(0, 3);
+  // Three tasks that wait for each other: three workers, all busy, then
+  // all idle.
+  std::atomic<int> started{0};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(pool.Submit([&] {
+      started.fetch_add(1);
+      while (started.load() < 3) {
+        std::this_thread::yield();
+      }
+    }));
+  }
+  pool.Drain();
+  std::set<std::thread::id> ran_on;
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_TRUE(
+        pool.Submit([&] { ran_on.insert(std::this_thread::get_id()); }));
+    pool.Drain();
+  }
+  EXPECT_EQ(pool.num_threads(), 3u);
+  EXPECT_EQ(ran_on.size(), 1u) << "idle workers wake last-in first-out, so "
+                                  "the other two stay asleep";
+}
+
+TEST(ThreadPoolTest, SetMaxThreadsMovesTheCap) {
+  ThreadPool pool(0, 1);
+  std::atomic<bool> release{false};
+  std::atomic<int> done{0};
+  auto blocker = [&] {
+    while (!release) {
+      std::this_thread::yield();
+    }
+    done.fetch_add(1);
+  };
+  EXPECT_TRUE(pool.Submit(blocker));
+  EXPECT_TRUE(pool.Submit(blocker));
+  EXPECT_EQ(pool.num_threads(), 1u);
+  pool.SetMaxThreads(2);
+  EXPECT_TRUE(pool.Submit(blocker));
+  EXPECT_EQ(pool.num_threads(), 2u) << "a raised cap spawns on the next Submit";
+  release = true;
+  pool.Drain();
+  EXPECT_EQ(done.load(), 3);
+}
+
+TEST(ThreadPoolTest, DrainAndDestructionWithZeroWorkers) {
+  {
+    ThreadPool pool(0, 4);
+    pool.Drain();  // nothing submitted: returns at once
+    EXPECT_EQ(pool.num_threads(), 0u);
+  }
+  {
+    // No on-demand growth: tasks wait for EnsureAtLeast (the stage-worker
+    // pools' contract).
+    ThreadPool pool(0);
+    std::atomic<int> count{0};
+    EXPECT_TRUE(pool.Submit([&] { count.fetch_add(1); }));
+    EXPECT_EQ(pool.num_threads(), 0u);
+    EXPECT_EQ(pool.EnsureAtLeast(1), 1u);
+    pool.Drain();
+    EXPECT_EQ(count.load(), 1);
+  }
+}
+
+TEST(ThreadPoolTest, OnDemandWorkerGetsTheCreatorsCpuMask) {
+  cpu_set_t creator;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(creator), &creator), 0);
+  if (CPU_COUNT(&creator) < 2) {
+    GTEST_SKIP() << "needs two CPUs to tell a pinned mask from the creator's";
+  }
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &creator)) {
+    ++first_cpu;
+  }
+  ThreadPool pool(0, 2);
+  cpu_set_t seen;
+  CPU_ZERO(&seen);
+  // Submit from a thread pinned to one CPU, as a shard's warmer is: the
+  // worker it spawns must not inherit that pin.
+  std::thread pinned([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first_cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    EXPECT_TRUE(pool.Submit(
+        [&] { sched_getaffinity(0, sizeof(seen), &seen); }));
+  });
+  pinned.join();
+  pool.Drain();
+  EXPECT_EQ(pool.num_threads(), 1u);
+  EXPECT_TRUE(CPU_EQUAL(&seen, &creator))
+      << "worker mask has " << CPU_COUNT(&seen) << " CPUs, creator's "
+      << CPU_COUNT(&creator);
 }
 
 // ---------------------------------------------------------------- SimCostModel

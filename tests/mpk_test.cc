@@ -9,9 +9,11 @@
 #include <csignal>
 #include <sys/mman.h>
 
+#include <cstdlib>
 #include <thread>
 
 #include "src/alloc/arena.h"
+#include "src/common/logging.h"
 #include "src/mpk/pkey_runtime.h"
 #include "src/mpk/trampoline.h"
 
@@ -216,6 +218,81 @@ TEST(MprotectEnforcementTest, ReOpenedRegionIsAccessible) {
   static_cast<char*>(arena.data())[0] = 42;  // must not fault
   EXPECT_EQ(static_cast<char*>(arena.data())[0], 42);
   runtime.WritePkru(0);
+}
+
+// Two hardware runtimes in one process, each with a page bound to its own
+// first key: both number that key 1, but the kernel keys differ, so each
+// runtime's user PKRU must open its own page and fault on the other's.
+class HardwareKeysDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!PkeyRuntime::HardwareAvailable()) {
+      GTEST_SKIP() << "no MPK hardware on this machine";
+    }
+#ifdef GTEST_FLAG_SET
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+#endif
+  }
+
+  struct Domain {
+    Domain() : runtime(MpkBackend::kHardware), page(4096) {
+      static_cast<volatile char*>(page.data())[0] = 7;
+      key = *runtime.AllocateKey();
+      AS_CHECK(runtime
+                   .BindRegion(page.data(), page.size(), key,
+                               PROT_READ | PROT_WRITE)
+                   .ok());
+    }
+    void EnterUser() {
+      runtime.WritePkru(PkeyRuntime::AllowKey(PkeyRuntime::kDenyAll, key));
+    }
+    char Read() const { return static_cast<volatile char*>(page.data())[0]; }
+
+    PkeyRuntime runtime;
+    asalloc::Arena page;
+    ProtKey key = 0;
+  };
+};
+
+TEST_F(HardwareKeysDeathTest, EachRuntimeReadsItsOwnPage) {
+  EXPECT_EXIT(
+      {
+        Domain a;
+        Domain b;
+        a.EnterUser();
+        const char from_a = a.Read();
+        b.EnterUser();
+        const char from_b = b.Read();
+        b.runtime.WritePkru(0);
+        std::exit(from_a == 7 && from_b == 7 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST_F(HardwareKeysDeathTest, FirstRuntimeFaultsOnTheSecondsPage) {
+  EXPECT_DEATH(
+      {
+        Domain a;
+        Domain b;
+        a.EnterUser();
+        (void)b.Read();  // must SIGSEGV
+        std::exit(0);
+      },
+      "");
+}
+
+TEST_F(HardwareKeysDeathTest, SecondRuntimeFaultsOnTheFirstsPage) {
+  EXPECT_DEATH(
+      {
+        Domain a;
+        Domain b;
+        b.EnterUser();
+        (void)a.Read();  // must SIGSEGV
+        std::exit(0);
+      },
+      "");
 }
 
 // ---------------------------------------------------------------- Trampoline

@@ -152,7 +152,6 @@ TEST(RebalanceTest, QueuedAdmissionsHandOffDuringMigration) {
   router.RegisterWorkflow(GateSpec("handoffwf"), options);
   const size_t from = router.ShardOf("handoffwf");
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 8;
   serving.max_inflight = 8;
   ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
 
@@ -267,7 +266,6 @@ TEST(RebalanceTest, ResliceShiftsBudgetTowardHotShardAndBack) {
   options.pin_shard = 1;
   router.RegisterWorkflow(EchoSpec("coldwf"), options);
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 8;
   serving.max_inflight = 8;
   ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
   ASSERT_EQ(router.shard(0).max_inflight(), 4u);
@@ -394,7 +392,6 @@ TEST(RebalanceTest, RebalancerScalesUpUnderLoadAndBackDownWhenIdle) {
   options.queueing_budget_ms = 60'000;
   router.RegisterWorkflow(GateSpec("elasticwf"), options);
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 4;
   serving.max_inflight = 2;
   ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
 

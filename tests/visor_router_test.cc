@@ -185,7 +185,6 @@ TEST(VisorRouterTest, SharedServerRoutesMixedLoadWithShardLabels) {
     router.RegisterWorkflow(EchoSpec("mixed-" + std::to_string(i)), options);
   }
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 8;
   serving.max_inflight = 8;
   ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
   // Each shard got an even slice of the global budget.

@@ -895,7 +895,6 @@ TEST(VisorServingTest, AdmissionRoundRobinPreventsCrossWorkflowStarvation) {
   register_workflow("heavywf");
   register_workflow("lightwf");
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 8;
   serving.max_inflight = 1;  // one global slot: the workflows must share it
   ASSERT_TRUE(visor.StartWatchdog(0, serving).ok());
 
@@ -975,7 +974,6 @@ TEST(VisorServingTest, WeightedSharesGrantSlotsProportionally) {
   register_workflow("a-prio", "serving.recordwf", 3.0);
   register_workflow("b-std", "serving.recordwf", 1.0);
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 16;
   serving.max_inflight = 1;  // one global slot, granted strictly one by one
   ASSERT_TRUE(visor.StartWatchdog(0, serving).ok());
 
@@ -1045,7 +1043,7 @@ TEST(VisorServingTest, WeightedSharesGrantSlotsProportionally) {
 
 // ------------------------------- one hop: admission holds no threads
 
-TEST(VisorServingTest, WatchdogAddsOnlyReactorsAndServingWorkers) {
+TEST(VisorServingTest, WatchdogAddsOnlyReactors) {
   RouterOptions router_options;
   router_options.shards = 2;
   AsVisorRouter router(router_options);
@@ -1053,16 +1051,91 @@ TEST(VisorServingTest, WatchdogAddsOnlyReactorsAndServingWorkers) {
   options.wfd = SmallWfd();
   router.RegisterWorkflow(NoopSpec("hopthreads"), options);
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 6;
   serving.max_inflight = 8;
   const size_t before = ProcessThreads();
   ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
   const size_t reactors = ashttp::HttpServerOptions::FromEnv().reactors;
   const size_t rebalancer = router.rebalancer() != nullptr ? 1 : 0;
-  EXPECT_EQ(ProcessThreads() - before,
-            reactors + serving.worker_threads + rebalancer)
-      << "the edge must add its reactors and nothing else";
+  EXPECT_EQ(ProcessThreads() - before, reactors + rebalancer)
+      << "serving workers start on demand: the watchdog adds its reactors "
+         "(and the rebalancer, when on) and nothing else";
+  for (size_t s = 0; s < router.shard_count(); ++s) {
+    EXPECT_EQ(router.shard(s).serving_threads(), 0u);
+  }
   router.StopWatchdog();
+}
+
+TEST(VisorServingTest,
+     GrantedInvocationsGetAWorkerEachAndTheRestWaitInAdmission) {
+  static std::atomic<int> running{0};
+  static std::atomic<bool> release{false};
+  running = 0;
+  release = false;
+  FunctionRegistry::Global().Register(
+      "serving.holdslot", [](FunctionContext& ctx) -> asbase::Status {
+        running.fetch_add(1);
+        while (!release) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        ctx.SetResult("held");
+        return asbase::OkStatus();
+      });
+  AsVisor visor;
+  WorkflowSpec spec;
+  spec.name = "slotwf";
+  spec.stages.push_back(StageSpec{{FunctionSpec{"serving.holdslot", 1}}});
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.pool_size = 4;
+  options.max_concurrency = 4;
+  options.queue_capacity = 8;
+  options.queueing_budget_ms = 60'000;
+  visor.RegisterWorkflow(spec, options);
+  AsVisor::ServingOptions serving;
+  serving.max_inflight = 2;  // the shard's only cap: 2 run, 2 queue
+  ASSERT_TRUE(visor.StartWatchdog(0, serving).ok());
+  EXPECT_EQ(visor.serving_threads(), 0u);
+
+  asobs::Gauge& queued = asobs::Registry::Global().GetGauge(
+      "alloy_visor_queued", {{"workflow", "slotwf"}});
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.emplace_back([&] {
+      auto response = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+                                       InvokeRequest("slotwf"));
+      ASSERT_TRUE(response.ok());
+      EXPECT_EQ(response->status, 200) << response->body;
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((running.load() < 2 || queued.value() < 2) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(running.load(), 2);
+  ASSERT_EQ(queued.value(), 2);
+  EXPECT_EQ(visor.serving_threads(), 2u)
+      << "one worker per granted invocation, none for queued ones";
+  release = true;
+  for (auto& client : clients) {
+    client.join();
+  }
+  EXPECT_EQ(running.load(), 4);
+  // The workers that freed the slots served the tickets they granted.
+  EXPECT_LE(visor.serving_threads(), 2u);
+
+  const std::vector<asobs::FlightRecord> records =
+      visor.flight().Snapshot("slotwf");
+  ASSERT_EQ(records.size(), 4u);
+  size_t waited = 0;
+  for (const asobs::FlightRecord& record : records) {
+    EXPECT_EQ(record.outcome, asobs::FlightOutcome::kOk);
+    waited += record.queue_wait_nanos > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(waited, 2u) << "the two requests beyond max_inflight report "
+                           "their wait as admission queue time";
+  visor.StopWatchdog();
 }
 
 int ConnectLoopback(uint16_t port) {
